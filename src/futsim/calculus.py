@@ -7,7 +7,7 @@ per thread, each realizing a distinct future id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .scaling import FrequencyLadder, FrequencyLevel
@@ -59,14 +59,6 @@ def node_count(expr: Expression) -> int:
         return 1 + node_count(expr.left) + node_count(expr.right)
     if isinstance(expr, FutureCreate):
         return 1 + node_count(expr.body)
-    return 1
-
-
-def expr_depth(expr: Expression) -> int:
-    if isinstance(expr, Add):
-        return 1 + max(expr_depth(expr.left), expr_depth(expr.right))
-    if isinstance(expr, FutureCreate):
-        return 1 + expr_depth(expr.body)
     return 1
 
 
@@ -236,11 +228,18 @@ def eval_sequential(expr: Expression) -> int:
 
 @dataclass(frozen=True)
 class Closure:
-    """One thread: an expression evaluated at a frequency, realizing a future id."""
+    """One thread: an expression evaluated at a frequency, realizing a future id.
+
+    ``site`` caches ``decompose(expr)``. The engine fills it on first use; a
+    closure is immutable and shared by every successor configuration, so its
+    expression is searched at most once. The cache is not part of the
+    closure's identity.
+    """
 
     freq: FrequencyLevel
     expr: Expression
     realizes: FutureId
+    site: RedexSite | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

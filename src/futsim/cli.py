@@ -1,8 +1,12 @@
 """Command-line entry point: run programs, compare strategies, explore interleavings.
 
-Exit codes: 0 ok, 2 program parse error, 3 configuration/usage error,
-4 determinacy violation across compared strategies, 5 multiple exploration
-outcomes, 6 exploration state limit exceeded.
+Exit codes: 0 ok, 2 program parse error (including an unreadable program
+file), 3 configuration/usage error or output that cannot be written (an
+unwritable trace path, or a result that overflowed to a non-finite number
+in JSON output), 4 determinacy violation across compared strategies,
+5 multiple exploration outcomes, 6 exploration state limit exceeded,
+7 engine error (a semantics run exceeded its step limit, or an engine
+invariant broke).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .energy import (
     simulate,
 )
 from .engine import (
+    EngineError,
     ExplorationLimitError,
     NewestFirst,
     RoundRobin,
@@ -48,6 +53,7 @@ EXIT_CONFIG = 3
 EXIT_DETERMINACY = 4
 EXIT_MULTIPLE_OUTCOMES = 5
 EXIT_EXPLORE_LIMIT = 6
+EXIT_ENGINE = 7
 
 TRACE_VERSION = 1
 EXPR_SNIPPET_CHARS = 80
@@ -55,6 +61,10 @@ EXPR_SNIPPET_CHARS = 80
 
 class ConfigError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """A report or trace could not be written."""
 
 
 @dataclass
@@ -314,7 +324,23 @@ def _trace_record(**kw) -> str:
         "energy": kw["energy"],
         "expr": kw["expr"],
     }
-    return json.dumps(record, sort_keys=True)
+    return _json_dump(record, indent=None)
+
+
+def _json_dump(obj, indent: int | None = 2) -> str:
+    # Infinity and NaN are not JSON; a model whose numbers overflow is reported
+    # as an error instead.
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise OutputError(f"a result is not a finite number (the cost model overflows): {exc}") from exc
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write trace {path}: {exc}") from exc
 
 
 def _write_simulate_trace(path: str, report: SimulationReport) -> None:
@@ -338,7 +364,7 @@ def _write_simulate_trace(path: str, report: SimulationReport) -> None:
                 energy=seg.energy, expr=expr,
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _describe_event(event) -> str:
@@ -359,11 +385,7 @@ def _write_semantics_trace(path: str, result: RunResult) -> None:
                 energy=0.0, expr=_snippet(_describe_event(event)),
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    _write_lines(path, lines)
 
 
 def _report_json(cfg: RunConfig, report: SimulationReport) -> dict:
@@ -548,6 +570,12 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except ParseError as exc:
         print(f"error: {cfg.program}:{exc}", file=err)
         return EXIT_PARSE
+    except OutputError as exc:
+        print(f"error: {exc}", file=err)
+        return EXIT_CONFIG
+    except EngineError as exc:
+        print(f"error: {exc}", file=err)
+        return EXIT_ENGINE
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ determined by virtual time, ties broken by thread id.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -56,6 +57,10 @@ class CostModel:
     transition_energy: bool = False  # charge switches at kappa * f_new**alpha * tau
 
     def __post_init__(self) -> None:
+        for name in ("create_cycles", "add_cycles", "claim_cycles", "kappa", "alpha", "tau", "idle_power",
+                     "block_time", "block_energy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("create_cycles", "add_cycles", "claim_cycles"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -116,9 +121,6 @@ class ThreadTimeline:
     thread: FutureId
     segments: tuple[Segment, ...]
 
-    def span(self) -> float:
-        return self.segments[-1].end - self.segments[0].start if self.segments else 0.0
-
     def energy(self) -> float:
         return sum(s.energy for s in self.segments)
 
@@ -161,7 +163,6 @@ class _Thread:
     segments: list[Segment] = field(default_factory=list)
     done: bool = False
     t_realize: float = 0.0
-    consumed: bool = False
 
 
 class _Simulation:
@@ -223,7 +224,6 @@ class _Simulation:
                     Segment(t_arrive, end, SEG_WAIT, claimant.level, self.model.block_energy, target=producer.fid, mode=WAIT_BLOCK)
                 )
                 start = end
-        producer.consumed = True
         claimant.expr = plug(site.context, producer.expr)
         end = self.compute_segment(claimant, RULE_CLAIM, start)
         claimant.level, end = self.apply_scale(claimant, ScaleOp.UP_CLAIM, claimant.level, end)

@@ -19,6 +19,7 @@ from .calculus import (
     FutureRef,
     IntLit,
     NoRedex,
+    RedexSite,
     contains_future_ref,
     decompose,
     future_ref_ids,
@@ -89,6 +90,19 @@ class AddEvent:
 ReductionEvent = Union[CreateEvent, ClaimEvent, AddEvent]
 
 
+def _site(closure: Closure) -> RedexSite:
+    """The closure's redex site: searched on first use, then kept on the closure."""
+    site = closure.site
+    if site is None:
+        site = decompose(closure.expr)
+        object.__setattr__(closure, "site", site)
+    return site
+
+
+def _index_of(config: Configuration, thread: FutureId) -> int:
+    return next(i for i, c in enumerate(config.closures) if c.realizes == thread)
+
+
 def enabled_threads(config: Configuration) -> frozenset[FutureId]:
     """Threads that can take a step right now.
 
@@ -100,7 +114,7 @@ def enabled_threads(config: Configuration) -> frozenset[FutureId]:
     producers = {c.realizes: c for c in config.closures}
     enabled: set[FutureId] = set()
     for c in config.closures:
-        site = decompose(c.expr)
+        site = _site(c)
         if isinstance(site, (ArithRedex, CreateRedex)):
             enabled.add(c.realizes)
         elif isinstance(site, ClaimSite):
@@ -116,15 +130,20 @@ def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> 
     """Fire the one rule the named thread can take; pure, returns a new configuration."""
     if thread not in enabled_threads(config):
         raise NotEnabledError(f"fv{thread} has no enabled reduction")
-    index = next(i for i, c in enumerate(config.closures) if c.realizes == thread)
+    return _fire(config, _index_of(config, thread), strategy)
+
+
+def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
+    """Fire the rule of the enabled closure at ``index``, unchecked."""
     closure = config.closures[index]
-    site = decompose(closure.expr)
+    site = _site(closure)
+    thread = closure.realizes
 
     if isinstance(site, CreateRedex):
         child_id = config.next_fresh
         child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, closure.freq)
         parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, closure.freq)
-        parent = Closure(parent_level, plug(site.context, FutureRef(child_id)), closure.realizes)
+        parent = Closure(parent_level, plug(site.context, FutureRef(child_id)), thread)
         child = Closure(child_level, site.body, child_id)
         closures = (child,) + config.closures[:index] + (parent,) + config.closures[index + 1 :]
         event = CreateEvent(thread, closure.freq, child_id, parent_level, child_level, int(clamp_up) + int(clamp_down))
@@ -247,7 +266,10 @@ def run(
             raise EngineError("no enabled thread in a non-terminal configuration")
         if len(events) >= step_limit:
             raise DivergenceError(f"exceeded {step_limit} steps")
-        config, event = step(config, pick(config, enabled), strategy)
+        thread = pick(config, enabled)
+        if thread not in enabled:
+            raise NotEnabledError(f"fv{thread} has no enabled reduction")
+        config, event = _fire(config, _index_of(config, thread), strategy)
         events.append(event)
         clamps += getattr(event, "clamps", 0)
 
@@ -316,8 +338,9 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                 assert isinstance(root.expr, IntLit)
                 outcomes.add((root.expr.value, root.freq))
                 continue
+            positions = {c.realizes: i for i, c in enumerate(cfg.closures)}
             for thread in sorted(enabled):
-                stepped, _ = step(cfg, thread, strategy)
+                stepped, _ = _fire(cfg, positions[thread], strategy)
                 key = canonical_key(stepped)
                 if key not in seen:
                     if len(seen) >= state_limit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +27,8 @@ class FrequencyLadder:
             raise ValueError("ladder needs at least one level")
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         for v in self.levels:
-            if not v > 0:
-                raise ValueError(f"ladder levels must be positive, got {v}")
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"ladder levels must be positive and finite, got {v}")
         for lo, hi in zip(self.levels, self.levels[1:]):
             if not lo < hi:
                 raise ValueError(f"ladder must be strictly increasing, got {lo} before {hi}")

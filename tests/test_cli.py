@@ -261,3 +261,49 @@ def test_cycles_flag(small_file):
     )
     assert code == 0
     assert json.loads(out)["makespan"] == pytest.approx(4.0, rel=1e-9)
+
+
+@pytest.fixture()
+def sum_file(tmp_path):
+    path = tmp_path / "sum.gf"
+    path.write_text("future (1 + 2) + 3 + 4\n")
+    return str(path)
+
+
+def test_step_limit_exceeded_is_engine_error(sum_file):
+    code, out, err = invoke(["run", sum_file, "--mode", "semantics", "--step-limit", "0"])
+    assert code == 7
+    assert out == ""
+    assert err.strip() == "error: exceeded 0 steps"
+
+
+def test_unwritable_trace_is_output_error(sum_file, tmp_path):
+    trace = tmp_path / "missing" / "t.jsonl"
+    for mode in ("simulate", "semantics"):
+        code, _, err = invoke(["run", sum_file, "--mode", mode, "--trace", str(trace)])
+        assert code == 3
+        assert err.startswith("error: ") and "t.jsonl" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--tau", "nan"], ["--alpha", "inf"], ["--kappa", "nan"], ["--ladder", "1,inf", "--init", "2"],
+     ["--ladder", "1,nan", "--init", "1"], ["--cycles", "add=inf"], ["--block-penalty", "nan,1"]],
+)
+def test_non_finite_model_numbers_are_config_errors(sum_file, flags):
+    code, out, err = invoke(["run", sum_file, "--format", "json"] + flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_overflowing_report_is_an_error_not_invalid_json(sum_file, tmp_path):
+    code, out, err = invoke(["run", sum_file, "--kappa", "1e308", "--format", "json"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+    code, _, err = invoke(["compare", sum_file, "--kappa", "1e308", "--strategies", "none,both", "--format", "json"])
+    assert code == 3
+    code, _, err = invoke(["run", sum_file, "--kappa", "1e308", "--trace", str(tmp_path / "t.jsonl")])
+    assert code == 3
+    assert err.startswith("error: ")

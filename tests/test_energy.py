@@ -287,3 +287,14 @@ def test_claim_forwarding_chain():
     assert len(report.claim_records) == 2
     targets = [r.target for r in report.claim_records]
     assert targets == [2, 1]  # grandchild claimed by middle, middle by root
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["create_cycles", "add_cycles", "claim_cycles", "kappa", "alpha", "tau", "idle_power", "block_time",
+     "block_energy"],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cost_model_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        CostModel(**{name: bad})

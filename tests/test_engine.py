@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import futsim.engine as engine
 from futsim.calculus import (
     Add,
     Closure,
@@ -9,6 +10,7 @@ from futsim.calculus import (
     FutureCreate,
     FutureRef,
     IntLit,
+    decompose,
     eval_sequential,
     initial_configuration,
     is_terminal,
@@ -304,3 +306,103 @@ def test_event_levels_stay_in_ladder():
                 assert LADDER.contains(event.child_level)
             if isinstance(event, ClaimEvent):
                 assert LADDER.contains(event.claimant_level)
+
+
+# ---------------------------------------------------------------------------
+# run's unchecked firing and cached sites against the public API
+# ---------------------------------------------------------------------------
+
+ALL_STRATEGIES = ["both", "parent-only", "child-only", "none"]
+
+
+def reference_events(expr, ladder, init_index, strategy, policy):
+    """Events of a run driven only by the public enabled_threads and step."""
+    config = initial_configuration(expr, ladder.level(init_index))
+    pick = policy.session()
+    events = []
+    while enabled := enabled_threads(config):
+        config, event = step(config, pick(config, enabled), strategy)
+        events.append(event)
+    assert is_terminal(config)
+    return events
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_run_matches_reference_loop(seed):
+    expr = gen_random_program(seed, 6, 3)
+    for name in ALL_STRATEGIES:
+        strategy = make_strategy(name, LADDER)
+        for policy in (NewestFirst(), RoundRobin(), SeededRandom(seed)):
+            expected = reference_events(expr, LADDER, 2, strategy, policy)
+            result = run(expr, LADDER, 2, strategy, policy)
+            assert list(result.events) == expected
+            assert result.step_count == len(expected)
+
+
+def test_every_closure_reached_carries_its_decomposed_site(monkeypatch):
+    fired = []
+    original = engine._fire
+
+    def recording(config, index, strategy):
+        fired.append(config)
+        return original(config, index, strategy)
+
+    monkeypatch.setattr(engine, "_fire", recording)
+    for seed in range(15):
+        expr = gen_random_program(seed, 6, 3)
+        for policy in POLICIES:
+            run(expr, LADDER, 2, BOTH, policy)
+        explore_with_stats(expr, LADDER, 2, BOTH)
+    assert fired
+    for config in fired:
+        for closure in config.closures:
+            assert closure.site == decompose(closure.expr)
+
+
+def test_site_cache_is_not_part_of_closure_identity():
+    cached = _cl(2, Add(IntLit(1), IntLit(2)), 0)
+    assert enabled_threads(Configuration((cached,), 1, 0)) == {0}
+    assert cached.site is not None
+    fresh = _cl(2, Add(IntLit(1), IntLit(2)), 0)
+    assert fresh.site is None
+    assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
+
+
+def test_run_step_limit_zero():
+    with pytest.raises(DivergenceError):
+        run(GOLDEN_PROGRAM, LADDER, 2, BOTH, step_limit=0)
+    assert run(IntLit(4), LADDER, 2, BOTH, step_limit=0).final_value == 4
+
+
+def test_run_rejects_a_pick_outside_the_enabled_set():
+    class Stubborn:
+        name = "stubborn"
+
+        def session(self):
+            return lambda config, enabled: config.root
+
+    with pytest.raises(NotEnabledError):
+        run(GOLDEN_PROGRAM, LADDER, 2, BOTH, Stubborn())
+
+
+# State counts computed with the search that re-decomposed every closure on
+# every step; the cached sites must reach exactly the same states.
+@pytest.mark.parametrize(
+    "text, states",
+    [
+        ("2 + future (future (3+4))", 7),
+        ("(future (1+1+1+1)) + (future (2+2+2+2)) + (future (3+3+3+3))", 111),
+        ("(future (future (6+9+-9))) + ((future (-3+6)) + (future (future 6))"
+         " + ((future (-2+-5)) + (future (-9+-7))))", 276),
+        ("(future -7) + (future 2) + (future 7) + (-7 + (-2 + 8 + (9 + -2)))", 14),
+        ("(future (future 9) + (-4 + 7) + ((future -4) + 5))"
+         " + (8 + (future (future -8)) + (future (-4 + -9 + (future -7))))", 200),
+        ("future 7", 3),
+    ],
+)
+def test_explore_state_counts_pinned(text, states):
+    expr = parse(text)
+    for name in ("both", "none"):
+        outcomes, count = explore_with_stats(expr, LADDER, 2, make_strategy(name, LADDER))
+        assert count == states
+        assert {value for value, _ in outcomes} == {eval_sequential(expr)}

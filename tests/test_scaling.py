@@ -140,3 +140,11 @@ def test_registry_rejects_unknown_and_accepts_new():
         from futsim.scaling import STRATEGY_FACTORIES
 
         del STRATEGY_FACTORIES["all-up"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ladder_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        FrequencyLadder((1.0, bad))
+    with pytest.raises(ValueError):
+        FrequencyLadder((bad,))
