@@ -118,6 +118,9 @@ class ArithRedex:
     context: Context
     left: int
     right: int
+    # Set by ``refill`` when the expression holds no other redex (a claim made
+    # this one); not part of the site's identity, so ``decompose`` leaves it False.
+    _claim_phase: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,60 @@ def plug(context: Context, filler: Expression) -> Expression:
     return expr
 
 
+def _refocus(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> RedexSite:
+    """``decompose(plug(site.context, filler))``, searched from the hole.
+
+    ``site`` is the site a rule fired and ``filler`` the atom the rule left in
+    its hole: the ``IntLit`` an Add or Claim produced, or the ``FutureRef`` of
+    a Create. Instead of searching again from the root, the search resumes at
+    the hole (refocusing, Danvy & Nielsen 2004). Everything left of the
+    hole's path holds no redex, so walking up, a ``HoleLeft`` frame is an Add
+    redex or leaves its right sibling to search, and a ``HoleRight`` frame can
+    only be an Add redex; the claim search from the root runs once per
+    thread, when the walk finds no redex. After a claim no redex is left but
+    the hole's parent, so the right siblings are searched for the next claim
+    instead; that phase is kept on the Add redexes it yields. The walk is a
+    loop, so it adds no recursion depth, and it rebuilds only the levels it
+    passes.
+    """
+    if not isinstance(filler, (IntLit, FutureRef)):
+        raise TypeError(f"refill takes an integer or a future reference, not {filler!r}")
+    claim_phase = isinstance(filler, IntLit) and (
+        isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
+    )
+    search = _leftmost_claim if claim_phase else _leftmost_redex
+    frames = list(site.context)
+    below = filler
+    while frames:
+        frame = frames.pop()
+        if isinstance(frame, HoleLeft):
+            left, right = below, frame.right
+        else:
+            left, right = frame.left, below
+        if isinstance(left, IntLit) and isinstance(right, IntLit):
+            return ArithRedex(tuple(frames), left.value, right.value, _claim_phase=claim_phase)
+        if isinstance(frame, HoleLeft) and not isinstance(right, IntLit):
+            depth = len(frames)
+            frames.append(HoleRight(left))
+            found = search(right, frames)
+            if found is not None:
+                return found
+            del frames[depth:]
+        below = Add(left, right)
+    # The walk reached the root: ``below`` is the whole expression, and it holds no redex.
+    found = None if claim_phase else _leftmost_claim(below, [])
+    return found if found is not None else NoRedex(is_value=isinstance(below, IntLit))
+
+
+def refill(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> tuple[Expression, RedexSite]:
+    """Plug the atom a rule produced into a fired site's hole; return it and its site.
+
+    Equal to ``(e, decompose(e))`` for ``e = plug(site.context, filler)``, with
+    the site found by ``_refocus`` instead of a search from the root.
+    """
+    return plug(site.context, filler), _refocus(site, filler)
+
+
 def eval_sequential(expr: Expression) -> int:
     """Evaluate with every future erased; the determinacy oracle."""
     if isinstance(expr, IntLit):
@@ -230,9 +287,10 @@ def eval_sequential(expr: Expression) -> int:
 class Closure:
     """One thread: an expression evaluated at a frequency, realizing a future id.
 
-    ``site`` caches ``decompose(expr)``. The engine fills it on first use; a
-    closure is immutable and shared by every successor configuration, so its
-    expression is searched at most once. The cache is not part of the
+    ``site`` caches ``decompose(expr)``. A closure a rule left behind gets it
+    from ``refill``; the engine searches a new thread's expression on first
+    use. A closure is immutable and shared by every successor configuration,
+    so its expression is searched at most once. The cache is not part of the
     closure's identity.
     """
 

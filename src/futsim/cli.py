@@ -1,9 +1,10 @@
 """Command-line entry point: run programs, compare strategies, explore interleavings.
 
 Exit codes: 0 ok, 2 program parse error (including an unreadable program
-file), 3 configuration/usage error or output that cannot be written (an
-unwritable trace path, or a result that overflowed to a non-finite number
-in JSON output), 4 determinacy violation across compared strategies,
+file), 3 configuration/usage error (a negative limit among them) or output
+that cannot be written (an unwritable trace path, a result that overflowed
+to a non-finite number in JSON output, or a standard output its reader
+closed early), 4 determinacy violation across compared strategies,
 5 multiple exploration outcomes, 6 exploration state limit exceeded,
 7 engine error (a semantics run exceeded its step limit, or an engine
 invariant broke).
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,6 +156,16 @@ def _parse_block_penalty(text: str, model: CostModel) -> None:
         raise ConfigError(f"bad --block-penalty {text!r}") from exc
 
 
+def _parse_limit(name: str, text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --{name} {text!r}") from exc
+    if limit < 0:
+        raise ConfigError(f"--{name} must be non-negative, got {limit}")
+    return limit
+
+
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("program", help="program file (one expression, '#' comments)")
     sub.add_argument("--config", help="flat key = value config file")
@@ -262,15 +274,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if (trace := pick("trace", "trace")) is not None:
         cfg.trace_path = trace
     if (state_limit := pick("state_limit", "state-limit")) is not None:
-        try:
-            cfg.state_limit = int(state_limit)
-        except ValueError as exc:
-            raise ConfigError(f"bad --state-limit {state_limit!r}") from exc
+        cfg.state_limit = _parse_limit("state-limit", state_limit)
     if (step_limit := pick("step_limit", "step-limit")) is not None:
-        try:
-            cfg.step_limit = int(step_limit)
-        except ValueError as exc:
-            raise ConfigError(f"bad --step-limit {step_limit!r}") from exc
+        cfg.step_limit = _parse_limit("step-limit", step_limit)
 
     for name in cfg.strategies or [cfg.strategy]:
         if name not in STRATEGY_FACTORIES:
@@ -546,6 +552,22 @@ def cmd_explore(cfg: RunConfig, out, err) -> int:
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    try:
+        code = _dispatch(argv, out, err)
+        if out is sys.stdout:
+            out.flush()  # a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        if out is sys.stdout:
+            # The buffered rest would fail again in the interpreter's final flush.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=err)
+        return EXIT_CONFIG
+
+
+def _dispatch(argv: list[str] | None, out, err) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 from .calculus import (
     ArithRedex,
@@ -23,9 +22,10 @@ from .calculus import (
     FutureRef,
     IntLit,
     NoRedex,
+    RedexSite,
     contains_future_ref,
     decompose,
-    plug,
+    refill,
     wrap_int,
 )
 from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError
@@ -160,6 +160,7 @@ class _Thread:
     fid: FutureId
     expr: Expression
     level: FrequencyLevel
+    site: RedexSite  # decompose(expr), kept current by refill
     segments: list[Segment] = field(default_factory=list)
     done: bool = False
     t_realize: float = 0.0
@@ -202,7 +203,7 @@ class _Simulation:
         return start + duration
 
     def fire_claim(self, claimant: _Thread, producer: _Thread, t_arrive: float) -> None:
-        site = decompose(claimant.expr)
+        site = claimant.site
         assert isinstance(site, ClaimSite) and site.target == producer.fid
         wait = max(0.0, producer.t_realize - t_arrive)
         case_tag = CASE_I if wait > 0 else CASE_II
@@ -224,13 +225,13 @@ class _Simulation:
                     Segment(t_arrive, end, SEG_WAIT, claimant.level, self.model.block_energy, target=producer.fid, mode=WAIT_BLOCK)
                 )
                 start = end
-        claimant.expr = plug(site.context, producer.expr)
+        claimant.expr, claimant.site = refill(site, producer.expr)
         end = self.compute_segment(claimant, RULE_CLAIM, start)
         claimant.level, end = self.apply_scale(claimant, ScaleOp.UP_CLAIM, claimant.level, end)
         self.schedule(end, claimant.fid)
 
     def run(self, expr: Expression, init_level: FrequencyLevel, root_id: FutureId = 0) -> SimulationReport:
-        root = _Thread(root_id, expr, init_level)
+        root = _Thread(root_id, expr, init_level, decompose(expr))
         self.threads[root_id] = root
         self.schedule(0.0, root_id)
         makespan = None
@@ -238,7 +239,7 @@ class _Simulation:
         while self.heap:
             now, fid = heapq.heappop(self.heap)
             thr = self.threads[fid]
-            site = decompose(thr.expr)
+            site = thr.site
 
             if isinstance(site, NoRedex):
                 if not site.is_value:
@@ -265,18 +266,18 @@ class _Simulation:
             if isinstance(site, CreateRedex):
                 child_id = self.next_fresh
                 self.next_fresh += 1
-                thr.expr = plug(site.context, FutureRef(child_id))
+                thr.expr, thr.site = refill(site, FutureRef(child_id))
                 end = self.compute_segment(thr, RULE_CREATE, now)
                 child_level, end = self.apply_scale(thr, ScaleOp.UP_CREATE, thr.level, end)
                 thr.level, end = self.apply_scale(thr, ScaleOp.DOWN, thr.level, end)
-                child = _Thread(child_id, site.body, child_level)
+                child = _Thread(child_id, site.body, child_level, decompose(site.body))
                 self.threads[child_id] = child
                 self.schedule(end, child_id)
                 self.schedule(end, fid)
                 continue
 
             assert isinstance(site, ArithRedex)
-            thr.expr = plug(site.context, IntLit(wrap_int(site.left + site.right)))
+            thr.expr, thr.site = refill(site, IntLit(wrap_int(site.left + site.right)))
             end = self.compute_segment(thr, RULE_ADD, now)
             self.schedule(end, fid)
 

@@ -18,7 +18,6 @@ from .calculus import (
     FutureId,
     FutureRef,
     IntLit,
-    NoRedex,
     RedexSite,
     contains_future_ref,
     decompose,
@@ -26,7 +25,7 @@ from .calculus import (
     initial_configuration,
     is_terminal,
     node_count,
-    plug,
+    refill,
     wrap_int,
 )
 from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
@@ -99,6 +98,14 @@ def _site(closure: Closure) -> RedexSite:
     return site
 
 
+def _successor(freq: FrequencyLevel, fired: RedexSite, filler: Expression, realizes: FutureId) -> Closure:
+    """The closure a fired site leaves behind, carrying its next site from ``refill``."""
+    expr, site = refill(fired, filler)
+    closure = Closure(freq, expr, realizes)
+    object.__setattr__(closure, "site", site)
+    return closure
+
+
 def _index_of(config: Configuration, thread: FutureId) -> int:
     return next(i for i, c in enumerate(config.closures) if c.realizes == thread)
 
@@ -143,7 +150,7 @@ def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple
         child_id = config.next_fresh
         child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, closure.freq)
         parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, closure.freq)
-        parent = Closure(parent_level, plug(site.context, FutureRef(child_id)), thread)
+        parent = _successor(parent_level, site, FutureRef(child_id), thread)
         child = Closure(child_level, site.body, child_id)
         closures = (child,) + config.closures[:index] + (parent,) + config.closures[index + 1 :]
         event = CreateEvent(thread, closure.freq, child_id, parent_level, child_level, int(clamp_up) + int(clamp_down))
@@ -151,7 +158,7 @@ def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple
 
     if isinstance(site, ArithRedex):
         total = wrap_int(site.left + site.right)
-        updated = Closure(closure.freq, plug(site.context, IntLit(total)), thread)
+        updated = _successor(closure.freq, site, IntLit(total), thread)
         closures = config.closures[:index] + (updated,) + config.closures[index + 1 :]
         event = AddEvent(thread, closure.freq, site.left, site.right, total)
         return Configuration(closures, config.next_fresh, config.root), event
@@ -159,7 +166,7 @@ def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple
     if isinstance(site, ClaimSite):
         producer = config.closure_for(site.target)
         new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, closure.freq)
-        updated = Closure(new_level, plug(site.context, producer.expr), thread)
+        updated = _successor(new_level, site, producer.expr, thread)
         closures = tuple(
             updated if c.realizes == thread else c for c in config.closures if c.realizes != site.target
         )

@@ -21,6 +21,7 @@ from futsim.calculus import (
     initial_configuration,
     node_count,
     plug,
+    refill,
     validate_configuration,
     wrap_int,
 )
@@ -205,3 +206,81 @@ def test_validator_rejects_off_ladder_frequency():
     config = Configuration(closures=(Closure(FrequencyLevel(9, 99.0), IntLit(1), 0),), next_fresh=1, root=0)
     with pytest.raises(ConfigurationError):
         validate_configuration(config, LADDER)
+
+
+def _fill_and_check(site, filler):
+    expr, next_site = refill(site, filler)
+    assert expr == plug(site.context, filler)
+    assert next_site == decompose(expr)
+    return expr, next_site
+
+
+def test_refill_after_add_searches_the_right_sibling():
+    expr = Add(Add(IntLit(1), IntLit(2)), FutureCreate(IntLit(3)))
+    site = decompose(expr)
+    _, next_site = _fill_and_check(site, IntLit(3))
+    assert next_site == CreateRedex((HoleRight(IntLit(3)),), IntLit(3))
+
+
+def test_refill_after_create_finds_add_right_of_pending_claims():
+    # (fv1 + fv2) + (3 + 4): the addition on the right runs before either claim.
+    expr = Add(Add(FutureRef(1), FutureCreate(IntLit(2))), Add(IntLit(3), IntLit(4)))
+    site = decompose(expr)
+    assert isinstance(site, CreateRedex)
+    _, next_site = _fill_and_check(site, FutureRef(2))
+    assert next_site == ArithRedex((HoleRight(Add(FutureRef(1), FutureRef(2))),), 3, 4)
+    _, next_site = _fill_and_check(next_site, IntLit(7))
+    assert next_site == ClaimSite((HoleLeft(IntLit(7)), HoleLeft(FutureRef(2))), 1)
+
+
+def test_refill_after_claim_checks_only_the_parent_then_the_right_sibling():
+    expr = Add(Add(FutureRef(1), FutureRef(2)), Add(FutureRef(3), IntLit(4)))
+    site = decompose(expr)
+    assert site == ClaimSite((HoleLeft(Add(FutureRef(3), IntLit(4))), HoleLeft(FutureRef(2))), 1)
+    _, site = _fill_and_check(site, IntLit(10))
+    assert site == ClaimSite((HoleLeft(Add(FutureRef(3), IntLit(4))), HoleRight(IntLit(10))), 2)
+    _, site = _fill_and_check(site, IntLit(20))
+    assert site == ArithRedex((HoleLeft(Add(FutureRef(3), IntLit(4))),), 10, 20)
+    _, site = _fill_and_check(site, IntLit(30))
+    assert site == ClaimSite((HoleRight(IntLit(30)), HoleLeft(IntLit(4))), 3)
+    _, site = _fill_and_check(site, IntLit(40))
+    assert site == ArithRedex((HoleRight(IntLit(30)),), 40, 4)
+    _, site = _fill_and_check(site, IntLit(44))
+    assert site == ArithRedex((), 30, 44)
+    expr, site = _fill_and_check(site, IntLit(74))
+    assert expr == IntLit(74) and site == NoRedex(is_value=True)
+
+
+def test_refill_claim_phase_marker_is_not_part_of_the_site():
+    site = decompose(Add(FutureRef(1), IntLit(2)))
+    _, after_claim = refill(site, IntLit(5))
+    assert after_claim._claim_phase
+    assert not decompose(Add(IntLit(5), IntLit(2)))._claim_phase
+    assert after_claim == decompose(Add(IntLit(5), IntLit(2)))
+    assert hash(after_claim) == hash(decompose(Add(IntLit(5), IntLit(2))))
+    assert "claim" not in repr(after_claim)
+
+
+def test_refill_of_a_bare_claim_and_a_forwarded_reference():
+    expr, site = _fill_and_check(ClaimSite((), 1), IntLit(9))
+    assert expr == IntLit(9) and site == NoRedex(is_value=True)
+    _, site = _fill_and_check(ClaimSite((HoleLeft(IntLit(1)),), 1), FutureRef(2))
+    assert site == ClaimSite((HoleLeft(IntLit(1)),), 2)
+
+
+def test_refill_rejects_a_compound_filler():
+    with pytest.raises(TypeError):
+        refill(decompose(Add(IntLit(1), IntLit(2))), Add(IntLit(1), IntLit(2)))
+
+
+def test_refill_walks_up_without_recursion():
+    # fv0 + (fv1 + (... + (fv{depth-1} + future 7))): after the create the walk
+    # climbs every level to the root, far past the interpreter's recursion limit.
+    depth = 20 * 1000
+    context = tuple(HoleRight(FutureRef(k)) for k in range(depth))
+    expr, site = refill(CreateRedex(context, IntLit(7)), FutureRef(depth))
+    assert isinstance(site, ClaimSite) and site.target == 0 and len(site.context) == 1
+    for k in range(depth):
+        assert isinstance(expr, Add) and expr.left == FutureRef(k)
+        expr = expr.right
+    assert expr == FutureRef(depth)

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +311,57 @@ def test_overflowing_report_is_an_error_not_invalid_json(sum_file, tmp_path):
     code, _, err = invoke(["run", sum_file, "--kappa", "1e308", "--trace", str(tmp_path / "t.jsonl")])
     assert code == 3
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, command", [("--step-limit", ["run", "--mode", "semantics"]), ("--state-limit", ["explore"])])
+def test_negative_limit_flag_is_config_error(sum_file, flag, command):
+    code, out, err = invoke([command[0], sum_file] + command[1:] + [flag, "-1"])
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: {flag} must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("key, command", [("step-limit", ["run", "--mode", "semantics"]), ("state_limit", ["explore"])])
+def test_negative_limit_config_key_is_config_error(sum_file, tmp_path, key, command):
+    config = tmp_path / "limits.conf"
+    config.write_text(f"{key} = -5\n")
+    code, out, err = invoke([command[0], sum_file] + command[1:] + ["--config", str(config)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "must be non-negative" in err
+
+
+def test_zero_state_limit_is_still_accepted(sum_file):
+    code, _, err = invoke(["explore", sum_file, "--state-limit", "0"])
+    assert code == 6
+    assert err.startswith("error: more than 0 states")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_is_an_output_error(sum_file):
+    err = io.StringIO()
+    code = main(["run", sum_file], out=_ClosedPipe(), err=err)
+    assert code == 3
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the output")
+
+
+def test_closed_stdout_of_the_command_gives_no_traceback(sum_file):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes a byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "futsim.cli", "run", sum_file], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 3, lines
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the output"), lines

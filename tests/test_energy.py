@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from futsim.calculus import Add, FutureCreate, IntLit, eval_sequential
+from futsim.calculus import Add, FutureCreate, IntLit, eval_sequential, initial_configuration, is_terminal
 from futsim.energy import (
     CASE_I,
     CASE_II,
@@ -10,13 +10,14 @@ from futsim.energy import (
     SEG_TRANSITION,
     SEG_WAIT,
     WAIT_BLOCK,
+    WAIT_SPIN,
     CostModel,
     compute_metrics,
     simulate,
     step_duration,
     step_energy,
 )
-from futsim.engine import gen_random_program, run
+from futsim.engine import gen_random_program, run, step
 from futsim.parser import parse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_child_only, strategy_none
 
@@ -298,3 +299,29 @@ def test_claim_forwarding_chain():
 def test_cost_model_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=name):
         CostModel(**{name: bad})
+
+
+REPLAY_STRATEGIES = ("none", "parent-only", "child-only", "both")
+
+
+@pytest.mark.parametrize("wait", [WAIT_SPIN, WAIT_BLOCK])
+@pytest.mark.parametrize("name", REPLAY_STRATEGIES)
+def test_simulated_schedule_replays_through_engine_step(name, wait):
+    """The simulator's compute segments, in time order, are a legal run of the small-step rules."""
+    strategy = make_strategy(name, LADDER)
+    model = CostModel(wait_policy=wait, tau=0.05)
+    for seed in range(40):
+        expr = gen_random_program(seed, 7, 3)
+        report = simulate(expr, LADDER, 2, strategy, model)
+        computes = sorted(
+            (seg.start, fid, offset, seg)
+            for fid, timeline in report.timelines.items()
+            for offset, seg in enumerate(timeline.segments)
+            if seg.kind == SEG_COMPUTE
+        )
+        config = initial_configuration(expr, LADDER.level(2))
+        for _, fid, _, seg in computes:
+            config, event = step(config, fid, strategy)
+            assert (event.rule, event.level) == (seg.rule, seg.level), (seed, fid)
+        assert is_terminal(config)
+        assert config.closures[0].expr == IntLit(report.final_value)

@@ -1,0 +1,125 @@
+"""Property tests: round-tripping the parser, and refocused sites against decompose."""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import futsim.energy as energy  # noqa: E402
+import futsim.engine as engine  # noqa: E402
+from futsim.calculus import (  # noqa: E402
+    Add,
+    ArithRedex,
+    CreateRedex,
+    FutureCreate,
+    FutureRef,
+    IntLit,
+    NoRedex,
+    decompose,
+    eval_sequential,
+    plug,
+    refill,
+    wrap_int,
+)
+from futsim.energy import SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
+from futsim.engine import NewestFirst, RoundRobin, SeededRandom, run  # noqa: E402
+from futsim.parser import parse, unparse  # noqa: E402
+from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
+
+LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
+STRATEGIES = ("none", "parent-only", "child-only", "both")
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+int64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1).map(IntLit)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(FutureCreate, sub)),
+        max_leaves=30,
+    )
+
+
+programs = _trees(int64)
+expressions = _trees(st.one_of(int64, st.integers(min_value=1, max_value=40).map(FutureRef)))
+
+# Shapes whose evaluation reaches the claim phase in different ways.
+PENDING_LEFT = parse("((future 1) + (future 2)) + (3 + 4)")  # (fv1 + fv2) + (3 + 4)
+WIDE_SUM = parse(" + ".join(f"(future ({i} + {i}))" for i in range(1, 9)))
+LEFT_DEEP = parse("1 + (future (2 + 3)) + 4 + 5 + 6")
+
+
+@SETTINGS
+@given(programs)
+def test_parse_inverts_unparse(expr):
+    assert parse(unparse(expr)) == expr
+
+
+@SETTINGS
+@given(expressions)
+@example(Add(Add(FutureRef(1), FutureRef(2)), Add(IntLit(3), IntLit(4))))
+@example(Add(Add(Add(IntLit(1), FutureRef(1)), IntLit(2)), IntLit(3)))
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+def test_refill_follows_decompose_through_an_evaluation(expr):
+    site = decompose(expr)
+    fresh = 100
+    while not isinstance(site, NoRedex):
+        if isinstance(site, CreateRedex):
+            filler, fresh = FutureRef(fresh), fresh + 1
+        elif isinstance(site, ArithRedex):
+            filler = IntLit(wrap_int(site.left + site.right))
+        else:
+            filler = IntLit(site.target)
+        plugged = plug(site.context, filler)
+        expr, site = refill(site, filler)
+        assert expr == plugged
+        assert site == decompose(expr)
+    assert isinstance(expr, IntLit)
+
+
+def _checking_refill(reached):
+    def checked(site, filler):
+        expr, next_site = refill(site, filler)
+        assert next_site == decompose(expr)
+        reached.append(next_site)
+        return expr, next_site
+
+    return checked
+
+
+@SETTINGS
+@given(programs)
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+@example(LEFT_DEEP)
+def test_every_site_the_simulator_reaches_is_decompose(expr):
+    reached = []
+    computes = 0
+    with mock.patch.object(energy, "refill", _checking_refill(reached)):
+        for name in STRATEGIES:
+            for wait in (WAIT_SPIN, WAIT_BLOCK):
+                report = simulate(expr, LADDER, 2, make_strategy(name, LADDER), CostModel(wait_policy=wait))
+                assert report.final_value == eval_sequential(expr)
+                computes += sum(seg.kind == SEG_COMPUTE for tl in report.timelines.values() for seg in tl.segments)
+    assert len(reached) == computes
+
+
+@SETTINGS
+@given(programs)
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+@example(LEFT_DEEP)
+def test_every_site_run_reaches_is_decompose(expr):
+    reached = []
+    with mock.patch.object(engine, "refill", _checking_refill(reached)):
+        results = [run(expr, LADDER, 2, make_strategy("both", LADDER), policy)
+                   for policy in (NewestFirst(), RoundRobin(), SeededRandom(7))]
+    assert {r.final_value for r in results} == {eval_sequential(expr)}
+    assert len(reached) == sum(r.step_count for r in results)
