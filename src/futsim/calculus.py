@@ -50,10 +50,6 @@ class FutureRef:
 Expression = Union[IntLit, Add, FutureCreate, FutureRef]
 
 
-def is_value(expr: Expression) -> bool:
-    return isinstance(expr, (IntLit, FutureRef))
-
-
 def node_count(expr: Expression) -> int:
     if isinstance(expr, Add):
         return 1 + node_count(expr.left) + node_count(expr.right)

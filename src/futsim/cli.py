@@ -1,23 +1,25 @@
 """Command-line entry point: run programs, compare strategies, explore interleavings.
 
 Exit codes: 0 ok, 2 program parse error (including an unreadable program
-file), 3 configuration/usage error (a negative limit among them) or output
-that cannot be written (an unwritable trace path, a result that overflowed
-to a non-finite number in JSON output, or a standard output its reader
-closed early), 4 determinacy violation across compared strategies,
-5 multiple exploration outcomes, 6 exploration state limit exceeded,
-7 engine error (a semantics run exceeded its step limit, or an engine
-invariant broke).
+file), 3 configuration/usage error (a negative limit or an unknown config
+key among them) or output that cannot be written (an unwritable trace
+path, a result that overflowed to a non-finite number in JSON output, or a
+standard output its reader closed early), 4 determinacy violation across
+compared strategies, 5 multiple exploration outcomes, 6 exploration state
+limit exceeded, 7 engine error (a semantics run exceeded its step limit,
+or an engine invariant broke).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .calculus import Expression
 from .energy import (
@@ -46,6 +48,7 @@ from .scaling import (
     DEFAULT_LADDER,
     STRATEGY_FACTORIES,
     FrequencyLadder,
+    FrequencyLevel,
     make_strategy,
 )
 
@@ -87,8 +90,102 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Option parsing and merging (CLI flags > config file > defaults)
+# Options, one row each (a flag overrides a config-file key, which overrides the default)
 # ---------------------------------------------------------------------------
+
+POLICIES: dict[str, Callable[[int], SchedulerPolicy]] = {
+    "newest-first": lambda seed: NewestFirst(),
+    "round-robin": lambda seed: RoundRobin(),
+    "random": SeededRandom,
+}
+_MODEL_FIELDS = {f.name for f in dataclasses.fields(CostModel)}
+
+
+def _ladder(text: str) -> dict:
+    return {"ladder": FrequencyLadder(tuple(float(p) for p in text.split(",") if p.strip()))}
+
+
+def _strategy(name: str) -> str:
+    if name not in STRATEGY_FACTORIES:
+        raise ValueError(f"unknown strategy {name!r} (registered: {', '.join(sorted(STRATEGY_FACTORIES))})")
+    return name
+
+
+def _strategies(text: str) -> dict:
+    return {"strategies": [_strategy(s.strip()) for s in text.split(",") if s.strip()]}
+
+
+def _cycles(text: str) -> dict:
+    fields = {}
+    for item in filter(None, (piece.strip() for piece in text.split(","))):
+        rule, eq, value = item.partition("=")
+        if not eq or rule.strip() not in ("create", "add", "claim"):
+            raise ValueError(f"bad entry {item!r}; use create=N, add=N or claim=N")
+        fields[f"{rule.strip()}_cycles"] = float(value)
+    return fields
+
+
+def _spin_power(text: str) -> dict:
+    if text == "current":
+        return {"spin_power_mode": SPIN_AT_CURRENT}
+    if not text.startswith("idle:"):
+        raise ValueError("use current or idle:P")
+    return {"spin_power_mode": SPIN_FIXED_IDLE, "idle_power": float(text.split(":", 1)[1])}
+
+
+def _block_penalty(text: str) -> dict:
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError("use time,energy")
+    return {"block_time": parts[0], "block_energy": parts[1]}
+
+
+def _limit(name: str) -> Callable[[str], dict]:
+    def convert(text: str) -> dict:
+        limit = int(text)
+        if limit < 0:
+            raise ConfigError(f"--{name} must be non-negative, got {limit}")
+        return {name.replace("-", "_"): limit}
+
+    return convert
+
+
+ALL = ("run", "compare", "explore")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: the flag ``--name`` and the config-file key ``name`` (``_`` for ``-`` too)."""
+
+    name: str
+    commands: tuple[str, ...]
+    help: str
+    convert: Callable[[str], dict]  # text -> RunConfig or CostModel fields
+    choices: tuple[str, ...] = ()
+    nargs: str | None = None
+
+
+OPTIONS = (
+    Option("ladder", ALL, "comma-separated increasing frequencies", _ladder),
+    Option("init", ALL, "initial ladder index (1-based)", lambda t: {"init_index": int(t)}),
+    Option("strategy", ("run", "explore"), "scaling strategy name (default both)", lambda t: {"strategy": _strategy(t)}),
+    Option("strategies", ("compare",), "comma-separated strategy names (at least two)", _strategies),
+    Option("alpha", ALL, "power-law exponent (default 3)", lambda t: {"alpha": float(t)}),
+    Option("kappa", ALL, "power coefficient (default 1)", lambda t: {"kappa": float(t)}),
+    Option("cycles", ALL, "e.g. create=1 add=1 claim=1", _cycles, nargs="+"),
+    Option("tau", ALL, "seconds per frequency switch (default 0)", lambda t: {"tau": float(t)}),
+    Option("wait", ALL, "wait policy at claims", lambda t: {"wait_policy": t}, (WAIT_SPIN, WAIT_BLOCK)),
+    Option("spin-power", ALL, "current | idle:P", _spin_power),
+    Option("block-penalty", ALL, "time,energy per block", _block_penalty),
+    Option("seed", ALL, "seed for the random scheduler", lambda t: {"seed": int(t)}),
+    Option("trace", ALL, "write a JSONL trace to this path", lambda t: {"trace_path": t}),
+    Option("format", ALL, "output format", lambda t: {"output_format": t}, ("table", "json")),
+    Option("mode", ("run",), "virtual-time or step-indexed run", lambda t: {"mode": t}, ("simulate", "semantics")),
+    Option("policy", ("run",), "scheduler (semantics mode)", lambda t: {"policy": t}, tuple(POLICIES)),
+    Option("step-limit", ("run",), "divergence guard", _limit("step-limit")),
+    Option("state-limit", ("explore",), "exploration budget", _limit("state-limit")),
+)
+
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -102,196 +199,59 @@ def _parse_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("_", "-")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key.replace("_", "-") not in {opt.name for opt in OPTIONS}:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key.replace("_", "-")] = value
     return values
-
-
-def _parse_ladder(text: str) -> FrequencyLadder:
-    try:
-        parts = [float(p) for p in text.split(",") if p.strip()]
-        return FrequencyLadder(tuple(parts))
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
-
-
-def _parse_cycles(pieces: list[str], model: CostModel) -> None:
-    for piece in pieces:
-        for item in piece.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ConfigError(f"bad cycles entry {item!r}; use rule=cycles")
-            rule, _, value = item.partition("=")
-            attr = {"create": "create_cycles", "add": "add_cycles", "claim": "claim_cycles"}.get(rule.strip())
-            if attr is None:
-                raise ConfigError(f"unknown rule {rule.strip()!r} in --cycles")
-            try:
-                setattr(model, attr, float(value))
-            except ValueError as exc:
-                raise ConfigError(f"bad cycle count {value!r}") from exc
-
-
-def _parse_spin_power(text: str, model: CostModel) -> None:
-    if text == "current":
-        model.spin_power_mode = SPIN_AT_CURRENT
-    elif text.startswith("idle:"):
-        model.spin_power_mode = SPIN_FIXED_IDLE
-        try:
-            model.idle_power = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad idle power in {text!r}") from exc
-    else:
-        raise ConfigError(f"bad --spin-power {text!r}; use current or idle:P")
-
-
-def _parse_block_penalty(text: str, model: CostModel) -> None:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"bad --block-penalty {text!r}; use time,energy")
-    try:
-        model.block_time, model.block_energy = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad --block-penalty {text!r}") from exc
-
-
-def _parse_limit(name: str, text: str) -> int:
-    try:
-        limit = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad --{name} {text!r}") from exc
-    if limit < 0:
-        raise ConfigError(f"--{name} must be non-negative, got {limit}")
-    return limit
-
-
-def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("program", help="program file (one expression, '#' comments)")
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--ladder", help="comma-separated increasing frequencies")
-    sub.add_argument("--init", type=int, help="initial ladder index (1-based)")
-    sub.add_argument("--alpha", type=float, help="power-law exponent (default 3)")
-    sub.add_argument("--kappa", type=float, help="power coefficient (default 1)")
-    sub.add_argument("--cycles", nargs="+", metavar="RULE=N", help="e.g. create=1 add=1 claim=1")
-    sub.add_argument("--tau", type=float, help="seconds per frequency switch (default 0)")
-    sub.add_argument("--wait", choices=[WAIT_SPIN, WAIT_BLOCK], help="wait policy at claims")
-    sub.add_argument("--spin-power", dest="spin_power", help="current | idle:P")
-    sub.add_argument("--block-penalty", dest="block_penalty", help="time,energy per block")
-    sub.add_argument("--seed", type=int, help="seed for the random scheduler")
-    sub.add_argument("--trace", help="write a JSONL trace to this path")
-    sub.add_argument("--format", dest="output_format", choices=["table", "json"], help="output format")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="futsim", description=__doc__.splitlines()[0])
     commands = top.add_subparsers(dest="command", required=True)
-
-    cmd = commands.add_parser("run", help="run one program and report metrics")
-    _add_shared_flags(cmd)
-    cmd.add_argument("--strategy", help=f"one of: {', '.join(sorted(STRATEGY_FACTORIES))}")
-    cmd.add_argument("--mode", choices=["simulate", "semantics"], help="virtual-time or step-indexed run")
-    cmd.add_argument("--policy", choices=["newest-first", "round-robin", "random"], help="scheduler (semantics mode)")
-    cmd.add_argument("--step-limit", dest="step_limit", type=int, help="divergence guard")
-
-    cmd = commands.add_parser("compare", help="run one program under several strategies")
-    _add_shared_flags(cmd)
-    cmd.add_argument("--strategies", help="comma-separated strategy names (at least two)")
-
-    cmd = commands.add_parser("explore", help="enumerate all interleavings of a small program")
-    _add_shared_flags(cmd)
-    cmd.add_argument("--strategy", help=f"one of: {', '.join(sorted(STRATEGY_FACTORIES))}")
-    cmd.add_argument("--state-limit", dest="state_limit", type=int, help="exploration budget")
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.__doc__)
+        sub.add_argument("program", help="program file (one expression, '#' comments)")
+        sub.add_argument("--config", help="flat key = value config file; flags override its keys")
+        for opt in OPTIONS:
+            if name in opt.commands:
+                sub.add_argument(f"--{opt.name}", help=opt.help, choices=opt.choices or None, nargs=opt.nargs)
     return top
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge built-in defaults, config-file keys, then explicit flags."""
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag: str, key: str) -> str | None:
-        value = getattr(args, flag, None)
-        if value is not None:
-            return str(value)
-        return file_values.get(key)
-
-    cfg = RunConfig(program=args.program)
-    if (ladder := pick("ladder", "ladder")) is not None:
-        cfg.ladder = _parse_ladder(ladder)
-    if (init := pick("init", "init")) is not None:
+    file_values = _parse_config_file(args.config) if args.config else {}
+    fields: dict = {"program": args.program}
+    model_fields: dict = {}
+    model_options = []
+    for opt in OPTIONS:
+        text = getattr(args, opt.name.replace("-", "_"), None)
+        if isinstance(text, list):  # --cycles takes several words
+            text = ",".join(text)
+        if text is None:
+            text = file_values.get(opt.name)
+        if text is None:
+            continue
+        if opt.choices and text not in opt.choices:
+            raise ConfigError(f"--{opt.name} {text!r}: choose from {', '.join(opt.choices)}")
         try:
-            cfg.init_index = int(init)
+            converted = opt.convert(text)
         except ValueError as exc:
-            raise ConfigError(f"bad --init {init!r}") from exc
+            raise ConfigError(f"--{opt.name} {text!r}: {exc}") from exc
+        if converted.keys() <= _MODEL_FIELDS:
+            model_fields.update(converted)
+            model_options.append(f"--{opt.name}")
+        else:
+            fields.update(converted)
+    try:
+        model = CostModel(**model_fields)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (from {', '.join(model_options)})") from exc
+    cfg = RunConfig(model=model, **fields)
     if not 1 <= cfg.init_index <= len(cfg.ladder):
-        raise ConfigError(f"init level {cfg.init_index} outside ladder of size {len(cfg.ladder)}")
-
-    model = CostModel()
-    try:
-        if (alpha := pick("alpha", "alpha")) is not None:
-            model.alpha = float(alpha)
-        if (kappa := pick("kappa", "kappa")) is not None:
-            model.kappa = float(kappa)
-        if (tau := pick("tau", "tau")) is not None:
-            model.tau = float(tau)
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric model parameter: {exc}") from exc
-    if (wait := pick("wait", "wait")) is not None:
-        model.wait_policy = wait
-    cycles = getattr(args, "cycles", None)
-    if cycles is None and "cycles" in file_values:
-        cycles = [file_values["cycles"]]
-    if cycles:
-        _parse_cycles(list(cycles), model)
-    if (spin := pick("spin_power", "spin-power")) is not None:
-        _parse_spin_power(spin, model)
-    if (block := pick("block_penalty", "block-penalty")) is not None:
-        _parse_block_penalty(block, model)
-    try:
-        model.__post_init__()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg.model = model
-
-    if (strategy := pick("strategy", "strategy")) is not None:
-        cfg.strategy = strategy
-    if (strategies := pick("strategies", "strategies")) is not None:
-        cfg.strategies = [s.strip() for s in strategies.split(",") if s.strip()]
-    if (policy := pick("policy", "policy")) is not None:
-        cfg.policy = policy
-    if (seed := pick("seed", "seed")) is not None:
-        try:
-            cfg.seed = int(seed)
-        except ValueError as exc:
-            raise ConfigError(f"bad --seed {seed!r}") from exc
-    if (mode := pick("mode", "mode")) is not None:
-        cfg.mode = mode
-    if (fmt := pick("output_format", "format")) is not None:
-        if fmt not in ("table", "json"):
-            raise ConfigError(f"bad format {fmt!r}")
-        cfg.output_format = fmt
-    if (trace := pick("trace", "trace")) is not None:
-        cfg.trace_path = trace
-    if (state_limit := pick("state_limit", "state-limit")) is not None:
-        cfg.state_limit = _parse_limit("state-limit", state_limit)
-    if (step_limit := pick("step_limit", "step-limit")) is not None:
-        cfg.step_limit = _parse_limit("step-limit", step_limit)
-
-    for name in cfg.strategies or [cfg.strategy]:
-        if name not in STRATEGY_FACTORIES:
-            raise ConfigError(f"unknown strategy {name!r} (registered: {', '.join(sorted(STRATEGY_FACTORIES))})")
-    if cfg.policy not in ("newest-first", "round-robin", "random"):
-        raise ConfigError(f"unknown policy {cfg.policy!r}")
+        raise ConfigError(f"--init {cfg.init_index} outside a ladder of size {len(cfg.ladder)}")
     return cfg
-
-
-def _make_policy(cfg: RunConfig) -> SchedulerPolicy:
-    if cfg.policy == "newest-first":
-        return NewestFirst()
-    if cfg.policy == "round-robin":
-        return RoundRobin()
-    return SeededRandom(cfg.seed)
 
 
 def _load_program(path: str) -> Expression:
@@ -316,20 +276,11 @@ def _snippet(text: str) -> str:
     return text[: EXPR_SNIPPET_CHARS - 3] + "..."
 
 
-def _trace_record(**kw) -> str:
-    record = {
-        "v": TRACE_VERSION,
-        "seq": kw["seq"],
-        "t": kw["t"],
-        "thread": kw["thread"],
-        "kind": kw["kind"],
-        "rule": kw.get("rule"),
-        "freq_idx": kw["freq_idx"],
-        "freq": kw["freq"],
-        "dur": kw["dur"],
-        "energy": kw["energy"],
-        "expr": kw["expr"],
-    }
+def _trace_record(seq: int, t: float, thread: int, kind: str, rule: str | None, level: FrequencyLevel,
+                  dur: float, energy: float, expr: str) -> str:
+    """One trace v1 line; its fields are exactly these, with the level as freq_idx and freq."""
+    record = dict(v=TRACE_VERSION, seq=seq, t=t, thread=thread, kind=kind, rule=rule, freq_idx=level.index,
+                  freq=level.value, dur=dur, energy=energy, expr=expr)
     return _json_dump(record, indent=None)
 
 
@@ -363,13 +314,7 @@ def _write_simulate_trace(path: str, report: SimulationReport) -> None:
             expr = f"fv{seg.target}"
         else:
             expr = ""
-        lines.append(
-            _trace_record(
-                seq=seq, t=seg.start, thread=fid, kind=seg.kind, rule=seg.rule,
-                freq_idx=seg.level.index, freq=seg.level.value, dur=seg.duration,
-                energy=seg.energy, expr=expr,
-            )
-        )
+        lines.append(_trace_record(seq, seg.start, fid, seg.kind, seg.rule, seg.level, seg.duration, seg.energy, expr))
     _write_lines(path, lines)
 
 
@@ -382,15 +327,10 @@ def _describe_event(event) -> str:
 
 
 def _write_semantics_trace(path: str, result: RunResult) -> None:
-    lines = []
-    for seq, event in enumerate(result.events):
-        lines.append(
-            _trace_record(
-                seq=seq, t=seq, thread=event.thread, kind="compute", rule=event.rule,
-                freq_idx=event.level.index, freq=event.level.value, dur=0.0,
-                energy=0.0, expr=_snippet(_describe_event(event)),
-            )
-        )
+    lines = [
+        _trace_record(seq, seq, event.thread, "compute", event.rule, event.level, 0.0, 0.0, _snippet(_describe_event(event)))
+        for seq, event in enumerate(result.events)
+    ]
     _write_lines(path, lines)
 
 
@@ -443,10 +383,11 @@ def _print_simulate_table(report: SimulationReport, out) -> None:
 
 
 def cmd_run(cfg: RunConfig, out, err) -> int:
+    """run one program and report metrics"""
     expr = _load_program(cfg.program)
     strategy = make_strategy(cfg.strategy, cfg.ladder)
     if cfg.mode == "semantics":
-        result = run(expr, cfg.ladder, cfg.init_index, strategy, _make_policy(cfg), cfg.step_limit)
+        result = run(expr, cfg.ladder, cfg.init_index, strategy, POLICIES[cfg.policy](cfg.seed), cfg.step_limit)
         if cfg.trace_path:
             _write_semantics_trace(cfg.trace_path, result)
         if cfg.output_format == "json":
@@ -484,19 +425,18 @@ def cmd_run(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_compare(cfg: RunConfig, out, err) -> int:
+    """run one program under several strategies"""
     if len(cfg.strategies) < 2:
-        print("error: compare needs at least two strategies (--strategies a,b)", file=err)
-        return EXIT_CONFIG
+        raise ConfigError("compare needs at least two strategies (--strategies a,b)")
     expr = _load_program(cfg.program)
     rows = []
     for name in cfg.strategies:
         report = simulate(expr, cfg.ladder, cfg.init_index, make_strategy(name, cfg.ladder), cfg.model)
-        waits = [r.wait for r in report.claim_records]
         rows.append(
             {
                 "strategy": name,
                 "final_value": report.final_value,
-                "total_wait": sum(waits),
+                "total_wait": sum(r.wait for r in report.claim_records),
                 "case_i": sum(1 for r in report.claim_records if r.case_tag == "CaseI"),
                 "case_ii": sum(1 for r in report.claim_records if r.case_tag == "CaseII"),
                 "energy": report.total_energy,
@@ -507,8 +447,7 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
         )
     values = {row["final_value"] for row in rows}
     if len(values) != 1:
-        print(f"error: strategies disagree on the final value: {sorted(values)}", file=err)
-        return EXIT_DETERMINACY
+        return _error(err, f"strategies disagree on the final value: {sorted(values)}", EXIT_DETERMINACY)
     if cfg.output_format == "json":
         print(_json_dump({"command": "compare", "final_value": rows[0]["final_value"], "rows": rows}), file=out)
     else:
@@ -525,13 +464,10 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_explore(cfg: RunConfig, out, err) -> int:
+    """enumerate all interleavings of a small program"""
     expr = _load_program(cfg.program)
     strategy = make_strategy(cfg.strategy, cfg.ladder)
-    try:
-        outcomes, states = explore_with_stats(expr, cfg.ladder, cfg.init_index, strategy, cfg.state_limit)
-    except ExplorationLimitError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_EXPLORE_LIMIT
+    outcomes, states = explore_with_stats(expr, cfg.ladder, cfg.init_index, strategy, cfg.state_limit)
     ordered = sorted(outcomes, key=lambda o: (o[0], o[1].index))
     if cfg.output_format == "json":
         payload = {
@@ -549,6 +485,26 @@ def cmd_explore(cfg: RunConfig, out, err) -> int:
     return EXIT_OK if len(ordered) == 1 else EXIT_MULTIPLE_OUTCOMES
 
 
+COMMANDS = {"run": cmd_run, "compare": cmd_compare, "explore": cmd_explore}
+
+
+def _to_devnull(stream) -> None:
+    """Point a process stream whose reader is gone at os.devnull, so the interpreter's final flush stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(err, message, code: int) -> int:
+    """Print one ``error:`` line and return ``code``, which stands even when nobody reads ``err``."""
+    try:
+        print(f"error: {message}", file=err)
+    except BrokenPipeError:
+        if err is sys.stderr:
+            _to_devnull(err)
+    return code
+
+
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -559,45 +515,27 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return code
     except BrokenPipeError as exc:
         if out is sys.stdout:
-            # The buffered rest would fail again in the interpreter's final flush.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: cannot write the output: {exc}", file=err)
-        return EXIT_CONFIG
+            _to_devnull(out)  # the buffered rest would fail again in the final flush
+        return _error(err, f"cannot write the output: {exc}", EXIT_CONFIG)
 
 
 def _dispatch(argv: list[str] | None, out, err) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "run":
-            return cmd_run(cfg, out, err)
-        if args.command == "compare":
-            return cmd_compare(cfg, out, err)
-        return cmd_explore(cfg, out, err)
+        return COMMANDS[args.command](resolve_config(args), out, err)
+    except (ConfigError, OutputError) as exc:
+        return _error(err, exc, EXIT_CONFIG)
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_PARSE
+        return _error(err, exc, EXIT_PARSE)
     except ParseError as exc:
-        print(f"error: {cfg.program}:{exc}", file=err)
-        return EXIT_PARSE
-    except OutputError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_CONFIG
+        return _error(err, f"{args.program}:{exc}", EXIT_PARSE)
+    except ExplorationLimitError as exc:
+        return _error(err, exc, EXIT_EXPLORE_LIMIT)
     except EngineError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ENGINE
+        return _error(err, exc, EXIT_ENGINE)
 
 
 if __name__ == "__main__":

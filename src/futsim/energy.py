@@ -23,12 +23,11 @@ from .calculus import (
     IntLit,
     NoRedex,
     RedexSite,
-    contains_future_ref,
     decompose,
     refill,
     wrap_int,
 )
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
 
 WAIT_SPIN = "spin"
@@ -147,12 +146,6 @@ class SimulationReport:
     clamp_count: int
     transition_count: int
     timelines: dict[FutureId, ThreadTimeline]
-
-
-def compute_metrics(report: SimulationReport) -> tuple[float, float, float, float]:
-    """(energy, makespan, energy-delay product, energy-delay-squared product)."""
-    energy, makespan = report.total_energy, report.makespan
-    return energy, makespan, energy * makespan, energy * makespan * makespan
 
 
 @dataclass
@@ -312,9 +305,5 @@ def simulate(
     model: CostModel | None = None,
 ) -> SimulationReport:
     """Run a program on virtual time, one core per thread, under the cost model."""
-    if contains_future_ref(expr):
-        raise ValueError("programs must not contain future references")
-    if strategy.ladder != ladder:
-        raise ValueError("strategy was built over a different ladder")
     sim = _Simulation(ladder, strategy, model or CostModel())
-    return sim.run(expr, ladder.level(init_index))
+    return sim.run(expr, start_level(expr, ladder, init_index, strategy))

@@ -245,6 +245,15 @@ class RunResult:
     clamp_count: int
 
 
+def start_level(expr: Expression, ladder: FrequencyLadder, init_index: int, strategy: ScalingStrategy) -> FrequencyLevel:
+    """Check a program and its strategy at the start of a run; return the root's starting level."""
+    if contains_future_ref(expr):
+        raise ValueError("programs must not contain future references")
+    if strategy.ladder != ladder:
+        raise ValueError("strategy was built over a different ladder")
+    return ladder.level(init_index)
+
+
 def run(
     expr: Expression,
     ladder: FrequencyLadder,
@@ -254,15 +263,10 @@ def run(
     step_limit: int | None = None,
 ) -> RunResult:
     """Reduce a program to a single integer-holding root closure."""
-    if contains_future_ref(expr):
-        raise ValueError("programs must not contain future references")
-    if strategy.ladder != ladder:
-        raise ValueError("strategy was built over a different ladder")
+    config = initial_configuration(expr, start_level(expr, ladder, init_index, strategy))
     if step_limit is None:
         step_limit = 10 * 3 * node_count(expr)
     pick = (policy or NewestFirst()).session()
-
-    config = initial_configuration(expr, ladder.level(init_index))
     events: list[ReductionEvent] = []
     clamps = 0
     while True:
@@ -358,18 +362,6 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     return outcomes, len(seen)
 
 
-def explore_all(
-    expr: Expression,
-    ladder: FrequencyLadder,
-    init_index: int,
-    strategy: ScalingStrategy,
-    state_limit: int = 100_000,
-) -> set[tuple[int, FrequencyLevel]]:
-    """All distinct terminal (value, root level) pairs over every interleaving."""
-    outcomes, _ = explore_with_stats(expr, ladder, init_index, strategy, state_limit)
-    return outcomes
-
-
 def explore_with_stats(
     expr: Expression,
     ladder: FrequencyLadder,
@@ -377,9 +369,8 @@ def explore_with_stats(
     strategy: ScalingStrategy,
     state_limit: int = 100_000,
 ) -> tuple[set[tuple[int, FrequencyLevel]], int]:
-    if contains_future_ref(expr):
-        raise ValueError("programs must not contain future references")
-    config = initial_configuration(expr, ladder.level(init_index))
+    """All distinct terminal (value, root level) pairs over every interleaving, and the number of states seen."""
+    config = initial_configuration(expr, start_level(expr, ladder, init_index, strategy))
     return _explore(config, strategy, state_limit)
 
 

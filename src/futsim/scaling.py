@@ -86,15 +86,6 @@ class ScalingStrategy:
             return level, True
         return self.ladder.level(level.index - 1), False
 
-    def up_create(self, level: FrequencyLevel) -> FrequencyLevel:
-        return self.scale(ScaleOp.UP_CREATE, level)[0]
-
-    def up_claim(self, level: FrequencyLevel) -> FrequencyLevel:
-        return self.scale(ScaleOp.UP_CLAIM, level)[0]
-
-    def down(self, level: FrequencyLevel) -> FrequencyLevel:
-        return self.scale(ScaleOp.DOWN, level)[0]
-
 
 def strategy_both(ladder: FrequencyLadder) -> ScalingStrategy:
     """Speed the child up and slow the parent down (successor/predecessor tables)."""

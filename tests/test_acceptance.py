@@ -31,7 +31,7 @@ from futsim.engine import (
     step,
 )
 from futsim.parser import parse
-from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_none, strategy_parent_only
+from futsim.scaling import FrequencyLadder, ScaleOp, make_strategy, strategy_both, strategy_none, strategy_parent_only
 
 LADDER4 = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 GOLDEN_PROGRAM = parse("2 + future (future (3+4))")
@@ -177,12 +177,12 @@ def test_criterion_3_operator_tables():
             successor = ladder.level(k + 1) if k < size else ladder.level(size)
             predecessor = ladder.level(k - 1) if k > 1 else ladder.level(1)
             table = [
-                (both.up_create(level), successor, f"both up_create n={size} k={k}"),
-                (both.up_claim(level), successor, f"both up_claim n={size} k={k}"),
-                (both.down(level), predecessor, f"both down n={size} k={k}"),
-                (parent.up_create(level), level, f"parent-only up_create n={size} k={k}"),
-                (parent.up_claim(level), successor, f"parent-only up_claim n={size} k={k}"),
-                (parent.down(level), predecessor, f"parent-only down n={size} k={k}"),
+                (both.scale(ScaleOp.UP_CREATE, level)[0], successor, f"both up_create n={size} k={k}"),
+                (both.scale(ScaleOp.UP_CLAIM, level)[0], successor, f"both up_claim n={size} k={k}"),
+                (both.scale(ScaleOp.DOWN, level)[0], predecessor, f"both down n={size} k={k}"),
+                (parent.scale(ScaleOp.UP_CREATE, level)[0], level, f"parent-only up_create n={size} k={k}"),
+                (parent.scale(ScaleOp.UP_CLAIM, level)[0], successor, f"parent-only up_claim n={size} k={k}"),
+                (parent.scale(ScaleOp.DOWN, level)[0], predecessor, f"parent-only down n={size} k={k}"),
             ]
             for got, want, label in table:
                 if got != want:

@@ -12,7 +12,6 @@ from futsim.energy import (
     WAIT_BLOCK,
     WAIT_SPIN,
     CostModel,
-    compute_metrics,
     simulate,
     step_duration,
     step_energy,
@@ -265,7 +264,7 @@ def test_fixed_idle_spin_power():
 
 def test_compute_metrics_identities():
     report = simulate(parse("1 + future (2+3)"), LADDER, 2, strategy_none(LADDER))
-    energy, makespan, edp, ed2p = compute_metrics(report)
+    energy, makespan, edp, ed2p = report.total_energy, report.makespan, report.edp, report.ed2p
     assert (energy, makespan) == (report.total_energy, report.makespan)
     assert edp == pytest.approx(40.0, rel=REL)
     assert ed2p == pytest.approx(80.0, rel=REL)

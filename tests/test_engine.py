@@ -30,12 +30,12 @@ from futsim.engine import (
     _explore,
     canonical_key,
     enabled_threads,
-    explore_all,
     explore_with_stats,
     gen_random_program,
     run,
     step,
 )
+from futsim.energy import simulate
 from futsim.parser import parse, unparse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_parent_only
 
@@ -156,18 +156,27 @@ def test_run_rejects_future_refs():
         run(FutureRef(1), LADDER, 2, BOTH)
 
 
+@pytest.mark.parametrize("entry", [run, simulate, explore_with_stats], ids=lambda f: f.__name__)
+def test_every_entry_point_checks_the_program_boundary(entry):
+    with pytest.raises(ValueError, match="future references"):
+        entry(Add(IntLit(1), FutureRef(1)), LADDER, 2, BOTH)
+    # A strategy over another ladder would step to levels this ladder lacks.
+    with pytest.raises(ValueError, match="different ladder"):
+        entry(GOLDEN_PROGRAM, LADDER, 2, strategy_both(FrequencyLadder((1.0, 5.0))))
+
+
 def test_run_step_limit_guard():
     with pytest.raises(DivergenceError):
         run(GOLDEN_PROGRAM, LADDER, 2, BOTH, step_limit=2)
 
 
 def test_explore_golden_program_single_outcome():
-    assert explore_all(GOLDEN_PROGRAM, LADDER, 2, BOTH) == {(9, LADDER.level(2))}
+    assert explore_with_stats(GOLDEN_PROGRAM, LADDER, 2, BOTH)[0] == {(9, LADDER.level(2))}
 
 
 def test_explore_nested_future_program():
     expr = parse("future 1 + future 2")
-    outcomes = explore_all(expr, LADDER, 2, BOTH)
+    outcomes, _ = explore_with_stats(expr, LADDER, 2, BOTH)
     assert len(outcomes) == 1
     assert next(iter(outcomes))[0] == 3
 
@@ -180,7 +189,7 @@ def test_explore_literal_is_one_state():
 
 def test_explore_state_limit():
     with pytest.raises(ExplorationLimitError):
-        explore_all(GOLDEN_PROGRAM, LADDER, 2, BOTH, state_limit=2)
+        explore_with_stats(GOLDEN_PROGRAM, LADDER, 2, BOTH, state_limit=2)
 
 
 def test_explore_is_insensitive_to_closure_order():

@@ -39,36 +39,36 @@ def test_ladder_level_lookup():
 
 def test_strategy_both_table():
     s = strategy_both(LADDER4)
-    assert s.up_create(LADDER4.level(2)) == LADDER4.level(3)
-    assert s.up_claim(LADDER4.level(2)) == LADDER4.level(3)
-    assert s.up_create(LADDER4.level(4)) == LADDER4.level(4)
-    assert s.up_claim(LADDER4.level(4)) == LADDER4.level(4)
-    assert s.down(LADDER4.level(2)) == LADDER4.level(1)
-    assert s.down(LADDER4.level(1)) == LADDER4.level(1)
+    assert s.scale(ScaleOp.UP_CREATE, LADDER4.level(2))[0] == LADDER4.level(3)
+    assert s.scale(ScaleOp.UP_CLAIM, LADDER4.level(2))[0] == LADDER4.level(3)
+    assert s.scale(ScaleOp.UP_CREATE, LADDER4.level(4))[0] == LADDER4.level(4)
+    assert s.scale(ScaleOp.UP_CLAIM, LADDER4.level(4))[0] == LADDER4.level(4)
+    assert s.scale(ScaleOp.DOWN, LADDER4.level(2))[0] == LADDER4.level(1)
+    assert s.scale(ScaleOp.DOWN, LADDER4.level(1))[0] == LADDER4.level(1)
 
 
 def test_strategy_parent_only_table():
     s = strategy_parent_only(LADDER4)
-    assert s.up_create(LADDER4.level(2)) == LADDER4.level(2)
-    assert s.up_claim(LADDER4.level(3)) == LADDER4.level(4)
-    assert s.down(LADDER4.level(2)) == LADDER4.level(1)
+    assert s.scale(ScaleOp.UP_CREATE, LADDER4.level(2))[0] == LADDER4.level(2)
+    assert s.scale(ScaleOp.UP_CLAIM, LADDER4.level(3))[0] == LADDER4.level(4)
+    assert s.scale(ScaleOp.DOWN, LADDER4.level(2))[0] == LADDER4.level(1)
 
 
 def test_strategy_none_is_identity():
     s = strategy_none(LADDER4)
     for k in range(1, 5):
         level = LADDER4.level(k)
-        assert s.up_create(level) == level
-        assert s.up_claim(level) == level
-        assert s.down(level) == level
+        assert s.scale(ScaleOp.UP_CREATE, level)[0] == level
+        assert s.scale(ScaleOp.UP_CLAIM, level)[0] == level
+        assert s.scale(ScaleOp.DOWN, level)[0] == level
 
 
 def test_strategy_child_only_table():
     s = strategy_child_only(LADDER4)
-    assert s.up_create(LADDER4.level(2)) == LADDER4.level(3)
-    assert s.up_create(LADDER4.level(4)) == LADDER4.level(4)
-    assert s.up_claim(LADDER4.level(2)) == LADDER4.level(2)
-    assert s.down(LADDER4.level(2)) == LADDER4.level(2)
+    assert s.scale(ScaleOp.UP_CREATE, LADDER4.level(2))[0] == LADDER4.level(3)
+    assert s.scale(ScaleOp.UP_CREATE, LADDER4.level(4))[0] == LADDER4.level(4)
+    assert s.scale(ScaleOp.UP_CLAIM, LADDER4.level(2))[0] == LADDER4.level(2)
+    assert s.scale(ScaleOp.DOWN, LADDER4.level(2))[0] == LADDER4.level(2)
 
 
 def test_scale_reports_clamping():
@@ -88,8 +88,8 @@ def test_up_down_compose_to_identity_off_the_ends():
     s = strategy_both(LADDER4)
     for k in range(2, 5):
         level = LADDER4.level(k)
-        assert s.up_create(s.down(level)) == level
-        assert s.up_claim(s.down(level)) == level
+        assert s.scale(ScaleOp.UP_CREATE, s.scale(ScaleOp.DOWN, level)[0])[0] == level
+        assert s.scale(ScaleOp.UP_CLAIM, s.scale(ScaleOp.DOWN, level)[0])[0] == level
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8])
