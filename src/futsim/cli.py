@@ -13,13 +13,14 @@ or an engine invariant broke).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .calculus import Expression
 from .energy import (
@@ -206,8 +207,14 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Raise a usage error for ``main`` to report, instead of printing usage and exiting."""
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="futsim", description=__doc__.splitlines()[0])
+    top = _ArgumentParser(prog="futsim", description=__doc__.splitlines()[0])
     commands = top.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sub = commands.add_parser(name, help=command.__doc__)
@@ -521,11 +528,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 def _dispatch(argv: list[str] | None, out, err) -> int:
     try:
-        args = build_arg_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    try:
+        with contextlib.redirect_stdout(out):  # where argparse prints --help
+            args = build_arg_parser().parse_args(argv)
         return COMMANDS[args.command](resolve_config(args), out, err)
+    except SystemExit as exc:  # after --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     except (ConfigError, OutputError) as exc:
         return _error(err, exc, EXIT_CONFIG)
     except FileNotFoundError as exc:

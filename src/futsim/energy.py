@@ -1,7 +1,9 @@
 """Virtual-time execution of a reduction run with a parametric energy model.
 
-Each thread owns a core. A step's duration is cycles/frequency and its energy
-follows the dynamic-power law P = kappa * f**alpha. Claims on unfinished
+Rules fire through the engine's rule kernel (``engine.fire``); this module
+schedules threads on virtual time and prices each rule's event. Each thread
+owns a core. A step's duration is cycles/frequency and its energy follows
+the dynamic-power law P = kappa * f**alpha. Claims on unfinished
 producers wait by spinning (powered) or blocking (flat penalty); realized
 producers terminate and accrue nothing afterward. Event order is fully
 determined by virtual time, ties broken by thread id.
@@ -13,22 +15,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .calculus import (
-    ArithRedex,
-    ClaimSite,
-    CreateRedex,
-    Expression,
-    FutureId,
-    FutureRef,
-    IntLit,
-    NoRedex,
-    RedexSite,
-    decompose,
-    refill,
-    wrap_int,
-)
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError, start_level
-from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
+from .calculus import ClaimSite, Expression, FutureId, IntLit, NoRedex, RedexSite, decompose
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, fire, start_level
+from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
 WAIT_BLOCK = "block"
@@ -83,13 +72,18 @@ def step_duration(rule: str, level: FrequencyLevel, model: CostModel) -> float:
     return model.cycles_for(rule) / level.value
 
 
+def dynamic_power(level: FrequencyLevel, model: CostModel) -> float:
+    """P = kappa * f**alpha: the power of a core running at ``level``."""
+    return model.kappa * level.value**model.alpha
+
+
 def step_energy(rule: str, level: FrequencyLevel, model: CostModel) -> float:
-    return model.kappa * level.value**model.alpha * step_duration(rule, level, model)
+    return dynamic_power(level, model) * step_duration(rule, level, model)
 
 
 def spin_power(level: FrequencyLevel, model: CostModel) -> float:
     if model.spin_power_mode == SPIN_AT_CURRENT:
-        return model.kappa * level.value**model.alpha
+        return dynamic_power(level, model)
     return model.idle_power
 
 
@@ -153,15 +147,14 @@ class _Thread:
     fid: FutureId
     expr: Expression
     level: FrequencyLevel
-    site: RedexSite  # decompose(expr), kept current by refill
+    site: RedexSite  # decompose(expr), kept current by the rule kernel
     segments: list[Segment] = field(default_factory=list)
     done: bool = False
     t_realize: float = 0.0
 
 
 class _Simulation:
-    def __init__(self, ladder: FrequencyLadder, strategy: ScalingStrategy, model: CostModel):
-        self.ladder = ladder
+    def __init__(self, strategy: ScalingStrategy, model: CostModel):
         self.strategy = strategy
         self.model = model
         self.threads: dict[FutureId, _Thread] = {}
@@ -171,29 +164,34 @@ class _Simulation:
         self.claim_records: list[ClaimRecord] = []
         self.clamp_count = 0
         self.transition_count = 0
+        self.cycles = {rule: model.cycles_for(rule) for rule in (RULE_CREATE, RULE_ADD, RULE_CLAIM)}
 
-    def schedule(self, time: float, fid: FutureId) -> None:
-        heapq.heappush(self.heap, (time, fid))
+    def fire_rule(self, thr: _Thread, start: float, claimed: Expression | None = None) -> None:
+        """Fire the thread's rule through the kernel at ``start``, price it, and schedule what it leaves runnable.
 
-    def apply_scale(self, owner: _Thread, op: ScaleOp, base: FrequencyLevel, now: float) -> tuple[FrequencyLevel, float]:
-        """Apply one operator; a level change costs tau on the acting thread's timeline."""
-        new_level, clamped = self.strategy.scale(op, base)
-        if clamped:
-            self.clamp_count += 1
-        if new_level.index == base.index:
-            return new_level, now
-        self.transition_count += 1
-        if self.model.tau > 0:
-            energy = self.model.kappa * new_level.value**self.model.alpha * self.model.tau if self.model.transition_energy else 0.0
-            owner.segments.append(Segment(now, now + self.model.tau, SEG_TRANSITION, new_level, energy))
-            now += self.model.tau
-        return new_level, now
-
-    def compute_segment(self, thr: _Thread, rule: str, start: float) -> float:
-        duration = step_duration(rule, thr.level, self.model)
-        energy = step_energy(rule, thr.level, self.model)
-        thr.segments.append(Segment(start, start + duration, SEG_COMPUTE, thr.level, energy, rule=rule, expr=thr.expr))
-        return start + duration
+        The compute segment runs at the level the rule fired at; each level
+        the rule's operators changed then costs tau on this thread's timeline.
+        """
+        site = thr.site
+        thr.expr, thr.site, thr.level, event = fire(site, thr.level, thr.fid, self.strategy, self.next_fresh, claimed)
+        model, rule, level = self.model, event.rule, event.level
+        duration = self.cycles[rule] / level.value
+        energy = dynamic_power(level, model) * duration
+        end = start + duration
+        thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, expr=thr.expr))
+        self.clamp_count += event.clamps
+        for new_level in event.scaled:
+            if new_level.index != level.index:
+                self.transition_count += 1
+                if model.tau > 0:
+                    energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
+                    thr.segments.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
+                    end += model.tau
+        if isinstance(event, CreateEvent):
+            self.next_fresh += 1
+            self.threads[event.child] = _Thread(event.child, site.body, event.child_level, decompose(site.body))
+            heapq.heappush(self.heap, (end, event.child))
+        heapq.heappush(self.heap, (end, thr.fid))
 
     def fire_claim(self, claimant: _Thread, producer: _Thread, t_arrive: float) -> None:
         site = claimant.site
@@ -218,15 +216,12 @@ class _Simulation:
                     Segment(t_arrive, end, SEG_WAIT, claimant.level, self.model.block_energy, target=producer.fid, mode=WAIT_BLOCK)
                 )
                 start = end
-        claimant.expr, claimant.site = refill(site, producer.expr)
-        end = self.compute_segment(claimant, RULE_CLAIM, start)
-        claimant.level, end = self.apply_scale(claimant, ScaleOp.UP_CLAIM, claimant.level, end)
-        self.schedule(end, claimant.fid)
+        self.fire_rule(claimant, start, producer.expr)
 
     def run(self, expr: Expression, init_level: FrequencyLevel, root_id: FutureId = 0) -> SimulationReport:
         root = _Thread(root_id, expr, init_level, decompose(expr))
         self.threads[root_id] = root
-        self.schedule(0.0, root_id)
+        heapq.heappush(self.heap, (0.0, root_id))
         makespan = None
 
         while self.heap:
@@ -256,23 +251,7 @@ class _Simulation:
                     self.parked[site.target] = (fid, now)
                 continue
 
-            if isinstance(site, CreateRedex):
-                child_id = self.next_fresh
-                self.next_fresh += 1
-                thr.expr, thr.site = refill(site, FutureRef(child_id))
-                end = self.compute_segment(thr, RULE_CREATE, now)
-                child_level, end = self.apply_scale(thr, ScaleOp.UP_CREATE, thr.level, end)
-                thr.level, end = self.apply_scale(thr, ScaleOp.DOWN, thr.level, end)
-                child = _Thread(child_id, site.body, child_level, decompose(site.body))
-                self.threads[child_id] = child
-                self.schedule(end, child_id)
-                self.schedule(end, fid)
-                continue
-
-            assert isinstance(site, ArithRedex)
-            thr.expr, thr.site = refill(site, IntLit(wrap_int(site.left + site.right)))
-            end = self.compute_segment(thr, RULE_ADD, now)
-            self.schedule(end, fid)
+            self.fire_rule(thr, now)
 
         if makespan is None:
             raise EngineError("simulation stalled before the root realized a value")
@@ -305,5 +284,5 @@ def simulate(
     model: CostModel | None = None,
 ) -> SimulationReport:
     """Run a program on virtual time, one core per thread, under the cost model."""
-    sim = _Simulation(ladder, strategy, model or CostModel())
+    sim = _Simulation(strategy, model or CostModel())
     return sim.run(expr, start_level(expr, ladder, init_index, strategy))

@@ -1,4 +1,4 @@
-"""Reduction rules over configurations, schedulers, and interleaving exploration."""
+"""The rule kernel (Create, Add, Claim), configurations, schedulers, and interleaving exploration."""
 
 from __future__ import annotations
 
@@ -62,6 +62,11 @@ class CreateEvent:
 
     rule = RULE_CREATE
 
+    @property
+    def scaled(self) -> tuple[FrequencyLevel, ...]:
+        """The levels the rule's operators set, in the order they apply."""
+        return self.child_level, self.parent_level
+
 
 @dataclass(frozen=True)
 class ClaimEvent:
@@ -74,6 +79,10 @@ class ClaimEvent:
 
     rule = RULE_CLAIM
 
+    @property
+    def scaled(self) -> tuple[FrequencyLevel, ...]:
+        return (self.claimant_level,)
+
 
 @dataclass(frozen=True)
 class AddEvent:
@@ -84,6 +93,8 @@ class AddEvent:
     total: int
 
     rule = RULE_ADD
+    clamps = 0
+    scaled = ()
 
 
 ReductionEvent = Union[CreateEvent, ClaimEvent, AddEvent]
@@ -96,14 +107,6 @@ def _site(closure: Closure) -> RedexSite:
         site = decompose(closure.expr)
         object.__setattr__(closure, "site", site)
     return site
-
-
-def _successor(freq: FrequencyLevel, fired: RedexSite, filler: Expression, realizes: FutureId) -> Closure:
-    """The closure a fired site leaves behind, carrying its next site from ``refill``."""
-    expr, site = refill(fired, filler)
-    closure = Closure(freq, expr, realizes)
-    object.__setattr__(closure, "site", site)
-    return closure
 
 
 def _index_of(config: Configuration, thread: FutureId) -> int:
@@ -140,40 +143,53 @@ def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> 
     return _fire(config, _index_of(config, thread), strategy)
 
 
+def fire(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
+         claimed: Expression | None = None) -> tuple[Expression, RedexSite, FrequencyLevel, ReductionEvent]:
+    """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
+
+    A Create names its child ``fresh``; a Claim plugs in ``claimed``, the
+    value its producer realized. Returns the thread's expression after the
+    rule, that expression's redex site, the thread's level after scaling and
+    the event. The caller adds a Create's child (at ``event.child_level``,
+    running ``site.body``) and drops a Claim's producer.
+    """
+    if isinstance(site, ArithRedex):
+        total = wrap_int(site.left + site.right)
+        expr, next_site = refill(site, IntLit(total))
+        return expr, next_site, level, AddEvent(thread, level, site.left, site.right, total)
+
+    if isinstance(site, CreateRedex):
+        child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, level)
+        parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, level)
+        expr, next_site = refill(site, FutureRef(fresh))
+        event = CreateEvent(thread, level, fresh, parent_level, child_level, int(clamp_up) + int(clamp_down))
+        return expr, next_site, parent_level, event
+
+    if isinstance(site, ClaimSite):
+        new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
+        expr, next_site = refill(site, claimed)
+        return expr, next_site, new_level, ClaimEvent(thread, level, site.target, claimed, new_level, int(clamped))
+
+    raise NotEnabledError(f"fv{thread} holds a value")
+
+
 def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
-    """Fire the rule of the enabled closure at ``index``, unchecked."""
+    """Fire the rule of the enabled closure at ``index`` through the kernel, unchecked."""
     closure = config.closures[index]
     site = _site(closure)
     thread = closure.realizes
-
-    if isinstance(site, CreateRedex):
-        child_id = config.next_fresh
-        child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, closure.freq)
-        parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, closure.freq)
-        parent = _successor(parent_level, site, FutureRef(child_id), thread)
-        child = Closure(child_level, site.body, child_id)
-        closures = (child,) + config.closures[:index] + (parent,) + config.closures[index + 1 :]
-        event = CreateEvent(thread, closure.freq, child_id, parent_level, child_level, int(clamp_up) + int(clamp_down))
-        return Configuration(closures, config.next_fresh + 1, config.root), event
-
-    if isinstance(site, ArithRedex):
-        total = wrap_int(site.left + site.right)
-        updated = _successor(closure.freq, site, IntLit(total), thread)
-        closures = config.closures[:index] + (updated,) + config.closures[index + 1 :]
-        event = AddEvent(thread, closure.freq, site.left, site.right, total)
-        return Configuration(closures, config.next_fresh, config.root), event
-
-    if isinstance(site, ClaimSite):
-        producer = config.closure_for(site.target)
-        new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, closure.freq)
-        updated = _successor(new_level, site, producer.expr, thread)
-        closures = tuple(
-            updated if c.realizes == thread else c for c in config.closures if c.realizes != site.target
-        )
-        event = ClaimEvent(thread, closure.freq, site.target, producer.expr, new_level, int(clamped))
-        return Configuration(closures, config.next_fresh, config.root), event
-
-    raise NotEnabledError(f"fv{thread} holds a value")
+    claimed = config.closure_for(site.target).expr if isinstance(site, ClaimSite) else None
+    expr, next_site, level, event = fire(site, closure.freq, thread, strategy, config.next_fresh, claimed)
+    updated = Closure(level, expr, thread)
+    object.__setattr__(updated, "site", next_site)
+    closures = config.closures[:index] + (updated,) + config.closures[index + 1 :]
+    fresh = config.next_fresh
+    if isinstance(event, CreateEvent):
+        closures = (Closure(event.child_level, site.body, event.child),) + closures
+        fresh += 1
+    elif isinstance(event, ClaimEvent):
+        closures = tuple(c for c in closures if c.realizes != event.claimed)
+    return Configuration(closures, fresh, config.root), event
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +298,7 @@ def run(
             raise NotEnabledError(f"fv{thread} has no enabled reduction")
         config, event = _fire(config, _index_of(config, thread), strategy)
         events.append(event)
-        clamps += getattr(event, "clamps", 0)
+        clamps += event.clamps
 
     root = config.closures[0]
     assert isinstance(root.expr, IntLit)

@@ -120,3 +120,26 @@ def test_closed_stderr_of_the_command_keeps_the_exit_code(program, args, code):
         os.close(write_end)
     assert proc.returncode == code
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["explore", "PROGRAM", "--mode", "semantics"], "unrecognized arguments: --mode semantics"),
+    (["run", "PROGRAM", "--wait", "sometimes"], "argument --wait: invalid choice"),
+    (["run"], "required: program"),
+    ([], "required: command"),
+])
+def test_usage_error_is_one_line_on_the_given_error_stream(program, capsys, argv, words):
+    code, out, err = invoke([program if a == "PROGRAM" else a for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: futsim") and words in err and len(err.splitlines()) == 1
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv, words", [(["--help"], "{run,compare,explore}"), (["run", "--help"], "--step-limit")])
+def test_help_goes_to_the_given_output_stream(capsys, argv, words):
+    code, out, err = invoke(argv)
+    assert code == 0
+    assert out.startswith("usage: futsim") and words in out
+    assert err == ""
+    assert capsys.readouterr() == ("", "")

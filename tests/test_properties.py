@@ -1,7 +1,9 @@
-"""Property tests: round-tripping the parser, and refocused sites against decompose."""
+"""Property tests: round-tripping the parser, refocused sites against decompose,
+the rule work of run against simulate, and the simulator's energy identities."""
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import pytest
@@ -10,7 +12,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import futsim.energy as energy  # noqa: E402
 import futsim.engine as engine  # noqa: E402
 from futsim.calculus import (  # noqa: E402
     Add,
@@ -26,8 +27,8 @@ from futsim.calculus import (  # noqa: E402
     refill,
     wrap_int,
 )
-from futsim.energy import SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
-from futsim.engine import NewestFirst, RoundRobin, SeededRandom, run  # noqa: E402
+from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
+from futsim.engine import ClaimEvent, CreateEvent, NewestFirst, RoundRobin, SeededRandom, run  # noqa: E402
 from futsim.parser import parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
 
@@ -102,7 +103,7 @@ def _checking_refill(reached):
 def test_every_site_the_simulator_reaches_is_decompose(expr):
     reached = []
     computes = 0
-    with mock.patch.object(energy, "refill", _checking_refill(reached)):
+    with mock.patch.object(engine, "refill", _checking_refill(reached)):
         for name in STRATEGIES:
             for wait in (WAIT_SPIN, WAIT_BLOCK):
                 report = simulate(expr, LADDER, 2, make_strategy(name, LADDER), CostModel(wait_policy=wait))
@@ -123,3 +124,60 @@ def test_every_site_run_reaches_is_decompose(expr):
                    for policy in (NewestFirst(), RoundRobin(), SeededRandom(7))]
     assert {r.final_value for r in results} == {eval_sequential(expr)}
     assert len(reached) == sum(r.step_count for r in results)
+
+
+def _level_changes(events):
+    """The level changes a run's events record: child and parent for a Create, the claimant for a Claim."""
+    changes = 0
+    for event in events:
+        if isinstance(event, CreateEvent):
+            changes += (event.child_level.index != event.level.index) + (event.parent_level.index != event.level.index)
+        elif isinstance(event, ClaimEvent):
+            changes += event.claimant_level.index != event.level.index
+    return changes
+
+
+@SETTINGS
+@given(programs, st.sampled_from(STRATEGIES), st.integers(min_value=1, max_value=len(LADDER)),
+       st.sampled_from((WAIT_SPIN, WAIT_BLOCK)), st.integers(min_value=0, max_value=1000))
+@example(PENDING_LEFT, "both", 4, WAIT_SPIN, 0)
+@example(WIDE_SUM, "child-only", 1, WAIT_BLOCK, 3)
+@example(LEFT_DEEP, "parent-only", 1, WAIT_SPIN, 5)
+def test_simulate_and_every_policy_do_the_same_rule_work(expr, name, init, wait, seed):
+    strategy = make_strategy(name, LADDER)
+    report = simulate(expr, LADDER, init, strategy, CostModel(wait_policy=wait, tau=0.05))
+    computes = sum(seg.kind == SEG_COMPUTE for tl in report.timelines.values() for seg in tl.segments)
+    assert report.final_value == eval_sequential(expr)
+    for policy in (NewestFirst(), RoundRobin(), SeededRandom(seed)):
+        result = run(expr, LADDER, init, strategy, policy)
+        assert result.final_value == report.final_value
+        assert result.clamp_count == report.clamp_count
+        assert _level_changes(result.events) == report.transition_count
+        assert result.step_count == computes
+
+
+@SETTINGS
+@given(programs, st.sampled_from(STRATEGIES), st.integers(min_value=1, max_value=len(LADDER)),
+       st.sampled_from((WAIT_SPIN, WAIT_BLOCK)), st.booleans())
+@example(PENDING_LEFT, "both", 2, WAIT_SPIN, True)
+@example(WIDE_SUM, "both", 2, WAIT_BLOCK, False)
+@example(LEFT_DEEP, "child-only", 3, WAIT_SPIN, True)
+def test_energy_identities(expr, name, init, wait, transition_energy):
+    model = CostModel(wait_policy=wait, tau=0.05, transition_energy=transition_energy)
+    report = simulate(expr, LADDER, init, make_strategy(name, LADDER), model)
+    energy, makespan = report.total_energy, report.makespan
+
+    assert energy == sum(report.per_thread_energy.values())
+    assert report.per_thread_energy.keys() == report.timelines.keys()
+    for fid, timeline in report.timelines.items():
+        assert report.per_thread_energy[fid] == sum(seg.energy for seg in timeline.segments)
+        for seg in timeline.segments:
+            assert 0 <= seg.start <= seg.end <= makespan
+    assert report.edp == energy * makespan
+    assert math.isclose(report.ed2p, energy * makespan**2)
+
+    for record in report.claim_records:
+        assert record.wait == max(0.0, record.t_realize - record.t_arrive)
+        assert record.case_tag == (CASE_I if record.wait > 0 else CASE_II)
+    non_root = sorted(fid for fid in report.timelines if fid != 0)
+    assert sorted(record.target for record in report.claim_records) == non_root
