@@ -164,7 +164,6 @@ class _Simulation:
         self.claim_records: list[ClaimRecord] = []
         self.clamp_count = 0
         self.transition_count = 0
-        self.cycles = {rule: model.cycles_for(rule) for rule in (RULE_CREATE, RULE_ADD, RULE_CLAIM)}
 
     def fire_rule(self, thr: _Thread, start: float, claimed: Expression | None = None) -> None:
         """Fire the thread's rule through the kernel at ``start``, price it, and schedule what it leaves runnable.
@@ -175,9 +174,8 @@ class _Simulation:
         site = thr.site
         thr.expr, thr.site, thr.level, event = fire(site, thr.level, thr.fid, self.strategy, self.next_fresh, claimed)
         model, rule, level = self.model, event.rule, event.level
-        duration = self.cycles[rule] / level.value
-        energy = dynamic_power(level, model) * duration
-        end = start + duration
+        end = start + step_duration(rule, level, model)
+        energy = step_energy(rule, level, model)
         thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, expr=thr.expr))
         self.clamp_count += event.clamps
         for new_level in event.scaled:

@@ -166,6 +166,8 @@ def fire(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sca
         return expr, next_site, parent_level, event
 
     if isinstance(site, ClaimSite):
+        if claimed is None:
+            raise NotEnabledError(f"fv{thread} claims fv{site.target} but no claimed value was given")
         new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
         expr, next_site = refill(site, claimed)
         return expr, next_site, new_level, ClaimEvent(thread, level, site.target, claimed, new_level, int(clamped))

@@ -127,6 +127,19 @@ def test_step_rejects_blocked_thread():
         step(_mid_run_three_threads(), 0, BOTH)
 
 
+def test_fire_rejects_a_claim_without_the_claimed_value():
+    site = decompose(FutureRef(2))
+    with pytest.raises(NotEnabledError):
+        engine.fire(site, LADDER.level(2), 1, BOTH, 3)
+    expr, _, level, event = engine.fire(site, LADDER.level(2), 1, BOTH, 3, IntLit(7))
+    assert (expr, level, event.value) == (IntLit(7), LADDER.level(3), IntLit(7))
+
+
+def test_fire_rejects_a_value():
+    with pytest.raises(NotEnabledError):
+        engine.fire(decompose(IntLit(7)), LADDER.level(2), 0, BOTH, 1)
+
+
 def test_run_reproduces_golden_trace():
     result = run(GOLDEN_PROGRAM, LADDER, 2, BOTH, NewestFirst())
     assert result.final_value == 9
