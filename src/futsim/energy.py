@@ -73,8 +73,14 @@ def step_duration(rule: str, level: FrequencyLevel, model: CostModel) -> float:
 
 
 def dynamic_power(level: FrequencyLevel, model: CostModel) -> float:
-    """P = kappa * f**alpha: the power of a core running at ``level``."""
-    return model.kappa * level.value**model.alpha
+    """P = kappa * f**alpha: the power of a core running at ``level``.
+
+    Float ``**`` raises on overflow where ``*`` gives inf; both give inf here.
+    """
+    try:
+        return model.kappa * level.value**model.alpha
+    except OverflowError:
+        return math.inf
 
 
 def step_energy(rule: str, level: FrequencyLevel, model: CostModel) -> float:

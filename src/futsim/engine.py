@@ -21,7 +21,6 @@ from .calculus import (
     RedexSite,
     contains_future_ref,
     decompose,
-    future_ref_ids,
     initial_configuration,
     is_terminal,
     node_count,
@@ -317,43 +316,70 @@ def run(
 # Exhaustive interleaving exploration
 # ---------------------------------------------------------------------------
 
-def _canonical_expr(expr: Expression, rename: dict[FutureId, int]) -> Expression:
-    if isinstance(expr, FutureRef):
-        return FutureRef(rename[expr.fid])
-    if isinstance(expr, Add):
-        return Add(_canonical_expr(expr.left, rename), _canonical_expr(expr.right, rename))
-    if isinstance(expr, FutureCreate):
-        return FutureCreate(_canonical_expr(expr.body, rename))
-    return expr
+# A shape memo maps id(expr) -> (expr, shape, referenced ids). The entry holds
+# the expression, so the id cannot be reused while the entry lives.
+ShapeMemo = dict[int, tuple[Expression, str, tuple[FutureId, ...]]]
 
 
-def canonical_key(config: Configuration) -> tuple:
+def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
+    """The expression's shape, with every future reference blanked, and the blanked ids in order.
+
+    The shape is a prefix code: ``+`` (Add), ``f`` (FutureCreate), ``_``
+    (FutureRef) and ``<int>,`` (IntLit), so equal shapes mean equal
+    expressions up to the referenced ids. As a string it hashes once.
+    """
+    parts: list[str] = []
+    refs: list[FutureId] = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Add):
+            parts.append("+")
+            stack.append(e.right)
+            stack.append(e.left)
+        elif isinstance(e, IntLit):
+            parts.append(f"{e.value},")
+        elif isinstance(e, FutureRef):
+            parts.append("_")
+            refs.append(e.fid)
+        else:
+            parts.append("f")
+            stack.append(e.body)
+    return "".join(parts), tuple(refs)
+
+
+def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tuple:
     """A configuration key invariant under closure order and fresh-id choice.
 
-    Ids are renumbered in discovery order walking expressions from the root,
-    so interleavings that created the same futures in different orders map to
-    the same state.
+    Walks the reference tree from the root in pre-order, left to right, and
+    emits each thread's level index and shape: a flat tuple of length
+    2 × threads. Every non-root future is referenced exactly once, so the
+    shapes' blanks say where each subtree hangs and the key is exact up to
+    renaming future ids. ``shapes`` memoises shapes by expression identity
+    across calls; closures a rule did not touch share their expressions with
+    the parent configuration, so only new expressions are walked.
     """
+    if shapes is None:
+        shapes = {}
     producers = {c.realizes: c for c in config.closures}
-    rename: dict[FutureId, int] = {config.root: 0}
-    order: list[FutureId] = [config.root]
-    cursor = 0
-    while cursor < len(order):
-        closure = producers[order[cursor]]
-        cursor += 1
-        for fid in future_ref_ids(closure.expr):
-            if fid not in rename:
-                rename[fid] = len(rename)
-                order.append(fid)
-    if len(order) != len(config.closures):
+    key: list = []
+    stack = [config.root]
+    while stack:
+        closure = producers[stack.pop()]
+        entry = shapes.get(id(closure.expr))
+        if entry is None:
+            entry = shapes[id(closure.expr)] = (closure.expr, *_shape(closure.expr))
+        key.append(closure.freq.index)
+        key.append(entry[1])
+        stack.extend(reversed(entry[2]))
+    if len(key) != 2 * len(config.closures):
         raise EngineError("configuration has closures unreachable from the root")
-    return tuple(
-        (rename[fid], producers[fid].freq.index, _canonical_expr(producers[fid].expr, rename)) for fid in order
-    )
+    return tuple(key)
 
 
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
-    seen = {canonical_key(config)}
+    shapes: ShapeMemo = {}
+    seen = {canonical_key(config, shapes)}
     frontier = [config]
     outcomes: set[tuple[int, FrequencyLevel]] = set()
     while frontier:
@@ -370,12 +396,18 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
             positions = {c.realizes: i for i, c in enumerate(cfg.closures)}
             for thread in sorted(enabled):
                 stepped, _ = _fire(cfg, positions[thread], strategy)
-                key = canonical_key(stepped)
-                if key not in seen:
-                    if len(seen) >= state_limit:
-                        raise ExplorationLimitError(f"more than {state_limit} states")
-                    seen.add(key)
-                    next_frontier.append(stepped)
+                memo_size = len(shapes)
+                key = canonical_key(stepped, shapes)
+                if key in seen:
+                    # Nothing keeps this successor: forget the shapes its key added
+                    # (a dict pops its newest entries first).
+                    while len(shapes) > memo_size:
+                        shapes.popitem()
+                    continue
+                if len(seen) >= state_limit:
+                    raise ExplorationLimitError(f"more than {state_limit} states")
+                seen.add(key)
+                next_frontier.append(stepped)
         frontier = next_frontier
     return outcomes, len(seen)
 

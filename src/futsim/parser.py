@@ -147,11 +147,6 @@ def parse(source: str) -> Expression:
     return expr
 
 
-def parse_file(path: str) -> Expression:
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read())
-
-
 def _atomic(expr: Expression) -> bool:
     return isinstance(expr, (IntLit, FutureRef))
 

@@ -143,3 +143,17 @@ def test_help_goes_to_the_given_output_stream(capsys, argv, words):
     assert out.startswith("usage: futsim") and words in out
     assert err == ""
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--strategies", "none,both"]], ids=["run", "compare"])
+@pytest.mark.parametrize("model", [["--alpha", "1e308"], ["--ladder", "1e200,1e300"], ["--kappa", "1e308"]],
+                         ids=["alpha", "ladder", "kappa"])
+def test_model_overflow_is_inf_in_a_table_and_a_config_error_in_json(program, command, model):
+    argv = [command[0], program] + command[1:] + model
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert "inf" in out.split()
+    code, out, err = invoke(argv + ["--format", "json"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "cost model overflows" in err and len(err.splitlines()) == 1

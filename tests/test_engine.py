@@ -22,6 +22,7 @@ from futsim.engine import (
     ClaimEvent,
     CreateEvent,
     DivergenceError,
+    EngineError,
     ExplorationLimitError,
     NotEnabledError,
     NewestFirst,
@@ -230,6 +231,34 @@ def test_canonical_key_renames_fresh_ids():
     assert canonical_key(config) == canonical_key(renamed)
 
 
+def test_canonical_key_of_a_10000_thread_chain_is_flat():
+    # fv0 waits on fv1, which waits on fv2, ... : deeper than Python's recursion limit.
+    n = 10_000
+    closures = tuple(_cl(1 + fid % 4, FutureRef(fid + 1) if fid < n - 1 else IntLit(7), fid) for fid in range(n))
+    key = canonical_key(Configuration(closures, n, 0))
+    assert len(key) == 2 * n
+    assert not any(isinstance(part, tuple) for part in key)
+    assert key == canonical_key(Configuration(closures[::-1], n, 0))
+    assert key[::2] == tuple(1 + fid % 4 for fid in range(n))
+
+
+def test_canonical_key_rejects_a_closure_unreachable_from_the_root():
+    config = Configuration(closures=(_cl(2, IntLit(1), 5), _cl(1, IntLit(2), 0)), next_fresh=6, root=0)
+    with pytest.raises(EngineError, match="unreachable from the root"):
+        canonical_key(config)
+
+
+def test_canonical_key_tells_apart_expressions_that_print_alike_without_parentheses():
+    exprs = [
+        IntLit(3), IntLit(-3), IntLit(33),
+        Add(IntLit(12), IntLit(3)), Add(IntLit(1), IntLit(23)),
+        Add(Add(IntLit(1), IntLit(2)), IntLit(3)), Add(IntLit(1), Add(IntLit(2), IntLit(3))),
+        FutureCreate(IntLit(3)), FutureCreate(Add(IntLit(1), IntLit(2))), Add(FutureCreate(IntLit(1)), IntLit(2)),
+    ]
+    keys = {canonical_key(initial_configuration(expr, LADDER.level(1))) for expr in exprs}
+    assert len(keys) == len(exprs)
+
+
 def test_gen_random_program_deterministic_and_pinned():
     expr = gen_random_program(1, 3, 2)
     assert expr == gen_random_program(1, 3, 2)
@@ -420,6 +449,7 @@ def test_run_rejects_a_pick_outside_the_enabled_set():
         ("(future (future 9) + (-4 + 7) + ((future -4) + 5))"
          " + (8 + (future (future -8)) + (future (-4 + -9 + (future -7))))", 200),
         ("future 7", 3),
+        (" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)), 1791),
     ],
 )
 def test_explore_state_counts_pinned(text, states):

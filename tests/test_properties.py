@@ -1,9 +1,11 @@
 """Property tests: round-tripping the parser, refocused sites against decompose,
-the rule work of run against simulate, and the simulator's energy identities."""
+the rule work of run against simulate, the simulator's energy identities, and
+explore's structural state keys against the renaming key they replaced."""
 
 from __future__ import annotations
 
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -16,6 +18,7 @@ import futsim.engine as engine  # noqa: E402
 from futsim.calculus import (  # noqa: E402
     Add,
     ArithRedex,
+    Configuration,
     CreateRedex,
     FutureCreate,
     FutureRef,
@@ -23,12 +26,26 @@ from futsim.calculus import (  # noqa: E402
     NoRedex,
     decompose,
     eval_sequential,
+    future_ref_ids,
+    initial_configuration,
     plug,
     refill,
     wrap_int,
 )
 from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
-from futsim.engine import ClaimEvent, CreateEvent, NewestFirst, RoundRobin, SeededRandom, run  # noqa: E402
+from futsim.engine import (  # noqa: E402
+    ClaimEvent,
+    CreateEvent,
+    EngineError,
+    NewestFirst,
+    RoundRobin,
+    SeededRandom,
+    canonical_key,
+    enabled_threads,
+    gen_random_program,
+    run,
+    step,
+)
 from futsim.parser import parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
 
@@ -181,3 +198,61 @@ def test_energy_identities(expr, name, init, wait, transition_energy):
         assert record.case_tag == (CASE_I if record.wait > 0 else CASE_II)
     non_root = sorted(fid for fid in report.timelines if fid != 0)
     assert sorted(record.target for record in report.claim_records) == non_root
+
+
+def _renamed(expr, rename):
+    if isinstance(expr, FutureRef):
+        return FutureRef(rename[expr.fid])
+    if isinstance(expr, Add):
+        return Add(_renamed(expr.left, rename), _renamed(expr.right, rename))
+    if isinstance(expr, FutureCreate):
+        return FutureCreate(_renamed(expr.body, rename))
+    return expr
+
+
+def _renaming_key(config: Configuration) -> tuple:
+    """The key explore used before structural keys, kept as the oracle: ids are
+    renumbered in discovery order, breadth first from the root, and every
+    thread's expression is rebuilt over the new ids."""
+    producers = {c.realizes: c for c in config.closures}
+    rename = {config.root: 0}
+    order = [config.root]
+    cursor = 0
+    while cursor < len(order):
+        closure = producers[order[cursor]]
+        cursor += 1
+        for fid in future_ref_ids(closure.expr):
+            if fid not in rename:
+                rename[fid] = len(rename)
+                order.append(fid)
+    if len(order) != len(config.closures):
+        raise EngineError("configuration has closures unreachable from the root")
+    return tuple((rename[fid], producers[fid].freq.index, _renamed(producers[fid].expr, rename)) for fid in order)
+
+
+def _random_schedule(expr, name, seed):
+    """Every configuration a seeded random schedule passes through, start to end."""
+    strategy = make_strategy(name, LADDER)
+    config = initial_configuration(expr, LADDER.level(2))
+    rng = random.Random(seed)
+    reached = [config]
+    while enabled := enabled_threads(config):
+        config, _ = step(config, rng.choice(sorted(enabled)), strategy)
+        reached.append(config)
+    return reached
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10**6),
+       st.lists(st.tuples(st.sampled_from(STRATEGIES), st.integers(min_value=0, max_value=10**6)),
+                min_size=2, max_size=4))
+def test_structural_keys_are_equal_exactly_when_renaming_keys_are(program, schedules):
+    expr = gen_random_program(program, 6, 3)
+    shapes = {}  # one memo across every configuration, as explore keeps it
+    by_oracle, by_key = {}, {}
+    for name, seed in schedules:
+        for config in _random_schedule(expr, name, seed):
+            oracle, key = _renaming_key(config), canonical_key(config, shapes)
+            assert key == canonical_key(config)
+            assert by_oracle.setdefault(oracle, key) == key
+            assert by_key.setdefault(key, oracle) == oracle
