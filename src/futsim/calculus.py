@@ -8,7 +8,7 @@ per thread, each realizing a distinct future id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 from .scaling import FrequencyLadder, FrequencyLevel
 
@@ -50,39 +50,32 @@ class FutureRef:
 Expression = Union[IntLit, Add, FutureCreate, FutureRef]
 
 
+def subterms(expr: Expression) -> Iterator[Expression]:
+    """Every subterm of expr, expr first, in left-to-right pre-order.
+
+    The walk keeps an explicit stack, so nesting depth costs no recursion.
+    """
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Add):
+            stack += (e.right, e.left)
+        elif isinstance(e, FutureCreate):
+            stack.append(e.body)
+
+
 def node_count(expr: Expression) -> int:
-    if isinstance(expr, Add):
-        return 1 + node_count(expr.left) + node_count(expr.right)
-    if isinstance(expr, FutureCreate):
-        return 1 + node_count(expr.body)
-    return 1
+    return sum(1 for _ in subterms(expr))
 
 
 def contains_future_ref(expr: Expression) -> bool:
-    if isinstance(expr, FutureRef):
-        return True
-    if isinstance(expr, Add):
-        return contains_future_ref(expr.left) or contains_future_ref(expr.right)
-    if isinstance(expr, FutureCreate):
-        return contains_future_ref(expr.body)
-    return False
+    return any(isinstance(e, FutureRef) for e in subterms(expr))
 
 
 def future_ref_ids(expr: Expression) -> list[FutureId]:
     """All future ids referenced in expr, in left-to-right occurrence order."""
-    out: list[FutureId] = []
-
-    def walk(e: Expression) -> None:
-        if isinstance(e, FutureRef):
-            out.append(e.fid)
-        elif isinstance(e, Add):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, FutureCreate):
-            walk(e.body)
-
-    walk(expr)
-    return out
+    return [e.fid for e in subterms(expr) if isinstance(e, FutureRef)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +98,6 @@ class HoleRight:
 
 Frame = Union[HoleLeft, HoleRight]
 Context = tuple[Frame, ...]
-
-EMPTY_CONTEXT: Context = ()
 
 
 @dataclass(frozen=True)

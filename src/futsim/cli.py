@@ -152,6 +152,7 @@ def _limit(name: str) -> Callable[[str], dict]:
 
 
 ALL = ("run", "compare", "explore")
+SIMULATE = ("run", "compare")  # the commands that price a run with the cost model
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ class Option:
     """One option: the flag ``--name`` and the config-file key ``name`` (``_`` for ``-`` too)."""
 
     name: str
-    commands: tuple[str, ...]
+    commands: tuple[str, ...]  # the commands that read it, and so take the flag; any command checks the key
     help: str
     convert: Callable[[str], dict]  # text -> RunConfig or CostModel fields
     choices: tuple[str, ...] = ()
@@ -171,15 +172,15 @@ OPTIONS = (
     Option("init", ALL, "initial ladder index (1-based)", lambda t: {"init_index": int(t)}),
     Option("strategy", ("run", "explore"), "scaling strategy name (default both)", lambda t: {"strategy": _strategy(t)}),
     Option("strategies", ("compare",), "comma-separated strategy names (at least two)", _strategies),
-    Option("alpha", ALL, "power-law exponent (default 3)", lambda t: {"alpha": float(t)}),
-    Option("kappa", ALL, "power coefficient (default 1)", lambda t: {"kappa": float(t)}),
-    Option("cycles", ALL, "e.g. create=1 add=1 claim=1", _cycles, nargs="+"),
-    Option("tau", ALL, "seconds per frequency switch (default 0)", lambda t: {"tau": float(t)}),
-    Option("wait", ALL, "wait policy at claims", lambda t: {"wait_policy": t}, (WAIT_SPIN, WAIT_BLOCK)),
-    Option("spin-power", ALL, "current | idle:P", _spin_power),
-    Option("block-penalty", ALL, "time,energy per block", _block_penalty),
-    Option("seed", ALL, "seed for the random scheduler", lambda t: {"seed": int(t)}),
-    Option("trace", ALL, "write a JSONL trace to this path", lambda t: {"trace_path": t}),
+    Option("alpha", SIMULATE, "power-law exponent (default 3)", lambda t: {"alpha": float(t)}),
+    Option("kappa", SIMULATE, "power coefficient (default 1)", lambda t: {"kappa": float(t)}),
+    Option("cycles", SIMULATE, "e.g. create=1 add=1 claim=1", _cycles, nargs="+"),
+    Option("tau", SIMULATE, "seconds per frequency switch (default 0)", lambda t: {"tau": float(t)}),
+    Option("wait", SIMULATE, "wait policy at claims", lambda t: {"wait_policy": t}, (WAIT_SPIN, WAIT_BLOCK)),
+    Option("spin-power", SIMULATE, "current | idle:P", _spin_power),
+    Option("block-penalty", SIMULATE, "time,energy per block", _block_penalty),
+    Option("seed", ("run",), "seed for the random scheduler", lambda t: {"seed": int(t)}),
+    Option("trace", ("run",), "write a JSONL trace to this path", lambda t: {"trace_path": t}),
     Option("format", ALL, "output format", lambda t: {"output_format": t}, ("table", "json")),
     Option("mode", ("run",), "virtual-time or step-indexed run", lambda t: {"mode": t}, ("simulate", "semantics")),
     Option("policy", ("run",), "scheduler (semantics mode)", lambda t: {"policy": t}, tuple(POLICIES)),

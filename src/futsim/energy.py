@@ -107,7 +107,6 @@ class Segment:
     energy: float
     rule: str | None = None  # compute only
     target: FutureId | None = None  # wait only
-    mode: str | None = None  # wait only: spin | block
     expr: Expression | None = None  # compute only: thread expression after the step
 
     @property
@@ -117,7 +116,6 @@ class Segment:
 
 @dataclass(frozen=True)
 class ThreadTimeline:
-    thread: FutureId
     segments: tuple[Segment, ...]
 
     def energy(self) -> float:
@@ -165,7 +163,7 @@ class _Simulation:
         self.model = model
         self.threads: dict[FutureId, _Thread] = {}
         self.heap: list[tuple[float, FutureId]] = []
-        self.next_fresh = 1
+        self.next_fresh = 1  # the root realizes fv0
         self.parked: dict[FutureId, tuple[FutureId, float]] = {}  # producer -> (claimant, t_arrive)
         self.claim_records: list[ClaimRecord] = []
         self.clamp_count = 0
@@ -210,22 +208,22 @@ class _Simulation:
             if self.model.wait_policy == WAIT_SPIN:
                 energy = spin_power(claimant.level, self.model) * wait
                 claimant.segments.append(
-                    Segment(t_arrive, producer.t_realize, SEG_WAIT, claimant.level, energy, target=producer.fid, mode=WAIT_SPIN)
+                    Segment(t_arrive, producer.t_realize, SEG_WAIT, claimant.level, energy, target=producer.fid)
                 )
                 start = producer.t_realize
             else:
                 # One flat context-switch penalty per block/unblock pair.
                 end = producer.t_realize + self.model.block_time
                 claimant.segments.append(
-                    Segment(t_arrive, end, SEG_WAIT, claimant.level, self.model.block_energy, target=producer.fid, mode=WAIT_BLOCK)
+                    Segment(t_arrive, end, SEG_WAIT, claimant.level, self.model.block_energy, target=producer.fid)
                 )
                 start = end
         self.fire_rule(claimant, start, producer.expr)
 
-    def run(self, expr: Expression, init_level: FrequencyLevel, root_id: FutureId = 0) -> SimulationReport:
-        root = _Thread(root_id, expr, init_level, decompose(expr))
-        self.threads[root_id] = root
-        heapq.heappush(self.heap, (0.0, root_id))
+    def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
+        root = _Thread(0, expr, init_level, decompose(expr))
+        self.threads[0] = root
+        heapq.heappush(self.heap, (0.0, 0))
         makespan = None
 
         while self.heap:
@@ -238,7 +236,7 @@ class _Simulation:
                     raise EngineError(f"fv{fid} is stuck on a non-value")
                 thr.done = True
                 thr.t_realize = now
-                if fid == root_id:
+                if thr is root:
                     makespan = now
                 elif fid in self.parked:
                     claimant_id, t_arrive = self.parked.pop(fid)
@@ -263,7 +261,7 @@ class _Simulation:
             raise EngineError("simulation ended with parked claimants")
         assert isinstance(root.expr, IntLit)
 
-        timelines = {fid: ThreadTimeline(fid, tuple(t.segments)) for fid, t in sorted(self.threads.items())}
+        timelines = {fid: ThreadTimeline(tuple(t.segments)) for fid, t in sorted(self.threads.items())}
         per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
         total = sum(per_thread.values())
         return SimulationReport(

@@ -54,57 +54,48 @@ class ScaleOp(enum.Enum):
     DOWN = "down"
 
 
-class Move(enum.Enum):
-    HOLD = 0
-    UP = 1
-    DOWN = -1
-
-
 class ScalingStrategy:
-    """Three total ladder operators, each a single step up/down/held with clamping.
+    """Three total ladder operators, each a signed ladder step: +1 up, -1 down, 0 held.
 
     ``scale`` reports whether the operator clamped (wanted to move past an end);
     runs track that to scope the return-to-original property. Policies needing
     richer behaviour can subclass and override ``scale``.
     """
 
-    def __init__(self, name: str, ladder: FrequencyLadder, up_create: Move, up_claim: Move, down: Move):
+    def __init__(self, name: str, ladder: FrequencyLadder, up_create: int, up_claim: int, down: int):
         self.name = name
         self.ladder = ladder
-        self._moves = {ScaleOp.UP_CREATE: up_create, ScaleOp.UP_CLAIM: up_claim, ScaleOp.DOWN: down}
+        self._steps = {ScaleOp.UP_CREATE: up_create, ScaleOp.UP_CLAIM: up_claim, ScaleOp.DOWN: down}
 
     def scale(self, op: ScaleOp, level: FrequencyLevel) -> tuple[FrequencyLevel, bool]:
         """Apply one operator; returns (new level, clamped?)."""
-        move = self._moves[op]
-        if move is Move.HOLD:
+        step = self._steps[op]
+        if step == 0:
             return level, False
-        if move is Move.UP:
-            if level.index >= len(self.ladder):
-                return level, True
-            return self.ladder.level(level.index + 1), False
-        if level.index <= 1:
+        index = level.index + step
+        if not 1 <= index <= len(self.ladder):
             return level, True
-        return self.ladder.level(level.index - 1), False
+        return self.ladder.level(index), False
 
 
 def strategy_both(ladder: FrequencyLadder) -> ScalingStrategy:
     """Speed the child up and slow the parent down (successor/predecessor tables)."""
-    return ScalingStrategy("both", ladder, Move.UP, Move.UP, Move.DOWN)
+    return ScalingStrategy("both", ladder, +1, +1, -1)
 
 
 def strategy_parent_only(ladder: FrequencyLadder) -> ScalingStrategy:
     """Adjust the parent thread only; the child inherits the parent's level."""
-    return ScalingStrategy("parent-only", ladder, Move.HOLD, Move.UP, Move.DOWN)
+    return ScalingStrategy("parent-only", ladder, 0, +1, -1)
 
 
 def strategy_child_only(ladder: FrequencyLadder) -> ScalingStrategy:
     """Speed the child up, leave the parent untouched."""
-    return ScalingStrategy("child-only", ladder, Move.UP, Move.HOLD, Move.HOLD)
+    return ScalingStrategy("child-only", ladder, +1, 0, 0)
 
 
 def strategy_none(ladder: FrequencyLadder) -> ScalingStrategy:
     """Baseline: every thread stays at the initial frequency."""
-    return ScalingStrategy("none", ladder, Move.HOLD, Move.HOLD, Move.HOLD)
+    return ScalingStrategy("none", ladder, 0, 0, 0)
 
 
 STRATEGY_FACTORIES: dict[str, Callable[[FrequencyLadder], ScalingStrategy]] = {

@@ -16,8 +16,10 @@ from futsim.calculus import (
     HoleRight,
     IntLit,
     NoRedex,
+    contains_future_ref,
     decompose,
     eval_sequential,
+    future_ref_ids,
     initial_configuration,
     node_count,
     plug,
@@ -284,3 +286,27 @@ def test_refill_walks_up_without_recursion():
         assert isinstance(expr, Add) and expr.left == FutureRef(k)
         expr = expr.right
     assert expr == FutureRef(depth)
+
+
+@pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower"])
+def test_walkers_take_deep_terms_without_recursion(shape):
+    # Built directly, since the parser recurses. The trees are never compared,
+    # hashed or printed: those still recurse.
+    n = 100_000
+    if shape == "left-chain":  # ((fv0 + fv1) + fv2) + ... + fvn
+        expr = FutureRef(0)
+        for k in range(1, n + 1):
+            expr = Add(expr, FutureRef(k))
+        expected = (2 * n + 1, True, list(range(n + 1)))
+    elif shape == "right-nest":  # 0 + (1 + (... + (n-1 + fvn)))
+        expr = FutureRef(n)
+        for k in reversed(range(n)):
+            expr = Add(IntLit(k), expr)
+        expected = (2 * n + 1, True, [n])
+    else:  # future future ... future 1
+        expr = IntLit(1)
+        for _ in range(n):
+            expr = FutureCreate(expr)
+        expected = (n + 1, False, [])
+    found = (node_count(expr), contains_future_ref(expr), future_ref_ids(expr))
+    assert found == expected

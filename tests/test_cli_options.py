@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from futsim.cli import OPTIONS, main
+from futsim.cli import ALL, OPTIONS, main
 
 PROGRAM = "(future (future 1 + 1)) + (2 + 3) + (future (4 + 5))\n"
 
@@ -157,3 +157,38 @@ def test_model_overflow_is_inf_in_a_table_and_a_config_error_in_json(program, co
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "cost model overflows" in err and len(err.splitlines()) == 1
+
+
+# command -> the flags it needs to run at all
+COMMAND_NEEDS = {"run": [], "compare": ["--strategies", "none,both"], "explore": []}
+# Explore's one outcome clamps to fq_3 from every init but 4.
+COMMAND_SAMPLES = {("init", "explore"): "4"}
+
+
+@pytest.mark.parametrize("name, command", [(opt.name, c) for opt in OPTIONS for c in opt.commands])
+def test_every_offered_flag_acts(name, command, program, tmp_path):
+    needs, value = SAMPLES[name]
+    value = COMMAND_SAMPLES.get((name, command), value)
+    trace = tmp_path / "t.jsonl"
+    base = [command, program] + COMMAND_NEEDS[command] + needs[1:] + ([] if name == "format" else ["--format", "json"])
+
+    def outcome(argv):
+        code, out, _ = invoke(argv)
+        written = trace.read_text() if trace.exists() else None
+        trace.unlink(missing_ok=True)
+        return code, out, written
+
+    flag = [f"--{name}", str(trace) if name == "trace" else value]
+    assert outcome(base + flag) != outcome(base)
+
+
+@pytest.mark.parametrize("name, command", [(opt.name, c) for opt in OPTIONS for c in ALL if c not in opt.commands])
+def test_flag_a_command_ignores_is_a_usage_error(name, command, program, tmp_path):
+    _, value = SAMPLES[name]
+    trace = tmp_path / "t.jsonl"
+    flag = [f"--{name}", str(trace) if name == "trace" else value]
+    code, out, err = invoke([command, program] + COMMAND_NEEDS[command] + flag)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: futsim") and f"--{name}" in err and len(err.splitlines()) == 1
+    assert not trace.exists()
