@@ -215,10 +215,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = _ArgumentParser(prog="futsim", description=__doc__.splitlines()[0])
+    top = _ArgumentParser(prog="futsim", description=__doc__.splitlines()[0], allow_abbrev=False)
     commands = top.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub = commands.add_parser(name, help=command.__doc__)
+        sub = commands.add_parser(name, help=command.__doc__, allow_abbrev=False)
         sub.add_argument("program", help="program file (one expression, '#' comments)")
         sub.add_argument("--config", help="flat key = value config file; flags override its keys")
         for opt in OPTIONS:

@@ -192,3 +192,18 @@ def test_flag_a_command_ignores_is_a_usage_error(name, command, program, tmp_pat
     assert out == ""
     assert err.startswith("error: futsim") and f"--{name}" in err and len(err.splitlines()) == 1
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("name, command", [(opt.name, c) for opt in OPTIONS for c in opt.commands])
+def test_an_abbreviated_flag_is_a_usage_error(name, command, program, tmp_path):
+    # Each name minus its last letter is a unique prefix in its command (in
+    # compare, `--strateg` prefixes only `--strategies`), so it would parse
+    # if argparse matched abbreviations.
+    needs, value = SAMPLES[name]
+    trace = tmp_path / "t.jsonl"
+    flag = [f"--{name[:-1]}", str(trace) if name == "trace" else value]
+    code, out, err = invoke([command, program] + COMMAND_NEEDS[command] + needs[1:] + flag)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: futsim") and f"--{name[:-1]}" in err and len(err.splitlines()) == 1
+    assert not trace.exists()
