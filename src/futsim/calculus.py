@@ -130,41 +130,47 @@ class NoRedex:
 RedexSite = Union[ArithRedex, CreateRedex, ClaimSite, NoRedex]
 
 
-def _leftmost_redex(expr: Expression, frames: list[Frame]) -> Union[ArithRedex, CreateRedex, None]:
-    if isinstance(expr, FutureCreate):
-        # A future expression is itself the redex; evaluation never enters its body.
-        return CreateRedex(tuple(frames), expr.body)
-    if isinstance(expr, Add):
-        frames.append(HoleLeft(expr.right))
-        found = _leftmost_redex(expr.left, frames)
-        if found is not None:
-            return found
-        frames.pop()
-        if isinstance(expr.left, IntLit) and isinstance(expr.right, IntLit):
-            return ArithRedex(tuple(frames), expr.left.value, expr.right.value)
-        frames.append(HoleRight(expr.left))
-        found = _leftmost_redex(expr.right, frames)
-        if found is not None:
-            return found
-        frames.pop()
-    return None
+def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool) -> RedexSite:
+    """The next action in ``plug(frames, focus)``, found by one loop over ``frames``.
 
-
-def _leftmost_claim(expr: Expression, frames: list[Frame]) -> Union[ClaimSite, None]:
-    if isinstance(expr, FutureRef):
-        return ClaimSite(tuple(frames), expr.fid)
-    if isinstance(expr, Add):
-        frames.append(HoleLeft(expr.right))
-        found = _leftmost_claim(expr.left, frames)
-        if found is not None:
-            return found
-        frames.pop()
-        frames.append(HoleRight(expr.left))
-        found = _leftmost_claim(expr.right, frames)
-        if found is not None:
-            return found
-        frames.pop()
-    return None
+    Descending walks down the left spine: a ``FutureCreate`` is a Create redex
+    (evaluation never enters its body), in the claim phase a ``FutureRef`` is
+    a claim site, and any other leaf starts a climb. Climbing pops a frame:
+    two integer operands are an Add redex, and a ``HoleLeft`` leaves its right
+    sibling to descend into unless that is an integer. A climb that reaches
+    the root starts the claim phase there, which ends at the root with
+    ``NoRedex``. The claim phase only searches subtrees that hold no redex: it
+    starts when none is left anywhere, or after a claim, when only the hole's
+    parent can be one. So both phases can look for every kind of action.
+    With ``climbing`` set, the walk starts by climbing from ``focus``, which
+    must hold no action.
+    """
+    while True:
+        while climbing and frames:
+            frame = frames.pop()
+            if isinstance(frame, HoleLeft):
+                left, right = focus, frame.right
+            else:
+                left, right = frame.left, focus
+            if isinstance(left, IntLit) and isinstance(right, IntLit):
+                return ArithRedex(tuple(frames), left.value, right.value, _claim_phase=claims)
+            if isinstance(frame, HoleLeft) and not isinstance(right, IntLit):
+                frames.append(HoleRight(left))
+                focus, climbing = right, False
+            else:
+                focus = Add(left, right)
+        if climbing:  # at the root: ``focus`` is the whole expression
+            if claims:
+                return NoRedex(is_value=isinstance(focus, IntLit))
+            claims = True
+        while isinstance(focus, Add):
+            frames.append(HoleLeft(focus.right))
+            focus = focus.left
+        if isinstance(focus, FutureCreate):
+            return CreateRedex(tuple(frames), focus.body)
+        if claims and isinstance(focus, FutureRef):
+            return ClaimSite(tuple(frames), focus.fid)
+        climbing = True
 
 
 def decompose(expr: Expression) -> RedexSite:
@@ -179,13 +185,7 @@ def decompose(expr: Expression) -> RedexSite:
 
     A bare integer is the only expression with no action left.
     """
-    found = _leftmost_redex(expr, [])
-    if found is not None:
-        return found
-    claim = _leftmost_claim(expr, [])
-    if claim is not None:
-        return claim
-    return NoRedex(is_value=isinstance(expr, IntLit))
+    return _search([], expr, False, False)
 
 
 def plug(context: Context, filler: Expression) -> Expression:
@@ -201,69 +201,37 @@ def plug(context: Context, filler: Expression) -> Expression:
     return expr
 
 
-def _refocus(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> RedexSite:
-    """``decompose(plug(site.context, filler))``, searched from the hole.
-
-    ``site`` is the site a rule fired and ``filler`` the atom the rule left in
-    its hole: the ``IntLit`` an Add or Claim produced, or the ``FutureRef`` of
-    a Create. Instead of searching again from the root, the search resumes at
-    the hole (refocusing, Danvy & Nielsen 2004). Everything left of the
-    hole's path holds no redex, so walking up, a ``HoleLeft`` frame is an Add
-    redex or leaves its right sibling to search, and a ``HoleRight`` frame can
-    only be an Add redex; the claim search from the root runs once per
-    thread, when the walk finds no redex. After a claim no redex is left but
-    the hole's parent, so the right siblings are searched for the next claim
-    instead; that phase is kept on the Add redexes it yields. The walk is a
-    loop, so it adds no recursion depth, and it rebuilds only the levels it
-    passes.
-    """
-    if not isinstance(filler, (IntLit, FutureRef)):
-        raise TypeError(f"refill takes an integer or a future reference, not {filler!r}")
-    claim_phase = isinstance(filler, IntLit) and (
-        isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
-    )
-    search = _leftmost_claim if claim_phase else _leftmost_redex
-    frames = list(site.context)
-    below = filler
-    while frames:
-        frame = frames.pop()
-        if isinstance(frame, HoleLeft):
-            left, right = below, frame.right
-        else:
-            left, right = frame.left, below
-        if isinstance(left, IntLit) and isinstance(right, IntLit):
-            return ArithRedex(tuple(frames), left.value, right.value, _claim_phase=claim_phase)
-        if isinstance(frame, HoleLeft) and not isinstance(right, IntLit):
-            depth = len(frames)
-            frames.append(HoleRight(left))
-            found = search(right, frames)
-            if found is not None:
-                return found
-            del frames[depth:]
-        below = Add(left, right)
-    # The walk reached the root: ``below`` is the whole expression, and it holds no redex.
-    found = None if claim_phase else _leftmost_claim(below, [])
-    return found if found is not None else NoRedex(is_value=isinstance(below, IntLit))
-
-
 def refill(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> tuple[Expression, RedexSite]:
     """Plug the atom a rule produced into a fired site's hole; return it and its site.
 
-    Equal to ``(e, decompose(e))`` for ``e = plug(site.context, filler)``, with
-    the site found by ``_refocus`` instead of a search from the root.
+    ``filler`` is the ``IntLit`` an Add or Claim produced, or the ``FutureRef``
+    of a Create. Equal to ``(e, decompose(e))`` for ``e = plug(site.context,
+    filler)``, but the search climbs from the hole instead of starting at the
+    root (refocusing, Danvy & Nielsen 2004), since nothing left of the hole's
+    path holds a redex. After a claim the search stays in the claim phase,
+    and the Add redex it may find keeps that phase for its own refill.
     """
-    return plug(site.context, filler), _refocus(site, filler)
+    if not isinstance(filler, (IntLit, FutureRef)):
+        raise TypeError(f"refill takes an integer or a future reference, not {filler!r}")
+    claims = isinstance(filler, IntLit) and (
+        isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
+    )
+    return plug(site.context, filler), _search(list(site.context), filler, claims, True)
 
 
 def eval_sequential(expr: Expression) -> int:
-    """Evaluate with every future erased; the determinacy oracle."""
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, Add):
-        return wrap_int(eval_sequential(expr.left) + eval_sequential(expr.right))
-    if isinstance(expr, FutureCreate):
-        return eval_sequential(expr.body)
-    raise ValueError("cannot sequentially evaluate an expression holding future references")
+    """Evaluate with every future erased; the determinacy oracle.
+
+    Wrapping is addition modulo 2**64, so wrapping the sum of the literals once
+    gives what wrapping after each addition would.
+    """
+    total = 0
+    for e in subterms(expr):
+        if isinstance(e, IntLit):
+            total += e.value
+        elif isinstance(e, FutureRef):
+            raise ValueError("cannot sequentially evaluate an expression holding future references")
+    return wrap_int(total)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +270,8 @@ class Configuration:
         raise KeyError(f"no closure realizes fv{fid}")
 
 
-def initial_configuration(expr: Expression, level: FrequencyLevel, root_id: FutureId = 0) -> Configuration:
-    return Configuration(closures=(Closure(level, expr, root_id),), next_fresh=root_id + 1, root=root_id)
+def initial_configuration(expr: Expression, level: FrequencyLevel) -> Configuration:
+    return Configuration(closures=(Closure(level, expr, 0),), next_fresh=1, root=0)
 
 
 def is_terminal(config: Configuration) -> bool:

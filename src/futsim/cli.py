@@ -527,10 +527,20 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return _error(err, f"cannot write the output: {exc}", EXIT_CONFIG)
 
 
+def _unrecognized(command: str, words: list[str]) -> str:
+    """A usage error naming the command and, for each known flag in ``words``, the commands that take it."""
+    takers = {f"--{opt.name}": opt.commands for opt in OPTIONS}
+    flags = dict.fromkeys(word.split("=", 1)[0] for word in words)
+    notes = "".join(f" ({flag} is a flag of: {', '.join(takers[flag])})" for flag in flags if flag in takers)
+    return f"futsim {command}: unrecognized arguments: {' '.join(words)}{notes}"
+
+
 def _dispatch(argv: list[str] | None, out, err) -> int:
     try:
         with contextlib.redirect_stdout(out):  # where argparse prints --help
-            args = build_arg_parser().parse_args(argv)
+            args, unknown = build_arg_parser().parse_known_args(argv)
+        if unknown:
+            raise ConfigError(_unrecognized(args.command, unknown))
         return COMMANDS[args.command](resolve_config(args), out, err)
     except SystemExit as exc:  # after --help
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG

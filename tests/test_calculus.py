@@ -27,7 +27,8 @@ from futsim.calculus import (
     validate_configuration,
     wrap_int,
 )
-from futsim.engine import NewestFirst, enabled_threads, gen_random_program, step
+from futsim.energy import simulate
+from futsim.engine import NewestFirst, enabled_threads, gen_random_program, run, step
 from futsim.scaling import FrequencyLadder, strategy_both
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
@@ -310,3 +311,70 @@ def test_walkers_take_deep_terms_without_recursion(shape):
         expected = (n + 1, False, [])
     found = (node_count(expr), contains_future_ref(expr), future_ref_ids(expr))
     assert found == expected
+
+
+def _deep(shape, n):
+    """A tree n levels deep, built directly, since the parser recurses."""
+    if shape == "left-chain":  # ((0 + 1) + 2) + ... + n
+        expr = IntLit(0)
+        for k in range(1, n + 1):
+            expr = Add(expr, IntLit(k))
+    elif shape == "right-nest":  # 0 + (1 + (... + (n-1 + n)))
+        expr = IntLit(n)
+        for k in reversed(range(n)):
+            expr = Add(IntLit(k), expr)
+    elif shape == "ref-nest":  # fv0 + (fv1 + (... + fvn))
+        expr = FutureRef(n)
+        for k in reversed(range(n)):
+            expr = Add(FutureRef(k), expr)
+    else:  # future future ... future 1
+        expr = IntLit(1)
+        for _ in range(n):
+            expr = FutureCreate(expr)
+    return expr
+
+
+# The deep trees below are used only through the calls under test, never
+# compared, hashed or printed, which still recurse.
+DEPTH = 100_000
+
+
+@pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower", "ref-nest"])
+def test_decompose_takes_deep_terms_without_recursion(shape):
+    site = decompose(_deep(shape, DEPTH))
+    if shape == "left-chain":
+        assert isinstance(site, ArithRedex) and (site.left, site.right) == (0, 1)
+        assert len(site.context) == DEPTH - 1 and not site._claim_phase
+    elif shape == "right-nest":
+        assert isinstance(site, ArithRedex) and (site.left, site.right) == (DEPTH - 1, DEPTH)
+        assert len(site.context) == DEPTH - 1 and not site._claim_phase
+    elif shape == "ref-nest":  # no redex anywhere, so the search reaches the claim phase
+        assert isinstance(site, ClaimSite) and site.target == 0 and len(site.context) == 1
+    else:
+        assert isinstance(site, CreateRedex) and site.context == () and isinstance(site.body, FutureCreate)
+
+
+@pytest.mark.parametrize("shape", ["right-nest", "ref-nest"])
+def test_refill_searches_a_deep_right_sibling_without_recursion(shape):
+    expr, site = refill(ArithRedex((HoleLeft(_deep(shape, DEPTH)),), 1, 2), IntLit(3))
+    assert isinstance(expr, Add) and expr.left == IntLit(3)
+    if shape == "right-nest":
+        assert isinstance(site, ArithRedex) and (site.left, site.right) == (DEPTH - 1, DEPTH)
+        assert len(site.context) == DEPTH
+    else:  # 3 + (fv0 + ...): no redex left, so the first claim is fv0's
+        assert isinstance(site, ClaimSite) and site.target == 0 and len(site.context) == 2
+
+
+@pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower"])
+def test_eval_sequential_takes_deep_terms_without_recursion(shape):
+    expected = 1 if shape == "future-tower" else DEPTH * (DEPTH + 1) // 2
+    assert eval_sequential(_deep(shape, DEPTH)) == expected
+
+
+@pytest.mark.parametrize("mode", ["run", "simulate"])
+@pytest.mark.parametrize("shape", ["left-chain", "right-nest"])
+def test_runs_take_programs_deeper_than_the_recursion_limit(shape, mode):
+    n = 1_500
+    evaluate = run if mode == "run" else simulate
+    result = evaluate(_deep(shape, n), LADDER, 2, strategy_both(LADDER))
+    assert result.final_value == n * (n + 1) // 2

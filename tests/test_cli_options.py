@@ -207,3 +207,14 @@ def test_an_abbreviated_flag_is_a_usage_error(name, command, program, tmp_path):
     assert out == ""
     assert err.startswith("error: futsim") and f"--{name[:-1]}" in err and len(err.splitlines()) == 1
     assert not trace.exists()
+
+
+NOT_OFFERED = [(opt, c) for opt in OPTIONS for c in ALL if c not in opt.commands]
+
+
+@pytest.mark.parametrize("opt, command", NOT_OFFERED, ids=[f"{o.name}-{c}" for o, c in NOT_OFFERED])
+def test_a_not_offered_flag_names_its_command_and_the_commands_that_take_it(opt, command, program, tmp_path):
+    value = SAMPLES[opt.name][1] or str(tmp_path / "t.jsonl")
+    _, _, err = invoke([command, program] + COMMAND_NEEDS[command] + [f"--{opt.name}", value])
+    assert err.startswith(f"error: futsim {command}: unrecognized arguments: --{opt.name} {value}")
+    assert err.rstrip("\n").endswith(f"(--{opt.name} is a flag of: {', '.join(opt.commands)})")

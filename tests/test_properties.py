@@ -1,6 +1,7 @@
-"""Property tests: round-tripping the parser, refocused sites against decompose,
-the rule work of run against simulate, the simulator's energy identities, and
-explore's structural state keys against the renaming key they replaced."""
+"""Property tests: round-tripping the parser, decompose's loop against the
+recursive search it replaced, refocused sites against decompose, the rule work
+of run against simulate, the simulator's energy identities, and explore's
+structural state keys against the renaming key they replaced."""
 
 from __future__ import annotations
 
@@ -18,10 +19,13 @@ import futsim.engine as engine  # noqa: E402
 from futsim.calculus import (  # noqa: E402
     Add,
     ArithRedex,
+    ClaimSite,
     Configuration,
     CreateRedex,
     FutureCreate,
     FutureRef,
+    HoleLeft,
+    HoleRight,
     IntLit,
     NoRedex,
     decompose,
@@ -100,6 +104,64 @@ def test_refill_follows_decompose_through_an_evaluation(expr):
         assert expr == plugged
         assert site == decompose(expr)
     assert isinstance(expr, IntLit)
+
+
+def _leftmost_redex(expr, frames):
+    if isinstance(expr, FutureCreate):
+        return CreateRedex(tuple(frames), expr.body)
+    if isinstance(expr, Add):
+        frames.append(HoleLeft(expr.right))
+        found = _leftmost_redex(expr.left, frames)
+        if found is not None:
+            return found
+        frames.pop()
+        if isinstance(expr.left, IntLit) and isinstance(expr.right, IntLit):
+            return ArithRedex(tuple(frames), expr.left.value, expr.right.value)
+        frames.append(HoleRight(expr.left))
+        found = _leftmost_redex(expr.right, frames)
+        if found is not None:
+            return found
+        frames.pop()
+    return None
+
+
+def _leftmost_claim(expr, frames):
+    if isinstance(expr, FutureRef):
+        return ClaimSite(tuple(frames), expr.fid)
+    if isinstance(expr, Add):
+        frames.append(HoleLeft(expr.right))
+        found = _leftmost_claim(expr.left, frames)
+        if found is not None:
+            return found
+        frames.pop()
+        frames.append(HoleRight(expr.left))
+        found = _leftmost_claim(expr.right, frames)
+        if found is not None:
+            return found
+        frames.pop()
+    return None
+
+
+def _recursive_decompose(expr):
+    """The recursive search decompose used before its single loop, kept as the oracle."""
+    found = _leftmost_redex(expr, [])
+    if found is not None:
+        return found
+    claim = _leftmost_claim(expr, [])
+    if claim is not None:
+        return claim
+    return NoRedex(is_value=isinstance(expr, IntLit))
+
+
+@SETTINGS
+@given(expressions)
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+@example(LEFT_DEEP)
+def test_decompose_agrees_with_the_recursive_search(expr):
+    site = decompose(expr)
+    assert site == _recursive_decompose(expr)
+    assert not (isinstance(site, ArithRedex) and site._claim_phase)
 
 
 def _checking_refill(reached):
