@@ -316,8 +316,9 @@ def _write_simulate_trace(path: str, report: SimulationReport) -> None:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = []
     for seq, (_, fid, _, seg) in enumerate(rows):
-        if seg.kind == "compute":
-            expr = _snippet(unparse(seg.expr)) if seg.expr is not None else ""
+        if seg.kind == "compute" and seg.hole is not None:
+            context, filler = seg.hole
+            expr = _snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))
         elif seg.kind == "wait":
             expr = f"fv{seg.target}"
         else:

@@ -15,8 +15,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .calculus import ClaimSite, Expression, FutureId, IntLit, NoRedex, RedexSite, decompose
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, fire, start_level
+from .calculus import ClaimSite, Context, Expression, FutureId, FutureRef, IntLit, NoRedex, RedexSite, decompose, plug
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, AddEvent, CreateEvent, EngineError, fire, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
@@ -107,11 +107,18 @@ class Segment:
     energy: float
     rule: str | None = None  # compute only
     target: FutureId | None = None  # wait only
-    expr: Expression | None = None  # compute only: thread expression after the step
+    # Compute only: the fired site's context and the atom the rule put in its
+    # hole, so the step's tree is built only when someone asks for ``expr``.
+    hole: tuple[Context, Expression] | None = None
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+    @property
+    def expr(self) -> Expression | None:
+        """The thread's expression after a compute step: ``plug(*hole)``."""
+        return plug(*self.hole) if self.hole is not None else None
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,13 @@ class _Simulation:
         model, rule, level = self.model, event.rule, event.level
         end = start + step_duration(rule, level, model)
         energy = step_energy(rule, level, model)
-        thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, expr=thr.expr))
+        if isinstance(event, AddEvent):
+            filler = IntLit(event.total)
+        elif isinstance(event, CreateEvent):
+            filler = FutureRef(event.child)
+        else:
+            filler = event.value
+        thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=(site.context, filler)))
         self.clamp_count += event.clamps
         for new_level in event.scaled:
             if new_level.index != level.index:

@@ -2,14 +2,15 @@
 
 Grammar: ``+`` is left-associative; ``future`` extends as far right as it can,
 stopping only at a closing parenthesis or end of input; parentheses group;
-integer literals are optionally signed decimals. ``#`` starts a line comment.
+integer literals are optionally signed decimals that fit in 64 bits (two's
+complement). ``#`` starts a line comment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import Add, Expression, FutureCreate, FutureRef, IntLit
+from .calculus import Add, Context, Expression, FutureCreate, FutureRef, HoleLeft, IntLit, wrap_int
 
 
 class ParseError(Exception):
@@ -125,7 +126,7 @@ class _Parser:
                 raise self.error("unclosed parenthesis", ("')'",))
             self.advance()
             return inner
-        sign = 1
+        sign, start = 1, tok
         if tok.kind in ("minus", "plus"):
             self.advance()
             sign = -1 if tok.kind == "minus" else 1
@@ -134,7 +135,12 @@ class _Parser:
                 raise self.error("sign must precede an integer literal", ("an integer",))
         if tok.kind == "int":
             self.advance()
-            return IntLit(sign * int(tok.text))
+            # 2**63 has 19 digits; counting them first keeps int() off
+            # literals too long for it to convert.
+            value = sign * int(tok.text) if len(tok.text.lstrip("0")) <= 19 else None
+            if value is None or wrap_int(value) != value:
+                raise ParseError(start.line, start.col, "integer literal outside 64 bits (-2**63 to 2**63-1)")
+            return IntLit(value)
         raise self.error("expected an expression", ("an integer", "'('", "future"))
 
 
@@ -151,29 +157,89 @@ def _atomic(expr: Expression) -> bool:
     return isinstance(expr, (IntLit, FutureRef))
 
 
-def _render(expr: Expression, followed: bool) -> str:
-    """Render; ``followed`` means more tokens come after this subterm, so any
-    future on its right spine must be fenced off with parentheses."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, FutureRef):
-        return f"fv{expr.fid}"
-    if isinstance(expr, FutureCreate):
-        if followed:
-            return f"(future {_render(expr.body, False)})"
-        if _atomic(expr.body):
-            return f"future {_render(expr.body, False)}"
-        return f"future ({_render(expr.body, False)})"
-    if isinstance(expr, Add):
-        left = _render(expr.left, True)
-        if isinstance(expr.right, Add):
-            right = f"({_render(expr.right, False)})"
+def unparse(expr: Expression, limit: int | None = None, context: Context = ()) -> str:
+    """Render ``plug(context, expr)`` without building it, so that
+    ``parse(unparse(e)) == e`` for ref-free e.
+
+    With ``limit``, rendering stops once the text is longer than ``limit``
+    characters: the result is the whole text or a prefix of it longer than
+    ``limit``. One loop over an explicit stack does the work, so nesting depth
+    costs no recursion. The stack holds text still to write, (node, followed)
+    pairs still to render, and ranges of ``HoleLeft`` frames whose right
+    operands are still to write, deepest first. A node is an expression or a
+    1-tuple holding the index of a context frame, which stands for the
+    subterm that frame and those inside it surround. ``followed`` means more
+    tokens come after the node, so a future on its right spine must be fenced
+    off with parentheses. A run of ``HoleLeft`` frames is pushed as one range,
+    so a bounded render does not visit the right operands it never writes.
+    """
+    depth = len(context)
+    pieces: list[str] = []
+    size = 0
+    todo: list = [((0,) if depth else expr, False)]
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is str:
+            text = item
+        elif cls is range:
+            last = item[-1]
+            if len(item) > 1:
+                todo.append(item[:-1])
+            right = context[last].right
+            if right.__class__ is Add:
+                todo += (")", (right, False))
+                text = " + ("
+            else:
+                todo.append((right, last > item.start))
+                text = " + "
         else:
-            right = _render(expr.right, followed)
-        return f"{left} + {right}"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def unparse(expr: Expression) -> str:
-    """Render an expression so that ``parse(unparse(e)) == e`` for ref-free e."""
-    return _render(expr, False)
+            node, followed = item
+            cls = node.__class__
+            while cls is tuple or cls is Add:  # down the left spine of the sums
+                if cls is tuple:
+                    # A context node is the root or a fenced right operand, so
+                    # it is not followed; the HoleLeft frames atop it are one run.
+                    index = end = node[0]
+                    while end < depth and context[end].__class__ is HoleLeft:
+                        end += 1
+                    if end > index:
+                        todo.append(range(index, end))
+                        followed = True
+                    if end == depth:
+                        node = expr
+                        cls = node.__class__
+                        continue
+                    left, right = context[end].left, ((end + 1,) if end + 1 < depth else expr)
+                else:
+                    left, right = node.left, node.right
+                cls = right.__class__
+                if cls is IntLit:
+                    todo.append(f" + {right.value}")
+                elif cls is tuple or cls is Add:
+                    todo += (")", (right, False), " + (")
+                else:
+                    todo += ((right, followed), " + ")
+                node, followed = left, True
+                cls = node.__class__
+            if cls is IntLit:
+                text = str(node.value)
+            elif cls is FutureRef:
+                text = f"fv{node.fid}"
+            elif cls is FutureCreate:
+                if followed:
+                    todo += (")", (node.body, False))
+                    text = "(future "
+                elif _atomic(node.body):
+                    todo.append((node.body, False))
+                    text = "future "
+                else:
+                    todo += (")", (node.body, False))
+                    text = "future ("
+            else:
+                raise TypeError(f"not an expression: {node!r}")
+        pieces.append(text)
+        size += len(text)
+        if limit is not None and size > limit:
+            break
+    return "".join(pieces)

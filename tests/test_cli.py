@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import futsim.cli as cli
+from futsim.calculus import Add, IntLit
 from futsim.cli import main
+from futsim.energy import simulate
+from futsim.scaling import FrequencyLadder, strategy_both
 
 
 @pytest.fixture()
@@ -365,3 +368,50 @@ def test_closed_stdout_of_the_command_gives_no_traceback(sum_file):
     lines = proc.stderr.decode().splitlines()
     assert proc.returncode == 3, lines
     assert len(lines) == 1 and lines[0].startswith("error: cannot write the output"), lines
+
+
+def test_golden_trace_expr_column(golden_file, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    code, _, err = invoke(
+        ["run", golden_file, "--ladder", "1,2,3,4", "--init", "2", "--strategy", "both", "--trace", str(trace)]
+    )
+    assert code == 0, err
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [(r["thread"], r["kind"], r["expr"]) for r in records] == [
+        (0, "compute", "2 + fv1"),
+        (0, "wait", "fv1"),
+        (1, "compute", "fv2"),
+        (1, "wait", "fv2"),
+        (2, "compute", "7"),
+        (1, "compute", "7"),
+        (0, "compute", "2 + 7"),
+        (0, "compute", "9"),
+    ]
+
+
+@pytest.mark.parametrize("literal", ["18446744073709551616", "-9223372036854775809", "9223372036854775808"])
+def test_literal_outside_64_bits_is_a_parse_error(tmp_path, literal):
+    path = tmp_path / "big.gf"
+    path.write_text(f"1 + future {literal}\n")
+    code, out, err = invoke(["run", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{path}:1:12:" in err and "64 bits" in err
+
+
+def test_trace_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
+    # Built directly, since the parser recurses: ((0 + 1) + 2) + ... + n.
+    n = 1_500
+    expr = IntLit(0)
+    for k in range(1, n):
+        expr = Add(expr, IntLit(k))
+    ladder = FrequencyLadder((1.0, 2.0))
+    report = simulate(expr, ladder, 1, strategy_both(ladder))
+    trace = tmp_path / "trace.jsonl"
+    cli._write_simulate_trace(str(trace), report)
+    snippets = [json.loads(line)["expr"] for line in trace.read_text().splitlines()]
+    assert len(snippets) == n - 1
+    # After step s the chain reads (0 + ... + s) + (s + 1) + ... + (n - 1).
+    for s in (1, 2, n // 2, n - 3):
+        text = " + ".join([str(s * (s + 1) // 2)] + [str(k) for k in range(s + 1, n)])
+        assert snippets[s - 1] == (text if len(text) <= 80 else text[:77] + "...")
+    assert snippets[-2:] == [f"{(n - 2) * (n - 1) // 2} + {n - 1}", str(n * (n - 1) // 2)]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from futsim.calculus import Add, FutureCreate, FutureRef, IntLit, contains_future_ref
+from futsim.calculus import Add, FutureCreate, FutureRef, HoleLeft, HoleRight, IntLit, contains_future_ref, plug
 from futsim.engine import gen_random_program
 from futsim.parser import ParseError, parse, unparse
 
@@ -109,3 +109,88 @@ def test_round_trip_random_programs(seed):
     expr = gen_random_program(seed, 6, 3)
     assert not contains_future_ref(expr)
     assert parse(unparse(expr)) == expr
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-9223372036854775808", INT64_MIN),
+    ("9223372036854775807", INT64_MAX),
+    ("+9223372036854775807", INT64_MAX),
+    ("000000000000000000009223372036854775807", INT64_MAX),
+])
+def test_literals_at_the_64_bit_bounds_parse(text, value):
+    assert parse(text) == IntLit(value)
+    assert parse(f"1 + future {text}") == Add(IntLit(1), FutureCreate(IntLit(value)))
+
+
+@pytest.mark.parametrize("text", ["-9223372036854775809", "9223372036854775808", "18446744073709551616",
+                                  "- 9223372036854775809", "1" * 5000])
+def test_literals_past_the_64_bit_bounds_are_parse_errors_at_their_position(text):
+    with pytest.raises(ParseError) as excinfo:
+        parse(f"1 +\n  future {text} + 2")
+    error = excinfo.value
+    assert (error.line, error.col) == (2, 10)
+    assert "64 bits" in error.message
+
+
+def test_unparse_limit_stops_past_the_limit():
+    expr = Add(Add(IntLit(1), IntLit(2)), Add(IntLit(3), FutureCreate(IntLit(4))))
+    text = unparse(expr)
+    assert text == "1 + 2 + (3 + future 4)"
+    for limit in range(len(text) + 2):
+        bounded = unparse(expr, limit)
+        assert text.startswith(bounded)
+        assert bounded == text or len(bounded) > limit
+
+
+def test_unparse_renders_a_context_without_plugging_it():
+    context = (HoleLeft(IntLit(5)), HoleRight(FutureRef(1)), HoleLeft(FutureCreate(IntLit(2))))
+    for filler in (IntLit(7), FutureRef(3), FutureCreate(IntLit(4)), Add(IntLit(8), IntLit(9))):
+        assert unparse(filler, context=context) == unparse(plug(context, filler))
+    assert unparse(IntLit(7), context=context) == "fv1 + (7 + future 2) + 5"
+
+
+def test_unparse_rejects_what_is_not_an_expression():
+    with pytest.raises(TypeError):
+        unparse(Add(IntLit(1), "2"))
+
+
+# Built directly, since the parser recurses. The trees are never compared,
+# hashed or printed: those still recurse.
+DEPTH = 100_000
+
+
+@pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower"])
+def test_unparse_takes_deep_terms_without_recursion(shape):
+    n = DEPTH
+    if shape == "left-chain":  # ((0 + 1) + 2) + ... + n
+        expr = IntLit(0)
+        for k in range(1, n + 1):
+            expr = Add(expr, IntLit(k))
+        expected = " + ".join(str(k) for k in range(n + 1))
+    elif shape == "right-nest":  # 0 + (1 + (... + (n-1 + n)))
+        expr = IntLit(n)
+        for k in reversed(range(n)):
+            expr = Add(IntLit(k), expr)
+        expected = "".join(f"{k} + (" for k in range(n - 1)) + f"{n - 1} + {n}" + ")" * (n - 1)
+    else:  # future (future (... (future 1)))
+        expr = IntLit(1)
+        for _ in range(n):
+            expr = FutureCreate(expr)
+        expected = "future (" * (n - 1) + "future 1" + ")" * (n - 1)
+    assert unparse(expr) == expected
+    assert unparse(expr, 80) == expected[:len(unparse(expr, 80))]
+    assert 80 < len(unparse(expr, 80)) < 100
+
+
+def test_unparse_takes_a_deep_context_without_recursion():
+    # Alternating frames: (fv0 + ((fv1 + (... + hole ...)) + 1)) + 0, DEPTH frames deep.
+    context = tuple(HoleRight(FutureRef(k)) if k % 2 else HoleLeft(IntLit(k)) for k in range(DEPTH))
+    filler = Add(IntLit(7), FutureCreate(IntLit(8)))
+    text = unparse(filler, context=context)
+    assert text == unparse(plug(context, filler))
+    assert text.startswith("fv1 + (fv3 + (fv5 + (") and text.endswith(" + 4) + 2) + 0")
+    bounded = unparse(filler, 80, context)
+    assert text.startswith(bounded) and 80 < len(bounded) < 100

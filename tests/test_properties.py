@@ -1,12 +1,16 @@
-"""Property tests: round-tripping the parser, decompose's loop against the
-recursive search it replaced, refocused sites against decompose, the rule work
-of run against simulate, the simulator's energy identities, and explore's
-structural state keys against the renaming key they replaced."""
+"""Property tests: round-tripping the parser, unparse's loop and decompose's
+loop against the recursive walkers they replaced, refocused sites against
+decompose, the rule work of run against simulate, the simulator's energy
+identities, trace snippets against the whole rendered expression, and
+explore's structural state keys against the renaming key they replaced."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,6 +40,7 @@ from futsim.calculus import (  # noqa: E402
     refill,
     wrap_int,
 )
+from futsim.cli import _snippet, _write_simulate_trace  # noqa: E402
 from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
 from futsim.engine import (  # noqa: E402
     ClaimEvent,
@@ -81,6 +86,88 @@ LEFT_DEEP = parse("1 + (future (2 + 3)) + 4 + 5 + 6")
 @given(programs)
 def test_parse_inverts_unparse(expr):
     assert parse(unparse(expr)) == expr
+
+
+def _atomic(expr):
+    return isinstance(expr, (IntLit, FutureRef))
+
+
+def _recursive_unparse(expr, followed=False):
+    """The recursive renderer unparse used before its single loop, kept as the
+    oracle; ``followed`` means more tokens come after this subterm, so any
+    future on its right spine must be fenced off with parentheses."""
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, FutureRef):
+        return f"fv{expr.fid}"
+    if isinstance(expr, FutureCreate):
+        if followed:
+            return f"(future {_recursive_unparse(expr.body, False)})"
+        if _atomic(expr.body):
+            return f"future {_recursive_unparse(expr.body, False)}"
+        return f"future ({_recursive_unparse(expr.body, False)})"
+    left = _recursive_unparse(expr.left, True)
+    if isinstance(expr.right, Add):
+        right = f"({_recursive_unparse(expr.right, False)})"
+    else:
+        right = _recursive_unparse(expr.right, followed)
+    return f"{left} + {right}"
+
+
+def _splits(expr):
+    """Every (context, subterm) pair with ``plug(context, subterm) == expr``."""
+    stack = [((), expr)]
+    while stack:
+        context, sub = stack.pop()
+        yield context, sub
+        if isinstance(sub, Add):
+            stack.append((context + (HoleRight(sub.left),), sub.right))
+            stack.append((context + (HoleLeft(sub.right),), sub.left))
+
+
+@SETTINGS
+@given(expressions)
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+@example(LEFT_DEEP)
+@example(Add(Add(IntLit(1), FutureCreate(IntLit(2))), Add(FutureCreate(Add(IntLit(3), IntLit(4))), FutureRef(5))))
+def test_unparse_agrees_with_the_recursive_renderer_at_every_split(expr):
+    text = _recursive_unparse(expr)
+    for context, sub in _splits(expr):
+        assert plug(context, sub) == expr
+        assert unparse(sub, context=context) == text
+        for limit in (0, 10, 80):
+            bounded = unparse(sub, limit, context)
+            assert text.startswith(bounded)
+            assert bounded == text or len(bounded) > limit
+
+
+def _compute_snippets(expr):
+    """Each thread's compute-record snippets from a written trace, and the same
+    cut from each compute segment's whole expression rendered by the oracle."""
+    report = simulate(expr, LADDER, 2, make_strategy("both", LADDER))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        _write_simulate_trace(str(path), report)
+        records = [json.loads(line) for line in path.read_text().splitlines() if line]
+    written = {fid: [r["expr"] for r in records if r["thread"] == fid and r["kind"] == "compute"]
+               for fid in report.timelines}
+    expected = {fid: [_snippet(_recursive_unparse(seg.expr)) for seg in tl.segments if seg.kind == SEG_COMPUTE]
+                for fid, tl in report.timelines.items()}
+    return written, expected
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_trace_snippets_cut_the_whole_expression(seed):
+    written, expected = _compute_snippets(gen_random_program(seed, 6, 3))
+    assert written == expected
+
+
+def test_trace_snippets_of_a_program_longer_than_the_snippet():
+    text = "1 + (future (2 + 3 + 4)) + " + " + ".join(f"({k} + future {k})" for k in range(10, 40))
+    written, expected = _compute_snippets(parse(text))
+    assert written == expected
+    assert any(len(s) == 80 and s.endswith("...") for snippets in written.values() for s in snippets)
 
 
 @SETTINGS
