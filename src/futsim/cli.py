@@ -303,7 +303,7 @@ def _json_dump(obj, indent: int | None = 2) -> str:
 
 def _write_lines(path: str, lines: list[str]) -> None:
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     except OSError as exc:
         raise OutputError(f"cannot write trace {path}: {exc}") from exc
 

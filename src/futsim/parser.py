@@ -2,8 +2,8 @@
 
 Grammar: ``+`` is left-associative; ``future`` extends as far right as it can,
 stopping only at a closing parenthesis or end of input; parentheses group;
-integer literals are optionally signed decimals that fit in 64 bits (two's
-complement). ``#`` starts a line comment.
+integer literals are optionally signed ASCII decimals that fit in 64 bits
+(two's complement). ``#`` starts a line comment.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def _tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("int", source[i:j], line, start_col))
             col += j - i
@@ -82,75 +82,68 @@ def _tokenize(source: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.peek()
-        where = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-        return ParseError(tok.line, tok.col, f"{message}, found {where}", expected)
-
-    # expr ::= operand ('+' operand)*
-    def expr(self) -> Expression:
-        left = self.operand()
-        while self.peek().kind == "plus":
-            self.advance()
-            left = Add(left, self.operand())
-        return left
-
-    # operand ::= 'future' expr | atom
-    def operand(self) -> Expression:
-        if self.peek().kind == "future":
-            self.advance()
-            return FutureCreate(self.expr())
-        return self.atom()
-
-    # atom ::= '(' expr ')' | ['+'|'-'] INT
-    def atom(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.expr()
-            if self.peek().kind != "rparen":
-                raise self.error("unclosed parenthesis", ("')'",))
-            self.advance()
-            return inner
-        sign, start = 1, tok
-        if tok.kind in ("minus", "plus"):
-            self.advance()
-            sign = -1 if tok.kind == "minus" else 1
-            tok = self.peek()
-            if tok.kind != "int":
-                raise self.error("sign must precede an integer literal", ("an integer",))
-        if tok.kind == "int":
-            self.advance()
-            # 2**63 has 19 digits; counting them first keeps int() off
-            # literals too long for it to convert.
-            value = sign * int(tok.text) if len(tok.text.lstrip("0")) <= 19 else None
-            if value is None or wrap_int(value) != value:
-                raise ParseError(start.line, start.col, "integer literal outside 64 bits (-2**63 to 2**63-1)")
-            return IntLit(value)
-        raise self.error("expected an expression", ("an integer", "'('", "future"))
+def _found(tok: Token, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    where = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
+    return ParseError(tok.line, tok.col, f"{message}, found {where}", expected)
 
 
 def parse(source: str) -> Expression:
-    """Parse a program; raises ParseError with a source position on bad input."""
-    parser = _Parser(_tokenize(source))
-    expr = parser.expr()
-    if parser.peek().kind != "eof":
-        raise parser.error("trailing input after expression")
-    return expr
+    """Parse a program; raises ParseError with a source position on bad input.
+
+    expr ::= operand ('+' operand)*, operand ::= 'future' expr | '(' expr ')'
+    | ['+'|'-'] INT. One loop walks the tokens with an explicit stack of the
+    open ``future`` and ``(`` frames, so nesting depth costs no recursion.
+    Each frame holds the sum to its left. A ``future`` closes at the first
+    token that does not continue its sum, and a ``(`` closes at its ``)``.
+    """
+    tokens = _tokenize(source)
+    frames: list[tuple[str, Expression | None]] = []
+    left: Expression | None = None  # the sum so far in the innermost open frame
+    pos = 0
+    while True:
+        tok = start = tokens[pos]
+        kind = tok.kind
+        if kind == "future" or kind == "lparen":
+            frames.append((kind, left))
+            left = None
+            pos += 1
+            continue
+        sign = -1 if kind == "minus" else 1
+        if kind == "minus" or kind == "plus":
+            pos += 1
+            tok = tokens[pos]
+            if tok.kind != "int":
+                raise _found(tok, "sign must precede an integer literal", ("an integer",))
+        elif kind != "int":
+            raise _found(tok, "expected an expression", ("an integer", "'('", "future"))
+        # 2**63 has 19 digits; counting them first keeps int() off literals
+        # too long for it to convert.
+        value = sign * int(tok.text) if len(tok.text.lstrip("0")) <= 19 else None
+        if value is None or wrap_int(value) != value:
+            raise ParseError(start.line, start.col, "integer literal outside 64 bits (-2**63 to 2**63-1)")
+        operand: Expression = IntLit(value)
+        pos += 1
+        # Add the operand to the open sum, then close every frame that the
+        # next token ends, until a '+' asks for another operand.
+        while True:
+            left = operand if left is None else Add(left, operand)
+            tok = tokens[pos]
+            if tok.kind == "plus":
+                pos += 1
+                break
+            if not frames:
+                if tok.kind != "eof":
+                    raise _found(tok, "trailing input after expression")
+                return left
+            kind, outer = frames.pop()
+            if kind == "future":
+                operand = FutureCreate(left)
+            elif tok.kind == "rparen":
+                operand = left
+                pos += 1
+            else:
+                raise _found(tok, "unclosed parenthesis", ("')'",))
+            left = outer
 
 
 def _atomic(expr: Expression) -> bool:

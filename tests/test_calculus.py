@@ -291,7 +291,7 @@ def test_refill_walks_up_without_recursion():
 
 @pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower"])
 def test_walkers_take_deep_terms_without_recursion(shape):
-    # Built directly, since the parser recurses. The trees are never compared,
+    # Built directly, so only the walkers are tested. The trees are never compared,
     # hashed or printed: those still recurse.
     n = 100_000
     if shape == "left-chain":  # ((fv0 + fv1) + fv2) + ... + fvn
@@ -314,7 +314,7 @@ def test_walkers_take_deep_terms_without_recursion(shape):
 
 
 def _deep(shape, n):
-    """A tree n levels deep, built directly, since the parser recurses."""
+    """A tree n levels deep, built directly, so only the calculus is tested."""
     if shape == "left-chain":  # ((0 + 1) + 2) + ... + n
         expr = IntLit(0)
         for k in range(1, n + 1):

@@ -399,7 +399,7 @@ def test_literal_outside_64_bits_is_a_parse_error(tmp_path, literal):
 
 
 def test_trace_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
-    # Built directly, since the parser recurses: ((0 + 1) + 2) + ... + n.
+    # Built directly, so only the trace writer is tested: ((0 + 1) + 2) + ... + n.
     n = 1_500
     expr = IntLit(0)
     for k in range(1, n):
@@ -415,3 +415,32 @@ def test_trace_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
         text = " + ".join([str(s * (s + 1) // 2)] + [str(k) for k in range(s + 1, n)])
         assert snippets[s - 1] == (text if len(text) <= 80 else text[:77] + "...")
     assert snippets[-2:] == [f"{(n - 2) * (n - 1) // 2} + {n - 1}", str(n * (n - 1) // 2)]
+
+
+@pytest.mark.parametrize("source, col", [("²", 1), ("1 + ٣", 5)])
+def test_a_digit_outside_ascii_is_a_parse_error(tmp_path, source, col):
+    path = tmp_path / "digit.gf"
+    path.write_text(f"{source}\n", encoding="utf-8")
+    code, out, err = invoke(["run", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{path}:1:{col}: unexpected character" in err
+
+
+@pytest.mark.parametrize("mode", ["simulate", "semantics"])
+def test_a_run_without_records_writes_an_empty_trace(tmp_path, mode):
+    path = tmp_path / "five.gf"
+    path.write_text("5\n")
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = invoke(["run", str(path), "--mode", mode, "--trace", str(trace)])
+    assert code == 0, err
+    assert trace.read_bytes() == b""
+
+
+@pytest.mark.parametrize("text", ["future " * 4096 + "1", "(" * 100_000 + "1" + ")" * 100_000],
+                         ids=["future-tower", "paren-nest"])
+def test_run_takes_deep_nests_without_recursion(tmp_path, text):
+    path = tmp_path / "deep.gf"
+    path.write_text(text)
+    code, out, err = invoke(["run", str(path), "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["final_value"] == 1

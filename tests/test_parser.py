@@ -1,8 +1,20 @@
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import pytest
 
-from futsim.calculus import Add, FutureCreate, FutureRef, HoleLeft, HoleRight, IntLit, contains_future_ref, plug
+from futsim.calculus import (
+    Add,
+    FutureCreate,
+    FutureRef,
+    HoleLeft,
+    HoleRight,
+    IntLit,
+    contains_future_ref,
+    plug,
+    subterms,
+)
 from futsim.engine import gen_random_program
 from futsim.parser import ParseError, parse, unparse
 
@@ -157,7 +169,7 @@ def test_unparse_rejects_what_is_not_an_expression():
         unparse(Add(IntLit(1), "2"))
 
 
-# Built directly, since the parser recurses. The trees are never compared,
+# Built directly, so only unparse is tested. The trees are never compared,
 # hashed or printed: those still recurse.
 DEPTH = 100_000
 
@@ -194,3 +206,50 @@ def test_unparse_takes_a_deep_context_without_recursion():
     assert text.startswith("fv1 + (fv3 + (fv5 + (") and text.endswith(" + 4) + 2) + 0")
     bounded = unparse(filler, 80, context)
     assert text.startswith(bounded) and 80 < len(bounded) < 100
+
+
+@pytest.mark.parametrize("source, col", [("²", 1), ("1 + ٣", 5), ("1٣", 2), ("future ９", 8)])
+def test_only_ascii_digits_make_integer_literals(source, col):
+    with pytest.raises(ParseError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.col) == (1, col)
+    assert error.message.startswith("unexpected character")
+
+
+def _same_tree(a, b):
+    """Equal trees, compared node by node in pre-order, since == recurses."""
+    for x, y in zip_longest(subterms(a), subterms(b)):
+        if x.__class__ is not y.__class__ or (x.__class__ is IntLit and x.value != y.value):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("shape", ["right-nest", "paren-nest", "future-tower", "mixed"])
+def test_parse_takes_deep_nests_without_recursion(shape):
+    n = DEPTH
+    if shape == "right-nest":  # 1 + (1 + (... + (1 + 1)))
+        text = canonical = "1 + (" * (n - 1) + "1 + 1" + ")" * (n - 1)
+    elif shape == "paren-nest":  # ((...(1)...))
+        text, canonical = "(" * n + "1" + ")" * n, "1"
+    elif shape == "future-tower":  # future future ... future 1
+        text, canonical = "future " * n + "1", "future (" * (n - 1) + "future 1" + ")" * (n - 1)
+    else:  # future (1 + future (1 + ... future 1))
+        text = canonical = "future (1 + " * (n - 1) + "future 1" + ")" * (n - 1)
+    assert unparse(parse(text)) == canonical
+
+
+@pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower", "mixed"])
+def test_parse_inverts_unparse_on_deep_terms(shape):
+    n = DEPTH
+    expr = IntLit(n)
+    for k in reversed(range(n)):
+        if shape == "left-chain":  # ((n + (n-1)) + ...) + 0
+            expr = Add(expr, IntLit(k))
+        elif shape == "right-nest":  # 0 + (1 + (... + (n-1 + n)))
+            expr = Add(IntLit(k), expr)
+        elif shape == "future-tower":
+            expr = FutureCreate(expr)
+        else:  # future (0 + future (1 + ... future (n-1 + n)))
+            expr = FutureCreate(Add(IntLit(k), expr))
+    assert _same_tree(parse(unparse(expr)), expr)

@@ -1,5 +1,5 @@
-"""Property tests: round-tripping the parser, unparse's loop and decompose's
-loop against the recursive walkers they replaced, refocused sites against
+"""Property tests: round-tripping the parser, the loops of parse, unparse and
+decompose against the recursive walkers they replaced, refocused sites against
 decompose, the rule work of run against simulate, the simulator's energy
 identities, trace snippets against the whole rendered expression, and
 explore's structural state keys against the renaming key they replaced."""
@@ -55,7 +55,7 @@ from futsim.engine import (  # noqa: E402
     run,
     step,
 )
-from futsim.parser import parse, unparse  # noqa: E402
+from futsim.parser import ParseError, Token, _tokenize, parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
@@ -86,6 +86,106 @@ LEFT_DEEP = parse("1 + (future (2 + 3)) + 4 + 5 + 6")
 @given(programs)
 def test_parse_inverts_unparse(expr):
     assert parse(unparse(expr)) == expr
+
+
+class _Parser:
+    """The recursive-descent parser parse used before its single loop, kept as
+    the oracle behind ``_recursive_parse``."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def error(self, message, expected=()):
+        tok = self.peek()
+        where = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
+        return ParseError(tok.line, tok.col, f"{message}, found {where}", expected)
+
+    # expr ::= operand ('+' operand)*
+    def expr(self):
+        left = self.operand()
+        while self.peek().kind == "plus":
+            self.advance()
+            left = Add(left, self.operand())
+        return left
+
+    # operand ::= 'future' expr | atom
+    def operand(self):
+        if self.peek().kind == "future":
+            self.advance()
+            return FutureCreate(self.expr())
+        return self.atom()
+
+    # atom ::= '(' expr ')' | ['+'|'-'] INT
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "lparen":
+            self.advance()
+            inner = self.expr()
+            if self.peek().kind != "rparen":
+                raise self.error("unclosed parenthesis", ("')'",))
+            self.advance()
+            return inner
+        sign, start = 1, tok
+        if tok.kind in ("minus", "plus"):
+            self.advance()
+            sign = -1 if tok.kind == "minus" else 1
+            tok = self.peek()
+            if tok.kind != "int":
+                raise self.error("sign must precede an integer literal", ("an integer",))
+        if tok.kind == "int":
+            self.advance()
+            value = sign * int(tok.text) if len(tok.text.lstrip("0")) <= 19 else None
+            if value is None or wrap_int(value) != value:
+                raise ParseError(start.line, start.col, "integer literal outside 64 bits (-2**63 to 2**63-1)")
+            return IntLit(value)
+        raise self.error("expected an expression", ("an integer", "'('", "future"))
+
+
+def _recursive_parse(source):
+    parser = _Parser(_tokenize(source))
+    expr = parser.expr()
+    if parser.peek().kind != "eof":
+        raise parser.error("trailing input after expression")
+    return expr
+
+
+def _parse_outcome(parser, source):
+    """The tree, or the fields of the ParseError, that ``parser`` gives on ``source``."""
+    try:
+        return parser(source)
+    except ParseError as error:
+        return (error.line, error.col, error.message, error.expected)
+
+
+# Pieces that the tokenizer takes, so that the strings reach the parser and
+# fail at every kind of position; "1 +", "future (" and ")" are repeated to
+# bias towards well-formed sums and nests.
+TOKEN_TEXTS = ("1", "42", "-7", "+", "-", "(", ")", ")", "future", "1 +", "1 +", "future (", "future (",
+               "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809", "007",
+               "# note\n")
+token_strings = st.lists(
+    st.tuples(st.sampled_from(TOKEN_TEXTS), st.sampled_from((" ", " ", " ", "\n", ""))), max_size=30
+).map(lambda pairs: "".join(text + gap for text, gap in pairs))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.one_of(token_strings, st.builds(lambda e, tail: f"{unparse(e)} {tail}", programs, token_strings)))
+@example("future 1 + (2 + future 3) + 4")
+@example("(future 1 2")
+@example("- (1)")
+@example("1 + )")
+def test_parse_agrees_with_the_recursive_parser(source):
+    assert _parse_outcome(parse, source) == _parse_outcome(_recursive_parse, source)
 
 
 def _atomic(expr):
