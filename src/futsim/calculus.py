@@ -201,6 +201,16 @@ def plug(context: Context, filler: Expression) -> Expression:
     return expr
 
 
+def _refocus(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> RedexSite:
+    """The site ``refill`` returns, found without plugging the hole."""
+    if not isinstance(filler, (IntLit, FutureRef)):
+        raise TypeError(f"refill takes an integer or a future reference, not {type(filler).__name__}")
+    claims = isinstance(filler, IntLit) and (
+        isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
+    )
+    return _search(list(site.context), filler, claims, True)
+
+
 def refill(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> tuple[Expression, RedexSite]:
     """Plug the atom a rule produced into a fired site's hole; return it and its site.
 
@@ -211,12 +221,7 @@ def refill(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) 
     path holds a redex. After a claim the search stays in the claim phase,
     and the Add redex it may find keeps that phase for its own refill.
     """
-    if not isinstance(filler, (IntLit, FutureRef)):
-        raise TypeError(f"refill takes an integer or a future reference, not {filler!r}")
-    claims = isinstance(filler, IntLit) and (
-        isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
-    )
-    return plug(site.context, filler), _search(list(site.context), filler, claims, True)
+    return plug(site.context, filler), _refocus(site, filler)
 
 
 def eval_sequential(expr: Expression) -> int:

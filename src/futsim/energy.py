@@ -1,12 +1,12 @@
 """Virtual-time execution of a reduction run with a parametric energy model.
 
-Rules fire through the engine's rule kernel (``engine.fire``); this module
-schedules threads on virtual time and prices each rule's event. Each thread
-owns a core. A step's duration is cycles/frequency and its energy follows
-the dynamic-power law P = kappa * f**alpha. Claims on unfinished
-producers wait by spinning (powered) or blocking (flat penalty); realized
-producers terminate and accrue nothing afterward. Event order is fully
-determined by virtual time, ties broken by thread id.
+Rules fire through the engine's rule kernel (``engine._rule``), which builds
+no expression; this module schedules threads on virtual time and prices each
+rule's event. Each thread owns a core. A step's duration is cycles/frequency
+and its energy follows the dynamic-power law P = kappa * f**alpha. Claims on
+unfinished producers wait by spinning (powered) or blocking (flat penalty);
+realized producers terminate and accrue nothing afterward. Event order is
+fully determined by virtual time, ties broken by thread id.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .calculus import ClaimSite, Context, Expression, FutureId, FutureRef, IntLit, NoRedex, RedexSite, decompose, plug
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, AddEvent, CreateEvent, EngineError, fire, start_level
+from .calculus import ClaimSite, Context, Expression, FutureId, IntLit, NoRedex, RedexSite, decompose, plug
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _rule, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
@@ -156,12 +156,17 @@ class SimulationReport:
 @dataclass
 class _Thread:
     fid: FutureId
-    expr: Expression
     level: FrequencyLevel
-    site: RedexSite  # decompose(expr), kept current by the rule kernel
+    site: RedexSite  # the next action, kept current by the rule kernel
+    value: Expression | None  # the realized value, once ``site`` is ``NoRedex``
     segments: list[Segment] = field(default_factory=list)
     done: bool = False
     t_realize: float = 0.0
+
+
+def _new_thread(fid: FutureId, expr: Expression, level: FrequencyLevel) -> _Thread:
+    site = decompose(expr)
+    return _Thread(fid, level, site, expr if isinstance(site, NoRedex) else None)
 
 
 class _Simulation:
@@ -183,17 +188,13 @@ class _Simulation:
         the rule's operators changed then costs tau on this thread's timeline.
         """
         site = thr.site
-        thr.expr, thr.site, thr.level, event = fire(site, thr.level, thr.fid, self.strategy, self.next_fresh, claimed)
+        hole, thr.site, thr.level, event = _rule(site, thr.level, thr.fid, self.strategy, self.next_fresh, claimed)
+        if isinstance(thr.site, NoRedex):  # the context is empty, so the filler is the whole expression
+            thr.value = hole[1]
         model, rule, level = self.model, event.rule, event.level
         end = start + step_duration(rule, level, model)
         energy = step_energy(rule, level, model)
-        if isinstance(event, AddEvent):
-            filler = IntLit(event.total)
-        elif isinstance(event, CreateEvent):
-            filler = FutureRef(event.child)
-        else:
-            filler = event.value
-        thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=(site.context, filler)))
+        thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=hole))
         self.clamp_count += event.clamps
         for new_level in event.scaled:
             if new_level.index != level.index:
@@ -204,7 +205,7 @@ class _Simulation:
                     end += model.tau
         if isinstance(event, CreateEvent):
             self.next_fresh += 1
-            self.threads[event.child] = _Thread(event.child, site.body, event.child_level, decompose(site.body))
+            self.threads[event.child] = _new_thread(event.child, site.body, event.child_level)
             heapq.heappush(self.heap, (end, event.child))
         heapq.heappush(self.heap, (end, thr.fid))
 
@@ -219,22 +220,14 @@ class _Simulation:
         start = t_arrive
         if wait > 0:
             if self.model.wait_policy == WAIT_SPIN:
-                energy = spin_power(claimant.level, self.model) * wait
-                claimant.segments.append(
-                    Segment(t_arrive, producer.t_realize, SEG_WAIT, claimant.level, energy, target=producer.fid)
-                )
-                start = producer.t_realize
-            else:
-                # One flat context-switch penalty per block/unblock pair.
-                end = producer.t_realize + self.model.block_time
-                claimant.segments.append(
-                    Segment(t_arrive, end, SEG_WAIT, claimant.level, self.model.block_energy, target=producer.fid)
-                )
-                start = end
-        self.fire_rule(claimant, start, producer.expr)
+                start, energy = producer.t_realize, spin_power(claimant.level, self.model) * wait
+            else:  # one flat context-switch penalty per block/unblock pair
+                start, energy = producer.t_realize + self.model.block_time, self.model.block_energy
+            claimant.segments.append(Segment(t_arrive, start, SEG_WAIT, claimant.level, energy, target=producer.fid))
+        self.fire_rule(claimant, start, producer.value)
 
     def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
-        root = _Thread(0, expr, init_level, decompose(expr))
+        root = _new_thread(0, expr, init_level)
         self.threads[0] = root
         heapq.heappush(self.heap, (0.0, 0))
         makespan = None
@@ -272,13 +265,13 @@ class _Simulation:
             raise EngineError("simulation stalled before the root realized a value")
         if self.parked:
             raise EngineError("simulation ended with parked claimants")
-        assert isinstance(root.expr, IntLit)
+        assert isinstance(root.value, IntLit)
 
         timelines = {fid: ThreadTimeline(tuple(t.segments)) for fid, t in sorted(self.threads.items())}
         per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
         total = sum(per_thread.values())
         return SimulationReport(
-            final_value=root.expr.value,
+            final_value=root.value.value,
             makespan=makespan,
             total_energy=total,
             per_thread_energy=per_thread,

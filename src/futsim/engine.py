@@ -12,6 +12,7 @@ from .calculus import (
     ClaimSite,
     Closure,
     Configuration,
+    Context,
     CreateRedex,
     Expression,
     FutureCreate,
@@ -19,12 +20,13 @@ from .calculus import (
     FutureRef,
     IntLit,
     RedexSite,
+    _refocus,
     contains_future_ref,
     decompose,
     initial_configuration,
     is_terminal,
     node_count,
-    refill,
+    plug,
     wrap_int,
 )
 from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
@@ -142,6 +144,34 @@ def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> 
     return _fire(config, _index_of(config, thread), strategy)
 
 
+Hole = tuple[Context, Expression]
+
+
+def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
+          claimed: Expression | None = None) -> tuple[Hole, RedexSite, FrequencyLevel, ReductionEvent]:
+    """``fire`` without the plug: returns the filled hole, ``(site.context, filler)``, for the expression."""
+    if isinstance(site, ArithRedex):
+        total = wrap_int(site.left + site.right)
+        filler: Expression = IntLit(total)
+        event: ReductionEvent = AddEvent(thread, level, site.left, site.right, total)
+    elif isinstance(site, CreateRedex):
+        child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, level)
+        parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, level)
+        filler = FutureRef(fresh)
+        event = CreateEvent(thread, level, fresh, parent_level, child_level, int(clamp_up) + int(clamp_down))
+        level = parent_level
+    elif isinstance(site, ClaimSite):
+        if claimed is None:
+            raise NotEnabledError(f"fv{thread} claims fv{site.target} but no claimed value was given")
+        new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
+        filler = claimed
+        event = ClaimEvent(thread, level, site.target, claimed, new_level, int(clamped))
+        level = new_level
+    else:
+        raise NotEnabledError(f"fv{thread} holds a value")
+    return (site.context, filler), _refocus(site, filler), level, event
+
+
 def fire(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
          claimed: Expression | None = None) -> tuple[Expression, RedexSite, FrequencyLevel, ReductionEvent]:
     """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
@@ -152,26 +182,8 @@ def fire(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sca
     the event. The caller adds a Create's child (at ``event.child_level``,
     running ``site.body``) and drops a Claim's producer.
     """
-    if isinstance(site, ArithRedex):
-        total = wrap_int(site.left + site.right)
-        expr, next_site = refill(site, IntLit(total))
-        return expr, next_site, level, AddEvent(thread, level, site.left, site.right, total)
-
-    if isinstance(site, CreateRedex):
-        child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, level)
-        parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, level)
-        expr, next_site = refill(site, FutureRef(fresh))
-        event = CreateEvent(thread, level, fresh, parent_level, child_level, int(clamp_up) + int(clamp_down))
-        return expr, next_site, parent_level, event
-
-    if isinstance(site, ClaimSite):
-        if claimed is None:
-            raise NotEnabledError(f"fv{thread} claims fv{site.target} but no claimed value was given")
-        new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
-        expr, next_site = refill(site, claimed)
-        return expr, next_site, new_level, ClaimEvent(thread, level, site.target, claimed, new_level, int(clamped))
-
-    raise NotEnabledError(f"fv{thread} holds a value")
+    hole, next_site, level, event = _rule(site, level, thread, strategy, fresh, claimed)
+    return plug(*hole), next_site, level, event
 
 
 def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
@@ -429,22 +441,36 @@ def explore_with_stats(
 # ---------------------------------------------------------------------------
 
 def gen_random_program(seed: int, max_depth: int, max_future_nesting: int) -> Expression:
-    """Deterministic random expression, reference-free, within the given bounds."""
+    """Deterministic random expression, reference-free, within the given bounds.
+
+    One loop over an explicit stack of nodes still to draw, left child on
+    top, so the draws come in pre-order and depth costs no recursion.
+    """
     if max_depth < 1 or max_future_nesting < 1:
         raise ValueError("bounds must be at least 1")
     rng = random.Random(seed)
-
-    def gen(depth: int, nesting: int) -> Expression:
-        if depth >= max_depth:
-            return IntLit(rng.randint(-9, 9))
-        kinds = ["int", "add", "add", "add"]
-        if nesting < max_future_nesting:
-            kinds += ["future", "future"]
-        kind = rng.choice(kinds)
+    todo: list = [(1, 0)]  # (depth, nesting) of a node to draw, or the constructor that closes one
+    built: list[Expression] = []
+    while todo:
+        item = todo.pop()
+        if item is Add:
+            right = built.pop()
+            built[-1] = Add(built[-1], right)
+            continue
+        if item is FutureCreate:
+            built[-1] = FutureCreate(built[-1])
+            continue
+        depth, nesting = item
+        kind = "int"
+        if depth < max_depth:
+            kinds = ["int", "add", "add", "add"]
+            if nesting < max_future_nesting:
+                kinds += ["future", "future"]
+            kind = rng.choice(kinds)
         if kind == "int":
-            return IntLit(rng.randint(-9, 9))
-        if kind == "add":
-            return Add(gen(depth + 1, nesting), gen(depth + 1, nesting))
-        return FutureCreate(gen(depth + 1, nesting + 1))
-
-    return gen(1, 0)
+            built.append(IntLit(rng.randint(-9, 9)))
+        elif kind == "add":
+            todo += (Add, (depth + 1, nesting), (depth + 1, nesting))
+        else:
+            todo += (FutureCreate, (depth + 1, nesting + 1))
+    return built[0]

@@ -276,6 +276,14 @@ def test_refill_rejects_a_compound_filler():
         refill(decompose(Add(IntLit(1), IntLit(2))), Add(IntLit(1), IntLit(2)))
 
 
+def test_refill_names_the_type_of_a_deep_filler():
+    filler = IntLit(0)
+    for _ in range(100_000):
+        filler = Add(filler, IntLit(1))
+    with pytest.raises(TypeError, match="not Add$"):
+        refill(decompose(Add(IntLit(1), IntLit(2))), filler)
+
+
 def test_refill_walks_up_without_recursion():
     # fv0 + (fv1 + (... + (fv{depth-1} + future 7))): after the create the walk
     # climbs every level to the root, far past the interpreter's recursion limit.

@@ -1,16 +1,20 @@
-"""Property tests: round-tripping the parser, the loops of parse, unparse and
-decompose against the recursive walkers they replaced, refocused sites against
-decompose, the rule work of run against simulate, the simulator's energy
+"""Property tests: round-tripping the parser, the loops of parse, unparse,
+decompose and gen_random_program against the recursive walkers they replaced,
+refocused sites against decompose, a simulator that never plugs against the
+public step, the rule work of run against simulate, the simulator's energy
 identities, trace snippets against the whole rendered expression, and
 explore's structural state keys against the renaming key they replaced."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,6 +23,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import futsim.calculus as calculus  # noqa: E402
+import futsim.energy as energy  # noqa: E402
 import futsim.engine as engine  # noqa: E402
 from futsim.calculus import (  # noqa: E402
     Add,
@@ -32,12 +38,14 @@ from futsim.calculus import (  # noqa: E402
     HoleRight,
     IntLit,
     NoRedex,
+    _refocus,
     decompose,
     eval_sequential,
     future_ref_ids,
     initial_configuration,
     plug,
     refill,
+    subterms,
     wrap_int,
 )
 from futsim.cli import _snippet, _write_simulate_trace  # noqa: E402
@@ -351,12 +359,12 @@ def test_decompose_agrees_with_the_recursive_search(expr):
     assert not (isinstance(site, ArithRedex) and site._claim_phase)
 
 
-def _checking_refill(reached):
+def _checking_refocus(reached):
     def checked(site, filler):
-        expr, next_site = refill(site, filler)
-        assert next_site == decompose(expr)
+        next_site = _refocus(site, filler)
+        assert next_site == decompose(plug(site.context, filler))
         reached.append(next_site)
-        return expr, next_site
+        return next_site
 
     return checked
 
@@ -369,7 +377,7 @@ def _checking_refill(reached):
 def test_every_site_the_simulator_reaches_is_decompose(expr):
     reached = []
     computes = 0
-    with mock.patch.object(engine, "refill", _checking_refill(reached)):
+    with mock.patch.object(engine, "_refocus", _checking_refocus(reached)):
         for name in STRATEGIES:
             for wait in (WAIT_SPIN, WAIT_BLOCK):
                 report = simulate(expr, LADDER, 2, make_strategy(name, LADDER), CostModel(wait_policy=wait))
@@ -385,11 +393,47 @@ def test_every_site_the_simulator_reaches_is_decompose(expr):
 @example(LEFT_DEEP)
 def test_every_site_run_reaches_is_decompose(expr):
     reached = []
-    with mock.patch.object(engine, "refill", _checking_refill(reached)):
+    with mock.patch.object(engine, "_refocus", _checking_refocus(reached)):
         results = [run(expr, LADDER, 2, make_strategy("both", LADDER), policy)
                    for policy in (NewestFirst(), RoundRobin(), SeededRandom(7))]
     assert {r.final_value for r in results} == {eval_sequential(expr)}
     assert len(reached) == sum(r.step_count for r in results)
+
+
+def _replay_through_step(expr, strategy, report):
+    """Replay the report's compute steps through the public ``step``, in the
+    simulator's order, checking each segment's expression against the one
+    ``step`` reaches.
+
+    Creates fire in (start, thread) order, as the event heap pops them, so
+    fresh ids match. A thread's steps start in order, a child's first step
+    after its create, and a claim after its producer's last step.
+    """
+    config = initial_configuration(expr, LADDER.level(2))
+    order = sorted(((seg.start, fid, seg) for fid, tl in report.timelines.items()
+                    for seg in tl.segments if seg.kind == SEG_COMPUTE), key=lambda t: t[:2])
+    for _, fid, seg in order:
+        config, _ = step(config, fid, strategy)
+        assert seg.expr == config.closure_for(fid).expr
+    assert config.closures[0].expr == IntLit(report.final_value)
+
+
+@SETTINGS
+@given(programs)
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+@example(LEFT_DEEP)
+def test_simulate_builds_no_expression(expr):
+    for name in STRATEGIES:
+        strategy = make_strategy(name, LADDER)
+        for wait in (WAIT_SPIN, WAIT_BLOCK):
+            for tau in (0.0, 0.05):
+                with mock.patch.object(engine, "plug", wraps=plug) as in_engine, \
+                        mock.patch.object(calculus, "plug", wraps=plug) as in_calculus, \
+                        mock.patch.object(energy, "plug", wraps=plug) as in_energy:
+                    report = simulate(expr, LADDER, 2, strategy, CostModel(wait_policy=wait, tau=tau))
+                assert in_engine.call_count == in_calculus.call_count == in_energy.call_count == 0
+                _replay_through_step(expr, strategy, report)
 
 
 def _level_changes(events):
@@ -505,3 +549,55 @@ def test_structural_keys_are_equal_exactly_when_renaming_keys_are(program, sched
             assert key == canonical_key(config)
             assert by_oracle.setdefault(oracle, key) == key
             assert by_key.setdefault(key, oracle) == oracle
+
+
+def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
+    """The recursive generator gen_random_program used before its single loop, kept as the oracle."""
+    rng = random.Random(seed)
+
+    def gen(depth, nesting):
+        if depth >= max_depth:
+            return IntLit(rng.randint(-9, 9))
+        kinds = ["int", "add", "add", "add"]
+        if nesting < max_future_nesting:
+            kinds += ["future", "future"]
+        kind = rng.choice(kinds)
+        if kind == "int":
+            return IntLit(rng.randint(-9, 9))
+        if kind == "add":
+            return Add(gen(depth + 1, nesting), gen(depth + 1, nesting))
+        return FutureCreate(gen(depth + 1, nesting + 1))
+
+    return gen(1, 0)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=4))
+def test_gen_random_program_agrees_with_the_recursive_generator(seed, max_depth, max_future_nesting):
+    expected = _recursive_gen_random_program(seed, max_depth, max_future_nesting)
+    assert unparse(gen_random_program(seed, max_depth, max_future_nesting)) == unparse(expected)
+
+
+class _SpineDraws:
+    """Stands in for ``random.Random``: draws future, add and int in turn, and 1
+    for every literal, so a program is a thin spine as deep as its bound."""
+
+    def __init__(self, seed):
+        self.kinds = itertools.cycle(("future", "add", "int"))
+
+    def choice(self, kinds):
+        return next(self.kinds)
+
+    def randint(self, low, high):
+        return 1
+
+
+def test_gen_random_program_draws_a_5000_deep_program_without_recursion():
+    # Real draws that deep are astronomically large (each node has 4/3
+    # children on average), so a stand-in draws a spine: future at odd
+    # depths, an add with an int on its left at even depths.
+    with mock.patch.object(engine, "random", SimpleNamespace(Random=_SpineDraws)):
+        expr = gen_random_program(3, 5000, 4000)
+    assert Counter(type(e).__name__ for e in subterms(expr)) == {"FutureCreate": 2500, "Add": 2499, "IntLit": 2500}
+    assert eval_sequential(expr) == 2500
