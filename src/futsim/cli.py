@@ -24,6 +24,10 @@ from typing import Callable, NoReturn
 
 from .calculus import Expression
 from .energy import (
+    CASE_I,
+    CASE_II,
+    SEG_COMPUTE,
+    SEG_WAIT,
     SPIN_AT_CURRENT,
     SPIN_FIXED_IDLE,
     WAIT_BLOCK,
@@ -33,6 +37,8 @@ from .energy import (
     simulate,
 )
 from .engine import (
+    RULE_CLAIM,
+    RULE_CREATE,
     EngineError,
     ExplorationLimitError,
     NewestFirst,
@@ -316,10 +322,10 @@ def _write_simulate_trace(path: str, report: SimulationReport) -> None:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = []
     for seq, (_, fid, _, seg) in enumerate(rows):
-        if seg.kind == "compute" and seg.hole is not None:
+        if seg.kind == SEG_COMPUTE and seg.hole is not None:
             context, filler = seg.hole
             expr = _snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))
-        elif seg.kind == "wait":
+        elif seg.kind == SEG_WAIT:
             expr = f"fv{seg.target}"
         else:
             expr = ""
@@ -328,16 +334,16 @@ def _write_simulate_trace(path: str, report: SimulationReport) -> None:
 
 
 def _describe_event(event) -> str:
-    if event.rule == "Create":
+    if event.rule == RULE_CREATE:
         return f"spawn fv{event.child}"
-    if event.rule == "Claim":
+    if event.rule == RULE_CLAIM:
         return f"claim fv{event.claimed} = {_snippet(unparse(event.value))}"
     return f"{event.left} + {event.right} = {event.total}"
 
 
 def _write_semantics_trace(path: str, result: RunResult) -> None:
     lines = [
-        _trace_record(seq, seq, event.thread, "compute", event.rule, event.level, 0.0, 0.0, _snippet(_describe_event(event)))
+        _trace_record(seq, seq, event.thread, SEG_COMPUTE, event.rule, event.level, 0.0, 0.0, _snippet(_describe_event(event)))
         for seq, event in enumerate(result.events)
     ]
     _write_lines(path, lines)
@@ -446,8 +452,8 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
                 "strategy": name,
                 "final_value": report.final_value,
                 "total_wait": sum(r.wait for r in report.claim_records),
-                "case_i": sum(1 for r in report.claim_records if r.case_tag == "CaseI"),
-                "case_ii": sum(1 for r in report.claim_records if r.case_tag == "CaseII"),
+                "case_i": sum(1 for r in report.claim_records if r.case_tag == CASE_I),
+                "case_ii": sum(1 for r in report.claim_records if r.case_tag == CASE_II),
                 "energy": report.total_energy,
                 "makespan": report.makespan,
                 "edp": report.edp,

@@ -1,22 +1,24 @@
 """Virtual-time execution of a reduction run with a parametric energy model.
 
-Rules fire through the engine's rule kernel (``engine._rule``), which builds
-no expression; this module schedules threads on virtual time and prices each
-rule's event. Each thread owns a core. A step's duration is cycles/frequency
-and its energy follows the dynamic-power law P = kappa * f**alpha. Claims on
-unfinished producers wait by spinning (powered) or blocking (flat penalty);
-realized producers terminate and accrue nothing afterward. Event order is
-fully determined by virtual time, ties broken by thread id.
+Threads are the engine's record, stepped in place through the rule kernel
+(``engine._advance``), so no expression is built; this module keeps their
+segments and realize times, and prices each rule on virtual time. Each thread
+owns a core: a step takes cycles/frequency and its energy follows the
+dynamic-power law P = kappa * f**alpha. Claims on unfinished producers wait by
+spinning (powered) or blocking (flat penalty); realized producers terminate
+and accrue nothing afterward. Event order is fully determined by virtual
+time, ties broken by thread id.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
-from .calculus import ClaimSite, Context, Expression, FutureId, IntLit, NoRedex, RedexSite, decompose, plug
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _rule, start_level
+from .calculus import ClaimSite, Context, Expression, FutureId, IntLit, NoRedex, plug
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, _Thread, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
@@ -153,29 +155,14 @@ class SimulationReport:
     timelines: dict[FutureId, ThreadTimeline]
 
 
-@dataclass
-class _Thread:
-    fid: FutureId
-    level: FrequencyLevel
-    site: RedexSite  # the next action, kept current by the rule kernel
-    value: Expression | None  # the realized value, once ``site`` is ``NoRedex``
-    segments: list[Segment] = field(default_factory=list)
-    done: bool = False
-    t_realize: float = 0.0
-
-
-def _new_thread(fid: FutureId, expr: Expression, level: FrequencyLevel) -> _Thread:
-    site = decompose(expr)
-    return _Thread(fid, level, site, expr if isinstance(site, NoRedex) else None)
-
-
 class _Simulation:
     def __init__(self, strategy: ScalingStrategy, model: CostModel):
         self.strategy = strategy
         self.model = model
-        self.threads: dict[FutureId, _Thread] = {}
-        self.heap: list[tuple[float, FutureId]] = []
-        self.next_fresh = 1  # the root realizes fv0
+        self.threads: dict[FutureId, _Thread] = {}  # every thread ever created: the next fresh id is its size
+        self.segments: dict[FutureId, list[Segment]] = defaultdict(list)
+        self.t_realize: dict[FutureId, float] = {}  # realized threads only
+        self.heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
         self.parked: dict[FutureId, tuple[FutureId, float]] = {}  # producer -> (claimant, t_arrive)
         self.claim_records: list[ClaimRecord] = []
         self.clamp_count = 0
@@ -187,50 +174,42 @@ class _Simulation:
         The compute segment runs at the level the rule fired at; each level
         the rule's operators changed then costs tau on this thread's timeline.
         """
-        site = thr.site
-        hole, thr.site, thr.level, event = _rule(site, thr.level, thr.fid, self.strategy, self.next_fresh, claimed)
-        if isinstance(thr.site, NoRedex):  # the context is empty, so the filler is the whole expression
-            thr.value = hole[1]
+        hole, event = _advance(thr, self.threads, self.strategy, len(self.threads), claimed)
         model, rule, level = self.model, event.rule, event.level
         end = start + step_duration(rule, level, model)
         energy = step_energy(rule, level, model)
-        thr.segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=hole))
+        segments = self.segments[thr.fid]
+        segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=hole))
         self.clamp_count += event.clamps
         for new_level in event.scaled:
             if new_level.index != level.index:
                 self.transition_count += 1
                 if model.tau > 0:
                     energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
-                    thr.segments.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
+                    segments.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
                     end += model.tau
         if isinstance(event, CreateEvent):
-            self.next_fresh += 1
-            self.threads[event.child] = _new_thread(event.child, site.body, event.child_level)
             heapq.heappush(self.heap, (end, event.child))
         heapq.heappush(self.heap, (end, thr.fid))
 
-    def fire_claim(self, claimant: _Thread, producer: _Thread, t_arrive: float) -> None:
-        site = claimant.site
-        assert isinstance(site, ClaimSite) and site.target == producer.fid
-        wait = max(0.0, producer.t_realize - t_arrive)
+    def fire_claim(self, claimant: _Thread, t_arrive: float) -> None:
+        """Fire the claimant's claim on its realized producer, after a wait if it arrived first."""
+        producer = claimant.site.target
+        t_realize = self.t_realize[producer]
+        wait = max(0.0, t_realize - t_arrive)
         case_tag = CASE_I if wait > 0 else CASE_II
-        self.claim_records.append(
-            ClaimRecord(claimant.fid, producer.fid, t_arrive, producer.t_realize, wait, case_tag)
-        )
+        self.claim_records.append(ClaimRecord(claimant.fid, producer, t_arrive, t_realize, wait, case_tag))
         start = t_arrive
         if wait > 0:
             if self.model.wait_policy == WAIT_SPIN:
-                start, energy = producer.t_realize, spin_power(claimant.level, self.model) * wait
+                start, energy = t_realize, spin_power(claimant.level, self.model) * wait
             else:  # one flat context-switch penalty per block/unblock pair
-                start, energy = producer.t_realize + self.model.block_time, self.model.block_energy
-            claimant.segments.append(Segment(t_arrive, start, SEG_WAIT, claimant.level, energy, target=producer.fid))
-        self.fire_rule(claimant, start, producer.value)
+                start, energy = t_realize + self.model.block_time, self.model.block_energy
+            self.segments[claimant.fid].append(Segment(t_arrive, start, SEG_WAIT, claimant.level, energy, target=producer))
+        self.fire_rule(claimant, start, self.threads[producer].value)
 
     def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
-        root = _new_thread(0, expr, init_level)
-        self.threads[0] = root
-        heapq.heappush(self.heap, (0.0, 0))
-        makespan = None
+        root = self.threads[0] = _Thread(0, expr, init_level)
 
         while self.heap:
             now, fid = heapq.heappop(self.heap)
@@ -240,19 +219,15 @@ class _Simulation:
             if isinstance(site, NoRedex):
                 if not site.is_value:
                     raise EngineError(f"fv{fid} is stuck on a non-value")
-                thr.done = True
-                thr.t_realize = now
-                if thr is root:
-                    makespan = now
-                elif fid in self.parked:
+                self.t_realize[fid] = now
+                if fid in self.parked:
                     claimant_id, t_arrive = self.parked.pop(fid)
-                    self.fire_claim(self.threads[claimant_id], thr, t_arrive)
+                    self.fire_claim(self.threads[claimant_id], t_arrive)
                 continue
 
             if isinstance(site, ClaimSite):
-                producer = self.threads[site.target]
-                if producer.done:
-                    self.fire_claim(thr, producer, now)
+                if site.target in self.t_realize:
+                    self.fire_claim(thr, now)
                 else:
                     if site.target in self.parked:
                         raise EngineError(f"fv{site.target} claimed twice")
@@ -261,13 +236,14 @@ class _Simulation:
 
             self.fire_rule(thr, now)
 
-        if makespan is None:
+        if 0 not in self.t_realize:
             raise EngineError("simulation stalled before the root realized a value")
         if self.parked:
             raise EngineError("simulation ended with parked claimants")
         assert isinstance(root.value, IntLit)
+        makespan = self.t_realize[0]
 
-        timelines = {fid: ThreadTimeline(tuple(t.segments)) for fid, t in sorted(self.threads.items())}
+        timelines = {fid: ThreadTimeline(tuple(self.segments[fid])) for fid in sorted(self.threads)}
         per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
         total = sum(per_thread.values())
         return SimulationReport(

@@ -19,6 +19,7 @@ from .calculus import (
     FutureId,
     FutureRef,
     IntLit,
+    NoRedex,
     RedexSite,
     _refocus,
     contains_future_ref,
@@ -110,38 +111,27 @@ def _site(closure: Closure) -> RedexSite:
     return site
 
 
-def _index_of(config: Configuration, thread: FutureId) -> int:
-    return next(i for i, c in enumerate(config.closures) if c.realizes == thread)
+def _ready(site: RedexSite, value_of: Callable[[FutureId], Expression | None]) -> bool:
+    """The readiness rule: a redex fires at once, a claim once its producer's value is an integer, not a reference."""
+    if isinstance(site, ClaimSite):
+        try:
+            return isinstance(value_of(site.target), IntLit)
+        except KeyError:
+            raise EngineError(f"fv{site.target} claimed but never produced") from None
+    return isinstance(site, (ArithRedex, CreateRedex))
 
 
 def enabled_threads(config: Configuration) -> frozenset[FutureId]:
-    """Threads that can take a step right now.
-
-    A claim is enabled only once its producer has realized an integer; a
-    producer holding a bare future reference is itself a pending claimant
-    (it forwards the claim) and is not yet claimable. Realized non-root
-    closures sit idle until claimed.
-    """
-    producers = {c.realizes: c for c in config.closures}
-    enabled: set[FutureId] = set()
-    for c in config.closures:
-        site = _site(c)
-        if isinstance(site, (ArithRedex, CreateRedex)):
-            enabled.add(c.realizes)
-        elif isinstance(site, ClaimSite):
-            producer = producers.get(site.target)
-            if producer is None:
-                raise EngineError(f"fv{site.target} claimed but never produced")
-            if isinstance(producer.expr, IntLit):
-                enabled.add(c.realizes)
-    return frozenset(enabled)
+    """Threads that can take a step right now; realized non-root closures sit idle until claimed."""
+    exprs = {c.realizes: c.expr for c in config.closures}
+    return frozenset(c.realizes for c in config.closures if _ready(_site(c), exprs.__getitem__))
 
 
 def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
     """Fire the one rule the named thread can take; pure, returns a new configuration."""
     if thread not in enabled_threads(config):
         raise NotEnabledError(f"fv{thread} has no enabled reduction")
-    return _fire(config, _index_of(config, thread), strategy)
+    return _fire(config, next(i for i, c in enumerate(config.closures) if c.realizes == thread), strategy)
 
 
 Hole = tuple[Context, Expression]
@@ -205,26 +195,44 @@ def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple
     return Configuration(closures, fresh, config.root), event
 
 
+class _Thread:
+    """A thread ``run`` and ``simulate`` step in place: its next site, and its value once ``site`` is ``NoRedex``."""
+
+    __slots__ = ("fid", "level", "site", "value")
+
+    def __init__(self, fid: FutureId, expr: Expression, level: FrequencyLevel):
+        self.fid = fid
+        self.level = level
+        self.site = decompose(expr)
+        self.value = expr if isinstance(self.site, NoRedex) else None
+
+
+def _advance(thr: _Thread, threads: dict[FutureId, _Thread], strategy: ScalingStrategy, fresh: FutureId,
+             claimed: Expression | None = None) -> tuple[Hole, ReductionEvent]:
+    """Fire the thread's rule through the kernel in place; a Create's child joins ``threads`` as ``fresh``."""
+    site = thr.site
+    hole, thr.site, thr.level, event = _rule(site, thr.level, thr.fid, strategy, fresh, claimed)
+    if isinstance(thr.site, NoRedex):  # the context is empty, so the filler is the whole expression
+        thr.value = hole[1]
+    if isinstance(event, CreateEvent):
+        threads[fresh] = _Thread(fresh, site.body, event.child_level)
+    return hole, event
+
+
 # ---------------------------------------------------------------------------
 # Schedulers
 # ---------------------------------------------------------------------------
 
-Picker = Callable[[Configuration, frozenset[FutureId]], FutureId]
+Picker = Callable[[frozenset[FutureId]], FutureId]
 
 
 class NewestFirst:
-    """Most recently created runnable thread first: fresh children run eagerly."""
+    """Most recently created runnable thread first, the highest id: fresh children run eagerly."""
 
     name = "newest-first"
 
     def session(self) -> Picker:
-        def pick(config: Configuration, enabled: frozenset[FutureId]) -> FutureId:
-            for c in config.closures:
-                if c.realizes in enabled:
-                    return c.realizes
-            raise EngineError("no enabled thread to pick")
-
-        return pick
+        return max
 
 
 class RoundRobin:
@@ -235,7 +243,7 @@ class RoundRobin:
     def session(self) -> Picker:
         last = -1
 
-        def pick(config: Configuration, enabled: frozenset[FutureId]) -> FutureId:
+        def pick(enabled: frozenset[FutureId]) -> FutureId:
             nonlocal last
             ids = sorted(enabled)
             choice = next((i for i in ids if i > last), ids[0])
@@ -256,7 +264,7 @@ class SeededRandom:
     def session(self) -> Picker:
         rng = random.Random(self.seed)
 
-        def pick(config: Configuration, enabled: frozenset[FutureId]) -> FutureId:
+        def pick(enabled: frozenset[FutureId]) -> FutureId:
             return rng.choice(sorted(enabled))
 
         return pick
@@ -291,34 +299,39 @@ def run(
     policy: SchedulerPolicy | None = None,
     step_limit: int | None = None,
 ) -> RunResult:
-    """Reduce a program to a single integer-holding root closure."""
-    config = initial_configuration(expr, start_level(expr, ladder, init_index, strategy))
+    """Reduce a program to a single integer-holding root thread."""
+    root = _Thread(0, expr, start_level(expr, ladder, init_index, strategy))
+    threads = {0: root}  # live threads: a claimed producer leaves
+    fresh = 1
     if step_limit is None:
         step_limit = 10 * 3 * node_count(expr)
     pick = (policy or NewestFirst()).session()
+    value_of = lambda fid: threads[fid].value  # a producer's value; KeyError once it is claimed
     events: list[ReductionEvent] = []
     clamps = 0
     while True:
-        enabled = enabled_threads(config)
+        enabled = frozenset(fid for fid, thr in threads.items() if _ready(thr.site, value_of))
         if not enabled:
-            if is_terminal(config):
+            if len(threads) == 1 and isinstance(root.value, IntLit):
                 break
             raise EngineError("no enabled thread in a non-terminal configuration")
         if len(events) >= step_limit:
             raise DivergenceError(f"exceeded {step_limit} steps")
-        thread = pick(config, enabled)
+        thread = pick(enabled)
         if thread not in enabled:
             raise NotEnabledError(f"fv{thread} has no enabled reduction")
-        config, event = _fire(config, _index_of(config, thread), strategy)
+        thr = threads[thread]
+        claimed = threads.pop(thr.site.target).value if isinstance(thr.site, ClaimSite) else None
+        _, event = _advance(thr, threads, strategy, fresh, claimed)
+        if isinstance(event, CreateEvent):
+            fresh += 1
         events.append(event)
         clamps += event.clamps
 
-    root = config.closures[0]
-    assert isinstance(root.expr, IntLit)
     return RunResult(
-        final_value=root.expr.value,
+        final_value=root.value.value,
         events=tuple(events),
-        final_level=root.freq,
+        final_level=root.level,
         step_count=len(events),
         clamp_count=clamps,
     )
@@ -441,10 +454,13 @@ def explore_with_stats(
 # ---------------------------------------------------------------------------
 
 def gen_random_program(seed: int, max_depth: int, max_future_nesting: int) -> Expression:
-    """Deterministic random expression, reference-free, within the given bounds.
+    """Deterministic random expression, reference-free, at most ``max_depth`` deep.
 
-    One loop over an explicit stack of nodes still to draw, left child on
-    top, so the draws come in pre-order and depth costs no recursion.
+    ``max_depth`` caps depth, not size: while nesting allows, a node has 4/3
+    children on average (int 1/6, add 1/2, future 1/3), so most draws grow
+    exponentially with depth and only small depths are usable: seed 3 at
+    depth 5,000 passes 10**6 nodes. One loop over an explicit stack of nodes
+    still to draw, left child on top, draws in pre-order without recursion.
     """
     if max_depth < 1 or max_future_nesting < 1:
         raise ValueError("bounds must be at least 1")

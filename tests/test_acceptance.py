@@ -111,7 +111,7 @@ def determinacy_suite():
                     enabled = enabled_threads(config)
                     if not enabled:
                         break
-                    config, _ = step(config, pick(config, enabled), strategy)
+                    config, _ = step(config, pick(enabled), strategy)
                     steps += 1
                     try:
                         validate_configuration(config, LADDER4)

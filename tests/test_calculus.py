@@ -132,7 +132,7 @@ def test_claim_only_when_no_redex_remains():
             site = decompose(closure.expr)
             if isinstance(site, ClaimSite):
                 assert not _contains_redex(closure.expr)
-        config, _ = step(config, pick(config, enabled), strategy)
+        config, _ = step(config, pick(enabled), strategy)
 
 
 def test_eval_sequential_examples():

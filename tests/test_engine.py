@@ -304,7 +304,7 @@ def run_validated(expr, ladder, init_index, strategy, policy):
         if not enabled:
             assert is_terminal(config)
             break
-        config, event = step(config, pick(config, enabled), strategy)
+        config, event = step(config, pick(enabled), strategy)
         validate_configuration(config, ladder)
         steps += 1
         clamps += getattr(event, "clamps", 0)
@@ -372,7 +372,7 @@ def reference_events(expr, ladder, init_index, strategy, policy):
     pick = policy.session()
     events = []
     while enabled := enabled_threads(config):
-        config, event = step(config, pick(config, enabled), strategy)
+        config, event = step(config, pick(enabled), strategy)
         events.append(event)
     assert is_terminal(config)
     return events
@@ -430,7 +430,7 @@ def test_run_rejects_a_pick_outside_the_enabled_set():
         name = "stubborn"
 
         def session(self):
-            return lambda config, enabled: config.root
+            return lambda enabled: 0
 
     with pytest.raises(NotEnabledError):
         run(GOLDEN_PROGRAM, LADDER, 2, BOTH, Stubborn())

@@ -1,7 +1,7 @@
 """Property tests: round-tripping the parser, the loops of parse, unparse,
 decompose and gen_random_program against the recursive walkers they replaced,
-refocused sites against decompose, a simulator that never plugs against the
-public step, the rule work of run against simulate, the simulator's energy
+refocused sites against decompose, a simulator and a run that never plug
+against the public step, the rule work of run against simulate, the simulator's energy
 identities, trace snippets against the whole rendered expression, and
 explore's structural state keys against the renaming key they replaced."""
 
@@ -434,6 +434,37 @@ def test_simulate_builds_no_expression(expr):
                     report = simulate(expr, LADDER, 2, strategy, CostModel(wait_policy=wait, tau=tau))
                 assert in_engine.call_count == in_calculus.call_count == in_energy.call_count == 0
                 _replay_through_step(expr, strategy, report)
+
+
+def _stepped_run(expr, strategy, policy):
+    """The events and final root level of a run driven only by the public ``enabled_threads`` and ``step``."""
+    config = initial_configuration(expr, LADDER.level(2))
+    pick = policy.session()
+    events = []
+    while enabled := enabled_threads(config):
+        config, event = step(config, pick(enabled), strategy)
+        events.append(event)
+    return events, config.closures[0].freq
+
+
+@SETTINGS
+@given(programs)
+@example(PENDING_LEFT)
+@example(WIDE_SUM)
+@example(LEFT_DEEP)
+def test_run_builds_no_expression(expr):
+    for name in STRATEGIES:
+        strategy = make_strategy(name, LADDER)
+        for policy in (NewestFirst(), RoundRobin(), SeededRandom(7)):
+            with mock.patch.object(engine, "plug", wraps=plug) as in_engine, \
+                    mock.patch.object(calculus, "plug", wraps=plug) as in_calculus, \
+                    mock.patch.object(energy, "plug", wraps=plug) as in_energy:
+                result = run(expr, LADDER, 2, strategy, policy)
+            assert in_engine.call_count == in_calculus.call_count == in_energy.call_count == 0
+            events, level = _stepped_run(expr, strategy, policy)
+            assert list(result.events) == events
+            assert result.final_level == level
+            assert result.step_count == len(events)
 
 
 def _level_changes(events):
