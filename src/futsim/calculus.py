@@ -124,7 +124,9 @@ class ClaimSite:
 
 @dataclass(frozen=True)
 class NoRedex:
-    is_value: bool
+    """No action left: the expression is the integer ``value``, a realized future."""
+
+    value: IntLit
 
 
 RedexSite = Union[ArithRedex, CreateRedex, ClaimSite, NoRedex]
@@ -139,7 +141,9 @@ def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool
     two integer operands are an Add redex, and a ``HoleLeft`` leaves its right
     sibling to descend into unless that is an integer. A climb that reaches
     the root starts the claim phase there, which ends at the root with
-    ``NoRedex``. The claim phase only searches subtrees that hold no redex: it
+    ``NoRedex``: by then every leaf was visited, and any ``FutureCreate``,
+    ``FutureRef`` or pair of integers returned, so ``focus`` is one integer.
+    The claim phase only searches subtrees that hold no redex: it
     starts when none is left anywhere, or after a claim, when only the hole's
     parent can be one. So both phases can look for every kind of action.
     With ``climbing`` set, the walk starts by climbing from ``focus``, which
@@ -161,7 +165,7 @@ def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool
                 focus = Add(left, right)
         if climbing:  # at the root: ``focus`` is the whole expression
             if claims:
-                return NoRedex(is_value=isinstance(focus, IntLit))
+                return NoRedex(focus)
             claims = True
         while isinstance(focus, Add):
             frames.append(HoleLeft(focus.right))

@@ -28,8 +28,6 @@ from .energy import (
     CASE_II,
     SEG_COMPUTE,
     SEG_WAIT,
-    SPIN_AT_CURRENT,
-    SPIN_FIXED_IDLE,
     WAIT_BLOCK,
     WAIT_SPIN,
     CostModel,
@@ -134,10 +132,10 @@ def _cycles(text: str) -> dict:
 
 def _spin_power(text: str) -> dict:
     if text == "current":
-        return {"spin_power_mode": SPIN_AT_CURRENT}
+        return {"idle_power": None}
     if not text.startswith("idle:"):
         raise ValueError("use current or idle:P")
-    return {"spin_power_mode": SPIN_FIXED_IDLE, "idle_power": float(text.split(":", 1)[1])}
+    return {"idle_power": float(text.split(":", 1)[1])}
 
 
 def _block_penalty(text: str) -> dict:

@@ -1,13 +1,15 @@
 """Virtual-time execution of a reduction run with a parametric energy model.
 
 Threads are the engine's record, stepped in place through the rule kernel
-(``engine._advance``), so no expression is built; this module keeps their
+(``engine._advance``), so no expression is built: a thread is realized once
+its site is ``NoRedex``, which holds its value. This module keeps the threads'
 segments and realize times, and prices each rule on virtual time. Each thread
 owns a core: a step takes cycles/frequency and its energy follows the
 dynamic-power law P = kappa * f**alpha. Claims on unfinished producers wait by
-spinning (powered) or blocking (flat penalty); realized producers terminate
-and accrue nothing afterward. Event order is fully determined by virtual
-time, ties broken by thread id.
+spinning (at the waiting thread's level, or at ``idle_power`` if set) or
+blocking (flat penalty); realized producers terminate and accrue nothing
+afterward. Event order is fully determined by virtual time, ties broken by
+thread id.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .calculus import ClaimSite, Context, Expression, FutureId, IntLit, NoRedex, plug
+from .calculus import ClaimSite, Context, Expression, FutureId, NoRedex, plug
 from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, _Thread, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
 WAIT_BLOCK = "block"
-SPIN_AT_CURRENT = "current"
-SPIN_FIXED_IDLE = "idle"
 CASE_I = "CaseI"
 CASE_II = "CaseII"
 
@@ -40,15 +40,15 @@ class CostModel:
     alpha: float = 3.0
     tau: float = 0.0  # per level-changing frequency switch; switches are free by default
     wait_policy: str = WAIT_SPIN
-    spin_power_mode: str = SPIN_AT_CURRENT
-    idle_power: float = 0.0
+    idle_power: float | None = None  # spin power while waiting; None spins at the waiting thread's level
     block_time: float = 0.1
     block_energy: float = 1.0
     transition_energy: bool = False  # charge switches at kappa * f_new**alpha * tau
 
     def __post_init__(self) -> None:
-        for name in ("create_cycles", "add_cycles", "claim_cycles", "kappa", "alpha", "tau", "idle_power",
-                     "block_time", "block_energy"):
+        idle = () if self.idle_power is None else ("idle_power",)  # an unset idle power needs no check
+        for name in ("create_cycles", "add_cycles", "claim_cycles", "kappa", "alpha", "tau", *idle, "block_time",
+                     "block_energy"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("create_cycles", "add_cycles", "claim_cycles"):
@@ -58,13 +58,11 @@ class CostModel:
             raise ValueError("kappa must be positive")
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
-        for name in ("tau", "idle_power", "block_time", "block_energy"):
+        for name in ("tau", *idle, "block_time", "block_energy"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.wait_policy not in (WAIT_SPIN, WAIT_BLOCK):
             raise ValueError(f"unknown wait policy {self.wait_policy!r}")
-        if self.spin_power_mode not in (SPIN_AT_CURRENT, SPIN_FIXED_IDLE):
-            raise ValueError(f"unknown spin power mode {self.spin_power_mode!r}")
 
     def cycles_for(self, rule: str) -> float:
         return {RULE_CREATE: self.create_cycles, RULE_ADD: self.add_cycles, RULE_CLAIM: self.claim_cycles}[rule]
@@ -90,9 +88,7 @@ def step_energy(rule: str, level: FrequencyLevel, model: CostModel) -> float:
 
 
 def spin_power(level: FrequencyLevel, model: CostModel) -> float:
-    if model.spin_power_mode == SPIN_AT_CURRENT:
-        return dynamic_power(level, model)
-    return model.idle_power
+    return dynamic_power(level, model) if model.idle_power is None else model.idle_power
 
 
 SEG_COMPUTE = "compute"
@@ -206,7 +202,7 @@ class _Simulation:
             else:  # one flat context-switch penalty per block/unblock pair
                 start, energy = t_realize + self.model.block_time, self.model.block_energy
             self.segments[claimant.fid].append(Segment(t_arrive, start, SEG_WAIT, claimant.level, energy, target=producer))
-        self.fire_rule(claimant, start, self.threads[producer].value)
+        self.fire_rule(claimant, start, self.threads[producer].site.value)
 
     def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
         root = self.threads[0] = _Thread(0, expr, init_level)
@@ -217,8 +213,6 @@ class _Simulation:
             site = thr.site
 
             if isinstance(site, NoRedex):
-                if not site.is_value:
-                    raise EngineError(f"fv{fid} is stuck on a non-value")
                 self.t_realize[fid] = now
                 if fid in self.parked:
                     claimant_id, t_arrive = self.parked.pop(fid)
@@ -240,14 +234,13 @@ class _Simulation:
             raise EngineError("simulation stalled before the root realized a value")
         if self.parked:
             raise EngineError("simulation ended with parked claimants")
-        assert isinstance(root.value, IntLit)
         makespan = self.t_realize[0]
 
         timelines = {fid: ThreadTimeline(tuple(self.segments[fid])) for fid in sorted(self.threads)}
         per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
         total = sum(per_thread.values())
         return SimulationReport(
-            final_value=root.value.value,
+            final_value=root.site.value.value,
             makespan=makespan,
             total_energy=total,
             per_thread_energy=per_thread,

@@ -111,11 +111,11 @@ def _site(closure: Closure) -> RedexSite:
     return site
 
 
-def _ready(site: RedexSite, value_of: Callable[[FutureId], Expression | None]) -> bool:
-    """The readiness rule: a redex fires at once, a claim once its producer's value is an integer, not a reference."""
+def _ready(site: RedexSite, site_of: Callable[[FutureId], RedexSite]) -> bool:
+    """The readiness rule: a redex fires at once, a claim once its producer's site is ``NoRedex``, a realized integer."""
     if isinstance(site, ClaimSite):
         try:
-            return isinstance(value_of(site.target), IntLit)
+            return isinstance(site_of(site.target), NoRedex)
         except KeyError:
             raise EngineError(f"fv{site.target} claimed but never produced") from None
     return isinstance(site, (ArithRedex, CreateRedex))
@@ -123,8 +123,8 @@ def _ready(site: RedexSite, value_of: Callable[[FutureId], Expression | None]) -
 
 def enabled_threads(config: Configuration) -> frozenset[FutureId]:
     """Threads that can take a step right now; realized non-root closures sit idle until claimed."""
-    exprs = {c.realizes: c.expr for c in config.closures}
-    return frozenset(c.realizes for c in config.closures if _ready(_site(c), exprs.__getitem__))
+    sites = {c.realizes: _site(c) for c in config.closures}
+    return frozenset(fid for fid, site in sites.items() if _ready(site, sites.__getitem__))
 
 
 def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
@@ -139,7 +139,15 @@ Hole = tuple[Context, Expression]
 
 def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
           claimed: Expression | None = None) -> tuple[Hole, RedexSite, FrequencyLevel, ReductionEvent]:
-    """``fire`` without the plug: returns the filled hole, ``(site.context, filler)``, for the expression."""
+    """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
+
+    A Create names its child ``fresh``; a Claim fills in ``claimed``, the
+    value its producer realized. Returns the filled hole, ``(site.context,
+    filler)``, whose ``plug`` is the thread's expression after the rule; that
+    expression's redex site; the thread's level after scaling; and the event.
+    The caller adds a Create's child (at ``event.child_level``, running
+    ``site.body``) and drops a Claim's producer.
+    """
     if isinstance(site, ArithRedex):
         total = wrap_int(site.left + site.right)
         filler: Expression = IntLit(total)
@@ -162,28 +170,14 @@ def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sc
     return (site.context, filler), _refocus(site, filler), level, event
 
 
-def fire(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
-         claimed: Expression | None = None) -> tuple[Expression, RedexSite, FrequencyLevel, ReductionEvent]:
-    """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
-
-    A Create names its child ``fresh``; a Claim plugs in ``claimed``, the
-    value its producer realized. Returns the thread's expression after the
-    rule, that expression's redex site, the thread's level after scaling and
-    the event. The caller adds a Create's child (at ``event.child_level``,
-    running ``site.body``) and drops a Claim's producer.
-    """
-    hole, next_site, level, event = _rule(site, level, thread, strategy, fresh, claimed)
-    return plug(*hole), next_site, level, event
-
-
 def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
     """Fire the rule of the enabled closure at ``index`` through the kernel, unchecked."""
     closure = config.closures[index]
     site = _site(closure)
     thread = closure.realizes
     claimed = config.closure_for(site.target).expr if isinstance(site, ClaimSite) else None
-    expr, next_site, level, event = fire(site, closure.freq, thread, strategy, config.next_fresh, claimed)
-    updated = Closure(level, expr, thread)
+    hole, next_site, level, event = _rule(site, closure.freq, thread, strategy, config.next_fresh, claimed)
+    updated = Closure(level, plug(*hole), thread)
     object.__setattr__(updated, "site", next_site)
     closures = config.closures[:index] + (updated,) + config.closures[index + 1 :]
     fresh = config.next_fresh
@@ -196,15 +190,14 @@ def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple
 
 
 class _Thread:
-    """A thread ``run`` and ``simulate`` step in place: its next site, and its value once ``site`` is ``NoRedex``."""
+    """A thread ``run`` and ``simulate`` step in place: its level and next site; ``NoRedex`` holds its value."""
 
-    __slots__ = ("fid", "level", "site", "value")
+    __slots__ = ("fid", "level", "site")
 
     def __init__(self, fid: FutureId, expr: Expression, level: FrequencyLevel):
         self.fid = fid
         self.level = level
         self.site = decompose(expr)
-        self.value = expr if isinstance(self.site, NoRedex) else None
 
 
 def _advance(thr: _Thread, threads: dict[FutureId, _Thread], strategy: ScalingStrategy, fresh: FutureId,
@@ -212,8 +205,6 @@ def _advance(thr: _Thread, threads: dict[FutureId, _Thread], strategy: ScalingSt
     """Fire the thread's rule through the kernel in place; a Create's child joins ``threads`` as ``fresh``."""
     site = thr.site
     hole, thr.site, thr.level, event = _rule(site, thr.level, thr.fid, strategy, fresh, claimed)
-    if isinstance(thr.site, NoRedex):  # the context is empty, so the filler is the whole expression
-        thr.value = hole[1]
     if isinstance(event, CreateEvent):
         threads[fresh] = _Thread(fresh, site.body, event.child_level)
     return hole, event
@@ -306,13 +297,13 @@ def run(
     if step_limit is None:
         step_limit = 10 * 3 * node_count(expr)
     pick = (policy or NewestFirst()).session()
-    value_of = lambda fid: threads[fid].value  # a producer's value; KeyError once it is claimed
+    site_of = lambda fid: threads[fid].site  # a producer's site; KeyError once it is claimed
     events: list[ReductionEvent] = []
     clamps = 0
     while True:
-        enabled = frozenset(fid for fid, thr in threads.items() if _ready(thr.site, value_of))
+        enabled = frozenset(fid for fid, thr in threads.items() if _ready(thr.site, site_of))
         if not enabled:
-            if len(threads) == 1 and isinstance(root.value, IntLit):
+            if len(threads) == 1 and isinstance(root.site, NoRedex):
                 break
             raise EngineError("no enabled thread in a non-terminal configuration")
         if len(events) >= step_limit:
@@ -321,7 +312,7 @@ def run(
         if thread not in enabled:
             raise NotEnabledError(f"fv{thread} has no enabled reduction")
         thr = threads[thread]
-        claimed = threads.pop(thr.site.target).value if isinstance(thr.site, ClaimSite) else None
+        claimed = threads.pop(thr.site.target).site.value if isinstance(thr.site, ClaimSite) else None
         _, event = _advance(thr, threads, strategy, fresh, claimed)
         if isinstance(event, CreateEvent):
             fresh += 1
@@ -329,7 +320,7 @@ def run(
         clamps += event.clamps
 
     return RunResult(
-        final_value=root.value.value,
+        final_value=root.site.value.value,
         events=tuple(events),
         final_level=root.level,
         step_count=len(events),
@@ -403,6 +394,8 @@ def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tup
 
 
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
+    if state_limit < 1:  # the initial state counts against the budget too
+        raise ExplorationLimitError(f"more than {state_limit} states")
     shapes: ShapeMemo = {}
     seen = {canonical_key(config, shapes)}
     frontier = [config]

@@ -57,7 +57,7 @@ def test_decompose_bare_future_ref_is_claim():
 
 
 def test_decompose_int_is_value():
-    assert decompose(IntLit(7)) == NoRedex(is_value=True)
+    assert decompose(IntLit(7)) == NoRedex(IntLit(7))
 
 
 def test_decompose_skips_claim_pending_left_operand():
@@ -98,7 +98,7 @@ def test_decompose_plug_round_trip(seed):
     elif isinstance(site, ClaimSite):
         assert plug(site.context, FutureRef(site.target)) == expr
     else:
-        assert site.is_value and isinstance(expr, IntLit)
+        assert site.value == expr and isinstance(expr, IntLit)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -251,7 +251,7 @@ def test_refill_after_claim_checks_only_the_parent_then_the_right_sibling():
     _, site = _fill_and_check(site, IntLit(44))
     assert site == ArithRedex((), 30, 44)
     expr, site = _fill_and_check(site, IntLit(74))
-    assert expr == IntLit(74) and site == NoRedex(is_value=True)
+    assert expr == IntLit(74) and site == NoRedex(IntLit(74))
 
 
 def test_refill_claim_phase_marker_is_not_part_of_the_site():
@@ -266,7 +266,7 @@ def test_refill_claim_phase_marker_is_not_part_of_the_site():
 
 def test_refill_of_a_bare_claim_and_a_forwarded_reference():
     expr, site = _fill_and_check(ClaimSite((), 1), IntLit(9))
-    assert expr == IntLit(9) and site == NoRedex(is_value=True)
+    assert expr == IntLit(9) and site == NoRedex(IntLit(9))
     _, site = _fill_and_check(ClaimSite((HoleLeft(IntLit(1)),), 1), FutureRef(2))
     assert site == ClaimSite((HoleLeft(IntLit(1)),), 2)
 

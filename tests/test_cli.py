@@ -340,6 +340,17 @@ def test_zero_state_limit_is_still_accepted(sum_file):
     assert err.startswith("error: more than 0 states")
 
 
+def test_state_limit_counts_the_initial_state(tmp_path):
+    five = tmp_path / "five.gf"
+    five.write_text("5\n")
+    code, _, err = invoke(["explore", str(five), "--state-limit", "0"])
+    assert code == 6
+    assert err.startswith("error: more than 0 states")
+    code, out, err = invoke(["explore", str(five), "--state-limit", "1"])
+    assert code == 0, err
+    assert "states explored 1" in out
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

@@ -256,7 +256,7 @@ def test_block_wait_charges_flat_penalty():
 
 
 def test_fixed_idle_spin_power():
-    model = CostModel(spin_power_mode="idle", idle_power=0.5)
+    model = CostModel(idle_power=0.5)
     report = simulate(parse("1 + future (2+3)"), LADDER, 2, strategy_both(LADDER), model)
     (wait_seg,) = [seg for seg in report.timelines[0].segments if seg.kind == SEG_WAIT]
     assert wait_seg.energy == pytest.approx(0.5 * (1 / 3), rel=REL)

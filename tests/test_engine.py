@@ -15,6 +15,7 @@ from futsim.calculus import (
     initial_configuration,
     is_terminal,
     node_count,
+    plug,
     validate_configuration,
 )
 from futsim.engine import (
@@ -131,14 +132,14 @@ def test_step_rejects_blocked_thread():
 def test_fire_rejects_a_claim_without_the_claimed_value():
     site = decompose(FutureRef(2))
     with pytest.raises(NotEnabledError):
-        engine.fire(site, LADDER.level(2), 1, BOTH, 3)
-    expr, _, level, event = engine.fire(site, LADDER.level(2), 1, BOTH, 3, IntLit(7))
-    assert (expr, level, event.value) == (IntLit(7), LADDER.level(3), IntLit(7))
+        engine._rule(site, LADDER.level(2), 1, BOTH, 3)
+    hole, _, level, event = engine._rule(site, LADDER.level(2), 1, BOTH, 3, IntLit(7))
+    assert (plug(*hole), level, event.value) == (IntLit(7), LADDER.level(3), IntLit(7))
 
 
 def test_fire_rejects_a_value():
     with pytest.raises(NotEnabledError):
-        engine.fire(decompose(IntLit(7)), LADDER.level(2), 0, BOTH, 1)
+        engine._rule(decompose(IntLit(7)), LADDER.level(2), 0, BOTH, 1)
 
 
 def test_run_reproduces_golden_trace():
@@ -204,6 +205,12 @@ def test_explore_literal_is_one_state():
 def test_explore_state_limit():
     with pytest.raises(ExplorationLimitError):
         explore_with_stats(GOLDEN_PROGRAM, LADDER, 2, BOTH, state_limit=2)
+
+
+def test_explore_state_limit_counts_the_initial_state():
+    with pytest.raises(ExplorationLimitError):
+        explore_with_stats(IntLit(5), LADDER, 2, BOTH, state_limit=0)
+    assert explore_with_stats(IntLit(5), LADDER, 2, BOTH, state_limit=1) == ({(5, LADDER.level(2))}, 1)
 
 
 def test_explore_is_insensitive_to_closure_order():

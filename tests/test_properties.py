@@ -345,7 +345,7 @@ def _recursive_decompose(expr):
     claim = _leftmost_claim(expr, [])
     if claim is not None:
         return claim
-    return NoRedex(is_value=isinstance(expr, IntLit))
+    return NoRedex(expr)
 
 
 @SETTINGS
@@ -357,6 +357,17 @@ def test_decompose_agrees_with_the_recursive_search(expr):
     site = decompose(expr)
     assert site == _recursive_decompose(expr)
     assert not (isinstance(site, ArithRedex) and site._claim_phase)
+
+
+@SETTINGS
+@given(expressions)
+@example(PENDING_LEFT)
+@example(FutureRef(1))
+def test_only_an_integer_has_no_action(expr):
+    site = decompose(expr)
+    assert isinstance(site, NoRedex) == isinstance(expr, IntLit)
+    if isinstance(site, NoRedex):
+        assert site.value == expr
 
 
 def _checking_refocus(reached):

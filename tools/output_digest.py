@@ -3,7 +3,9 @@
 Runs each command of ``bench/corpus.py`` (all three workloads) for the given
 seeds through ``futsim.cli.main`` in process, imported from ``--src``. Each
 command runs twice, with ``--format json`` and in table form, and every
-``run`` writes a ``--trace`` file. The digest covers each invocation's exit
+``run`` writes a ``--trace`` file. Each ``compare`` command also runs, in
+both forms, with the cost-model flags of ``COST_FLAGS`` appended, since the
+corpus itself sets none of them. The digest covers each invocation's exit
 code, standard output, standard error and trace bytes, in order. Two trees
 that print the same digest for the same seeds gave the same outputs.
 
@@ -24,6 +26,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE = "trace.jsonl"
+COST_FLAGS = ["--spin-power", "idle:0.5", "--block-penalty", "0.2,0.5", "--cycles", "create=2,add=1,claim=3",
+              "--alpha", "2", "--kappa", "1.5"]
 
 
 def import_main(src: Path):
@@ -36,7 +40,7 @@ def import_main(src: Path):
 
 
 def invocations(seeds: list[int]):
-    """(program file name, program text, argv) for every command in both output forms."""
+    """(program file name, program text, argv) for every command in both output forms, and the cost variants."""
     sys.path.insert(0, str(BENCH))
     import corpus
 
@@ -49,7 +53,10 @@ def invocations(seeds: list[int]):
                     args += ["--trace", TRACE]
                 i = args.index("--format")  # every corpus command asks for JSON
                 name = f"{cmd.program.name}.gf"
-                for form in (args, args[:i] + args[i + 2 :]):
+                forms = [args, args[:i] + args[i + 2 :]]
+                if sub == "compare":
+                    forms += [form + COST_FLAGS for form in forms]
+                for form in forms:
                     yield name, cmd.program.text, [sub, name] + form
 
 
