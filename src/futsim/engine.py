@@ -171,22 +171,38 @@ def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sc
 
 
 def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
-    """Fire the rule of the enabled closure at ``index`` through the kernel, unchecked."""
-    closure = config.closures[index]
+    """Fire the rule of the enabled closure at ``index`` through the kernel, unchecked.
+
+    The successor's closures are in ``_successor``'s order.
+    """
+    closures = config.closures
+    closure = closures[index]
     site = _site(closure)
     thread = closure.realizes
-    claimed = config.closure_for(site.target).expr if isinstance(site, ClaimSite) else None
+    claimed = producer = None
+    if isinstance(site, ClaimSite):
+        producer = next(j for j, c in enumerate(closures) if c.realizes == site.target)
+        claimed = closures[producer].expr
     hole, next_site, level, event = _rule(site, closure.freq, thread, strategy, config.next_fresh, claimed)
     updated = Closure(level, plug(*hole), thread)
     object.__setattr__(updated, "site", next_site)
-    closures = config.closures[:index] + (updated,) + config.closures[index + 1 :]
+    child = Closure(event.child_level, site.body, event.child) if isinstance(event, CreateEvent) else None
+    return _successor(config, index, updated, child, producer), event
+
+
+def _successor(config: Configuration, index: int, updated: Closure, child: Closure | None,
+               producer: int | None) -> Configuration:
+    """``config`` once its closure at ``index`` became ``updated``: a Create's ``child`` goes
+    first and takes the fresh id, a Claim's ``producer`` (an index) leaves, the rest keep their order."""
+    closures = list(config.closures)
+    closures[index] = updated
+    if producer is not None:
+        del closures[producer]
     fresh = config.next_fresh
-    if isinstance(event, CreateEvent):
-        closures = (Closure(event.child_level, site.body, event.child),) + closures
+    if child is not None:
+        closures.insert(0, child)
         fresh += 1
-    elif isinstance(event, ClaimEvent):
-        closures = tuple(c for c in closures if c.realizes != event.claimed)
-    return Configuration(closures, fresh, config.root), event
+    return Configuration(tuple(closures), fresh, config.root)
 
 
 class _Thread:
@@ -290,7 +306,12 @@ def run(
     policy: SchedulerPolicy | None = None,
     step_limit: int | None = None,
 ) -> RunResult:
-    """Reduce a program to a single integer-holding root thread."""
+    """Reduce a program to a single integer-holding root thread.
+
+    The enabled set is kept event by event: after a step only the fired
+    thread, a Create's child and the claimant parked on a thread that just
+    realized can change readiness, so only they are tested again.
+    """
     root = _Thread(0, expr, start_level(expr, ladder, init_index, strategy))
     threads = {0: root}  # live threads: a claimed producer leaves
     fresh = 1
@@ -298,26 +319,39 @@ def run(
         step_limit = 10 * 3 * node_count(expr)
     pick = (policy or NewestFirst()).session()
     site_of = lambda fid: threads[fid].site  # a producer's site; KeyError once it is claimed
+    enabled: set[FutureId] = set()
+    parked: dict[FutureId, FutureId] = {}  # producer -> the claimant waiting on it
+
+    def retest(thr: _Thread) -> None:
+        if _ready(thr.site, site_of):
+            enabled.add(thr.fid)
+        else:
+            enabled.discard(thr.fid)
+            if isinstance(thr.site, ClaimSite):
+                parked[thr.site.target] = thr.fid
+
+    retest(root)
     events: list[ReductionEvent] = []
     clamps = 0
-    while True:
-        enabled = frozenset(fid for fid, thr in threads.items() if _ready(thr.site, site_of))
-        if not enabled:
-            if len(threads) == 1 and isinstance(root.site, NoRedex):
-                break
-            raise EngineError("no enabled thread in a non-terminal configuration")
+    while enabled:
         if len(events) >= step_limit:
             raise DivergenceError(f"exceeded {step_limit} steps")
-        thread = pick(enabled)
+        thread = pick(frozenset(enabled))
         if thread not in enabled:
             raise NotEnabledError(f"fv{thread} has no enabled reduction")
         thr = threads[thread]
         claimed = threads.pop(thr.site.target).site.value if isinstance(thr.site, ClaimSite) else None
         _, event = _advance(thr, threads, strategy, fresh, claimed)
         if isinstance(event, CreateEvent):
+            retest(threads[fresh])
             fresh += 1
+        retest(thr)
+        if isinstance(thr.site, NoRedex) and thread in parked:
+            retest(threads[parked.pop(thread)])
         events.append(event)
         clamps += event.clamps
+    if len(threads) != 1 or not isinstance(root.site, NoRedex):
+        raise EngineError("no enabled thread in a non-terminal configuration")
 
     return RunResult(
         final_value=root.site.value.value,
@@ -364,6 +398,14 @@ def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
     return "".join(parts), tuple(refs)
 
 
+def _memo_shape(expr: Expression, shapes: ShapeMemo) -> tuple[str, tuple[FutureId, ...]]:
+    """``_shape(expr)``, walked once per expression in ``shapes``."""
+    entry = shapes.get(id(expr))
+    if entry is None:
+        entry = shapes[id(expr)] = (expr, *_shape(expr))
+    return entry[1], entry[2]
+
+
 def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tuple:
     """A configuration key invariant under closure order and fresh-id choice.
 
@@ -382,52 +424,172 @@ def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tup
     stack = [config.root]
     while stack:
         closure = producers[stack.pop()]
-        entry = shapes.get(id(closure.expr))
-        if entry is None:
-            entry = shapes[id(closure.expr)] = (closure.expr, *_shape(closure.expr))
+        shape, refs = _memo_shape(closure.expr, shapes)
         key.append(closure.freq.index)
-        key.append(entry[1])
-        stack.extend(reversed(entry[2]))
+        key.append(shape)
+        stack.extend(reversed(refs))
     if len(key) != 2 * len(config.closures):
         raise EngineError("configuration has closures unreachable from the root")
     return tuple(key)
 
 
+# Explore drops the interned key entries that no frontier state holds once
+# this many more have piled up.
+_INTERN_SLACK = 1 << 16
+
+
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
+    """Breadth-first search over every interleaving from ``config``; a state's key is one interned integer.
+
+    A thread's entry is (level index, shape, *its children's nodes in
+    reference order), and its node is the entry's number in an intern table,
+    so two threads have equal nodes exactly when ``canonical_key`` of their
+    subtrees is equal (a Merkle key). The state key is the root's node. A
+    state carries its configuration, each thread's entry, each non-root
+    thread's parent and the index of its node in the parent's entry, and
+    its enabled set. A rule changes only the fired thread's subtree, so the
+    successor's key is the fired thread's new entry re-interned up its path
+    to the root, O(depth of the reference tree), and the successor is built
+    only when that key is new. Firings are memoised per closure: a Create's
+    result depends also on the fresh id, a Claim's on the claimed value; a
+    miss fires through ``_fire``. Only the fired thread, a Create's child and
+    the fired thread's parent, which may be parked on it, can change
+    readiness, so only they are tested again.
+
+    A state's depth in the search is its total step count, which the state
+    itself fixes, so two states can be equal only within one level: keys
+    are compared level by level, and interned entries that no frontier
+    state holds are dropped once ``_INTERN_SLACK`` of them pile up, which
+    keeps a deep reference tree's O(states × depth) entries out of memory.
+    """
     if state_limit < 1:  # the initial state counts against the budget too
         raise ExplorationLimitError(f"more than {state_limit} states")
     shapes: ShapeMemo = {}
-    seen = {canonical_key(config, shapes)}
-    frontier = [config]
+    canonical_key(config, shapes)  # checks every closure hangs off the root, and fills the shape memo
+    ids: dict[tuple, int] = {}  # entry -> node
+    base = 0  # nodes numbered so far, less len(ids)
+
+    root = config.root
+    producers = {c.realizes: c for c in config.closures}
+    up: dict[FutureId, tuple[FutureId, int]] = {}
+    order = [root]
+    for fid in order:  # breadth first, so a thread comes before its children
+        for at, ref in enumerate(_memo_shape(producers[fid].expr, shapes)[1], 2):
+            up[ref] = (fid, at)
+            order.append(ref)
+    entries: dict[FutureId, tuple] = {}
+    nodes: dict[FutureId, int] = {}
+    for fid in reversed(order):
+        closure = producers[fid]
+        shape, refs = _memo_shape(closure.expr, shapes)
+        entries[fid] = entry = (closure.freq.index, shape, *(nodes[ref] for ref in refs))
+        nodes[fid] = ids.setdefault(entry, len(ids) + base)
+
+    # A move maps a firing to (the fired closure, which pins its id, the
+    # updated closure, its (level index, shape) and references, the entry
+    # index of the reference a Create added or a Claim removed, and the
+    # Create's child and its entry).
+    moves: dict = {}
+    count = 1
+    kept = len(ids)
+    frontier = [(config, entries, up, set(enabled_threads(config)))]
     outcomes: set[tuple[int, FrequencyLevel]] = set()
     while frontier:
-        next_frontier: list[Configuration] = []
-        for cfg in frontier:
-            enabled = enabled_threads(cfg)
+        next_frontier: list = []
+        seen: set[int] = set()  # the next level's keys
+        for cfg, entries, up, enabled in frontier:
+            closures = cfg.closures
             if not enabled:
                 if not is_terminal(cfg):
                     raise EngineError("stuck non-terminal state during exploration")
-                root = cfg.closures[0]
-                assert isinstance(root.expr, IntLit)
-                outcomes.add((root.expr.value, root.freq))
+                assert isinstance(closures[0].expr, IntLit)
+                outcomes.add((closures[0].expr.value, closures[0].freq))
                 continue
-            positions = {c.realizes: i for i, c in enumerate(cfg.closures)}
+            positions = {c.realizes: i for i, c in enumerate(closures)}
             for thread in sorted(enabled):
-                stepped, _ = _fire(cfg, positions[thread], strategy)
-                memo_size = len(shapes)
-                key = canonical_key(stepped, shapes)
-                if key in seen:
-                    # Nothing keeps this successor: forget the shapes its key added
-                    # (a dict pops its newest entries first).
-                    while len(shapes) > memo_size:
-                        shapes.popitem()
+                index = positions[thread]
+                closure = closures[index]
+                site = closure.site
+                producer = None
+                if isinstance(site, CreateRedex):
+                    key: object = (id(closure), cfg.next_fresh)
+                elif isinstance(site, ClaimSite):
+                    producer = positions[site.target]
+                    key = (id(closure), closures[producer].expr.value)
+                else:
+                    key = id(closure)
+                move = moves.get(key)
+                stepped = None
+                if move is None:
+                    stepped, event = _fire(cfg, index, strategy)
+                    child = stepped.closures[0] if isinstance(event, CreateEvent) else None
+                    updated = stepped.closures[index + (child is not None) - (producer is not None and producer < index)]
+                    shape, refs = _memo_shape(updated.expr, shapes)
+                    slot = child_entry = None
+                    if child is not None:
+                        slot = 2 + refs.index(child.realizes)
+                        # A future's body is program text, so the child references nothing.
+                        child_entry = (child.freq.index, _memo_shape(child.expr, shapes)[0])
+                    elif producer is not None:
+                        slot = up[site.target][1]
+                    move = moves[key] = (closure, updated, (updated.freq.index, shape), refs, slot, child, child_entry)
+                _, updated, head, refs, slot, child, child_entry = move
+                entry = entries[thread]
+                if child is not None:
+                    entry = entry[:slot] + (ids.setdefault(child_entry, len(ids) + base),) + entry[slot:]
+                elif producer is not None:
+                    entry = entry[:slot] + entry[slot + 1 :]
+                entry = head + entry[2:]
+                node = ids.setdefault(entry, len(ids) + base)
+                changed = {thread: entry}
+                fid = thread
+                while fid != root:
+                    fid, at = up[fid]
+                    entry = entries[fid]
+                    entry = entry[:at] + (node,) + entry[at + 1 :]
+                    node = ids.setdefault(entry, len(ids) + base)
+                    changed[fid] = entry
+                if node in seen:
                     continue
-                if len(seen) >= state_limit:
+                if count >= state_limit:
                     raise ExplorationLimitError(f"more than {state_limit} states")
-                seen.add(key)
-                next_frontier.append(stepped)
+                count += 1
+                seen.add(node)
+                if stepped is None:
+                    stepped = _successor(cfg, index, updated, child, producer)
+                next_entries = entries | changed
+                next_up = up
+                if slot is not None:  # a Create or a Claim moves the references after its slot
+                    next_up = up.copy()
+                    if child is not None:
+                        next_entries[child.realizes] = child_entry
+                    else:
+                        del next_entries[site.target], next_up[site.target]
+                    for at, ref in enumerate(refs, 2):
+                        next_up[ref] = (thread, at)
+                retest = {thread: updated.site}
+                if child is not None:
+                    retest[child.realizes] = _site(child)
+                if thread != root:
+                    parent = up[thread][0]
+                    retest[parent] = closures[positions[parent]].site
+                site_of = lambda fid: retest[fid] if fid in retest else closures[positions[fid]].site
+                next_enabled = set(enabled)
+                for fid, fid_site in retest.items():
+                    if _ready(fid_site, site_of):
+                        next_enabled.add(fid)
+                    else:
+                        next_enabled.discard(fid)
+                next_frontier.append((stepped, next_entries, next_up, next_enabled))
         frontier = next_frontier
-    return outcomes, len(seen)
+        if len(ids) > kept + _INTERN_SLACK:
+            # Keys are compared within a level only, so an entry no frontier
+            # state holds may be dropped: if it recurs, it gets a new node. A
+            # state holds every thread's entry, so a held entry's children stay.
+            held = {entry: ids[entry] for _, entries, _, _ in frontier for entry in entries.values()}
+            base += len(ids) - len(held)
+            ids, kept = held, len(held)
+    return outcomes, count
 
 
 def explore_with_stats(

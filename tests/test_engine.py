@@ -432,6 +432,39 @@ def test_run_step_limit_zero():
     assert run(IntLit(4), LADDER, 2, BOTH, step_limit=0).final_value == 4
 
 
+def test_run_tests_readiness_only_where_a_step_can_change_it(monkeypatch):
+    # A 2,000-deep tower keeps up to 2,001 threads live; a step re-tests only
+    # the fired thread, a Create's child and a claimant parked on it.
+    calls = []
+    original = engine._ready
+
+    def counting(site, site_of):
+        calls.append(site)
+        return original(site, site_of)
+
+    monkeypatch.setattr(engine, "_ready", counting)
+    result = run(parse("future " * 2000 + "1"), LADDER, 2, BOTH)
+    assert result.final_value == 1
+    assert result.step_count == 4000
+    assert len(calls) <= 3 * result.step_count
+
+
+def test_explore_fires_each_move_once_however_many_states_reach_it(monkeypatch):
+    # par 5 has 14 distinct moves of the root (5 Creates, 5 Claims, 4 Adds)
+    # and 3 Adds in each child; explore reaches them ~7,000 times in all.
+    fired = []
+    original = engine._fire
+
+    def recording(config, index, strategy):
+        fired.append(config)
+        return original(config, index, strategy)
+
+    monkeypatch.setattr(engine, "_fire", recording)
+    expr = parse(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)))
+    assert explore_with_stats(expr, LADDER, 2, BOTH)[1] == 1791
+    assert len(fired) == 14 + 5 * 3
+
+
 def test_run_rejects_a_pick_outside_the_enabled_set():
     class Stubborn:
         name = "stubborn"
@@ -457,6 +490,8 @@ def test_run_rejects_a_pick_outside_the_enabled_set():
          " + (8 + (future (future -8)) + (future (-4 + -9 + (future -7))))", 200),
         ("future 7", 3),
         (" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)), 1791),
+        (" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(7)), 28671),
+        ("future " * 64 + "1", 129),
     ],
 )
 def test_explore_state_counts_pinned(text, states):

@@ -2,8 +2,10 @@
 decompose and gen_random_program against the recursive walkers they replaced,
 refocused sites against decompose, a simulator and a run that never plug
 against the public step, the rule work of run against simulate, the simulator's energy
-identities, trace snippets against the whole rendered expression, and
-explore's structural state keys against the renaming key they replaced."""
+identities, trace snippets against the whole rendered expression,
+explore's structural state keys against the renaming key they replaced, and
+explore's Merkle keys against the flat-key search they replaced, on samples
+and on every program of at most 8 nodes over the literals 0 and 1."""
 
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from futsim.calculus import (  # noqa: E402
     eval_sequential,
     future_ref_ids,
     initial_configuration,
+    is_terminal,
     plug,
     refill,
     subterms,
@@ -54,9 +57,11 @@ from futsim.engine import (  # noqa: E402
     ClaimEvent,
     CreateEvent,
     EngineError,
+    ExplorationLimitError,
     NewestFirst,
     RoundRobin,
     SeededRandom,
+    _explore,
     canonical_key,
     enabled_threads,
     gen_random_program,
@@ -591,6 +596,88 @@ def test_structural_keys_are_equal_exactly_when_renaming_keys_are(program, sched
             assert key == canonical_key(config)
             assert by_oracle.setdefault(oracle, key) == key
             assert by_key.setdefault(key, oracle) == oracle
+
+
+def _flat_key_explore(config, strategy, state_limit):
+    """The search explore used before Merkle keys, kept as the oracle: every
+    successor is built through ``_fire`` and named by the flat ``canonical_key``."""
+    if state_limit < 1:
+        raise ExplorationLimitError(f"more than {state_limit} states")
+    shapes = {}
+    seen = {canonical_key(config, shapes)}
+    frontier = [config]
+    outcomes = set()
+    while frontier:
+        next_frontier = []
+        for cfg in frontier:
+            enabled = enabled_threads(cfg)
+            if not enabled:
+                assert is_terminal(cfg)
+                root = cfg.closures[0]
+                outcomes.add((root.expr.value, root.freq))
+                continue
+            positions = {c.realizes: i for i, c in enumerate(cfg.closures)}
+            for thread in sorted(enabled):
+                stepped, _ = engine._fire(cfg, positions[thread], strategy)
+                key = canonical_key(stepped, shapes)
+                if key in seen:
+                    continue
+                if len(seen) >= state_limit:
+                    raise ExplorationLimitError(f"more than {state_limit} states")
+                seen.add(key)
+                next_frontier.append(stepped)
+        frontier = next_frontier
+    return outcomes, len(seen)
+
+
+def _explore_and_oracle(expr, name, ladder, init, state_limit=10**6):
+    """``_explore`` from the program's start, and what the flat-key oracle finds."""
+    strategy = make_strategy(name, ladder)
+    config = initial_configuration(expr, ladder.level(init))
+    return _explore(config, strategy, state_limit), _flat_key_explore(config, strategy, 10**6)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(STRATEGIES))
+@example(3, "both")
+def test_merkle_explore_agrees_with_the_flat_key_explore(seed, name):
+    expr = gen_random_program(seed, 6, 3)
+    found, (outcomes, count) = _explore_and_oracle(expr, name, LADDER, 2)
+    assert found == (outcomes, count)
+    assert _explore_and_oracle(expr, name, LADDER, 2, count)[0] == found
+    with pytest.raises(ExplorationLimitError):
+        _explore_and_oracle(expr, name, LADDER, 2, count - 1)
+    with mock.patch.object(engine, "_INTERN_SLACK", 0):  # drop unheld key entries after every level
+        assert _explore_and_oracle(expr, name, LADDER, 2)[0] == found
+
+
+def _programs_by_size(largest, literals):
+    """Every program of each size up to ``largest`` nodes over ``literals``: {size: [programs]}."""
+    by_size = {1: [IntLit(v) for v in literals]}
+    for size in range(2, largest + 1):
+        programs = [FutureCreate(body) for body in by_size[size - 1]]
+        for left in range(1, size - 1):
+            programs += [Add(a, b) for a in by_size[left] for b in by_size[size - 1 - left]]
+        by_size[size] = programs
+    return by_size
+
+
+SMALL_SCOPE = [e for programs in _programs_by_size(8, (0, 1)).values() for e in programs]
+# Eight nodes nest at most seven futures, so from level 8 of 16 no operator clamps.
+CLAMP_FREE = FrequencyLadder(tuple(float(f) for f in range(1, 17)))
+
+
+def test_small_scope_holds_every_program_up_to_8_nodes_over_0_and_1():
+    assert len(SMALL_SCOPE) == 1776
+    assert len(set(map(unparse, SMALL_SCOPE))) == 1776
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_explore_every_small_program_has_one_outcome_its_sequential_value_at_the_start_level(name):
+    for expr in SMALL_SCOPE:
+        found, expected = _explore_and_oracle(expr, name, CLAMP_FREE, 8)
+        assert found[0] == {(eval_sequential(expr), CLAMP_FREE.level(8))}, unparse(expr)
+        assert found == expected, unparse(expr)
 
 
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
