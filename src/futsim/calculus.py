@@ -249,19 +249,11 @@ def eval_sequential(expr: Expression) -> int:
 
 @dataclass(frozen=True)
 class Closure:
-    """One thread: an expression evaluated at a frequency, realizing a future id.
-
-    ``site`` caches ``decompose(expr)``. A closure a rule left behind gets it
-    from ``refill``; the engine searches a new thread's expression on first
-    use. A closure is immutable and shared by every successor configuration,
-    so its expression is searched at most once. The cache is not part of the
-    closure's identity.
-    """
+    """One thread: an expression evaluated at a frequency, realizing a future id."""
 
     freq: FrequencyLevel
     expr: Expression
     realizes: FutureId
-    site: RedexSite | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

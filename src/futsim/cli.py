@@ -32,6 +32,7 @@ from .energy import (
     WAIT_SPIN,
     CostModel,
     SimulationReport,
+    _left_sum,
     simulate,
 )
 from .engine import (
@@ -449,7 +450,7 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
             {
                 "strategy": name,
                 "final_value": report.final_value,
-                "total_wait": sum(r.wait for r in report.claim_records),
+                "total_wait": _left_sum(r.wait for r in report.claim_records),
                 "case_i": sum(1 for r in report.claim_records if r.case_tag == CASE_I),
                 "case_ii": sum(1 for r in report.claim_records if r.case_tag == CASE_II),
                 "energy": report.total_energy,

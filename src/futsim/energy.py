@@ -18,8 +18,9 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
-from .calculus import ClaimSite, Context, Expression, FutureId, NoRedex, plug
+from .calculus import ClaimSite, Context, Expression, FutureId, NoRedex, decompose, plug
 from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, _Thread, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
@@ -91,6 +92,18 @@ def spin_power(level: FrequencyLevel, model: CostModel) -> float:
     return dynamic_power(level, model) if model.idle_power is None else model.idle_power
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, so totals are the same on every Python.
+
+    Since 3.12 the builtin ``sum`` compensates float rounding, which would
+    change the last digit of some totals with the Python version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 SEG_COMPUTE = "compute"
 SEG_WAIT = "wait"
 SEG_TRANSITION = "transition"
@@ -124,7 +137,7 @@ class ThreadTimeline:
     segments: tuple[Segment, ...]
 
     def energy(self) -> float:
-        return sum(s.energy for s in self.segments)
+        return _left_sum(s.energy for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,7 @@ class _Simulation:
         self.fire_rule(claimant, start, self.threads[producer].site.value)
 
     def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
-        root = self.threads[0] = _Thread(0, expr, init_level)
+        root = self.threads[0] = _Thread(0, decompose(expr), init_level)
 
         while self.heap:
             now, fid = heapq.heappop(self.heap)
@@ -238,7 +251,7 @@ class _Simulation:
 
         timelines = {fid: ThreadTimeline(tuple(self.segments[fid])) for fid in sorted(self.threads)}
         per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
-        total = sum(per_thread.values())
+        total = _left_sum(per_thread.values())
         return SimulationReport(
             final_value=root.site.value.value,
             makespan=makespan,

@@ -25,7 +25,6 @@ from .calculus import (
     contains_future_ref,
     decompose,
     initial_configuration,
-    is_terminal,
     node_count,
     plug,
     wrap_int,
@@ -102,15 +101,6 @@ class AddEvent:
 ReductionEvent = Union[CreateEvent, ClaimEvent, AddEvent]
 
 
-def _site(closure: Closure) -> RedexSite:
-    """The closure's redex site: searched on first use, then kept on the closure."""
-    site = closure.site
-    if site is None:
-        site = decompose(closure.expr)
-        object.__setattr__(closure, "site", site)
-    return site
-
-
 def _ready(site: RedexSite, site_of: Callable[[FutureId], RedexSite]) -> bool:
     """The readiness rule: a redex fires at once, a claim once its producer's site is ``NoRedex``, a realized integer."""
     if isinstance(site, ClaimSite):
@@ -123,15 +113,27 @@ def _ready(site: RedexSite, site_of: Callable[[FutureId], RedexSite]) -> bool:
 
 def enabled_threads(config: Configuration) -> frozenset[FutureId]:
     """Threads that can take a step right now; realized non-root closures sit idle until claimed."""
-    sites = {c.realizes: _site(c) for c in config.closures}
+    sites = {c.realizes: decompose(c.expr) for c in config.closures}
     return frozenset(fid for fid, site in sites.items() if _ready(site, sites.__getitem__))
 
 
 def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
-    """Fire the one rule the named thread can take; pure, returns a new configuration."""
+    """Fire the one rule the named thread can take; pure, returns a new configuration.
+
+    The successor's closures: a Create's child first, with the fresh id; a
+    Claim's producer gone; the rest in their order.
+    """
     if thread not in enabled_threads(config):
         raise NotEnabledError(f"fv{thread} has no enabled reduction")
-    return _fire(config, next(i for i, c in enumerate(config.closures) if c.realizes == thread), strategy)
+    closures = {c.realizes: c for c in config.closures}
+    closure = closures[thread]
+    site = decompose(closure.expr)
+    claimed = closures.pop(site.target).expr if isinstance(site, ClaimSite) else None
+    thr = _Thread(thread, site, closure.freq)
+    hole, event = _advance(thr, {}, strategy, config.next_fresh, claimed)
+    closures[thread] = Closure(thr.level, plug(*hole), thread)
+    child = (Closure(event.child_level, site.body, event.child),) if isinstance(event, CreateEvent) else ()
+    return Configuration((*child, *closures.values()), config.next_fresh + len(child), config.root), event
 
 
 Hole = tuple[Context, Expression]
@@ -170,50 +172,19 @@ def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sc
     return (site.context, filler), _refocus(site, filler), level, event
 
 
-def _fire(config: Configuration, index: int, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
-    """Fire the rule of the enabled closure at ``index`` through the kernel, unchecked.
-
-    The successor's closures are in ``_successor``'s order.
-    """
-    closures = config.closures
-    closure = closures[index]
-    site = _site(closure)
-    thread = closure.realizes
-    claimed = producer = None
-    if isinstance(site, ClaimSite):
-        producer = next(j for j, c in enumerate(closures) if c.realizes == site.target)
-        claimed = closures[producer].expr
-    hole, next_site, level, event = _rule(site, closure.freq, thread, strategy, config.next_fresh, claimed)
-    updated = Closure(level, plug(*hole), thread)
-    object.__setattr__(updated, "site", next_site)
-    child = Closure(event.child_level, site.body, event.child) if isinstance(event, CreateEvent) else None
-    return _successor(config, index, updated, child, producer), event
-
-
-def _successor(config: Configuration, index: int, updated: Closure, child: Closure | None,
-               producer: int | None) -> Configuration:
-    """``config`` once its closure at ``index`` became ``updated``: a Create's ``child`` goes
-    first and takes the fresh id, a Claim's ``producer`` (an index) leaves, the rest keep their order."""
-    closures = list(config.closures)
-    closures[index] = updated
-    if producer is not None:
-        del closures[producer]
-    fresh = config.next_fresh
-    if child is not None:
-        closures.insert(0, child)
-        fresh += 1
-    return Configuration(tuple(closures), fresh, config.root)
-
-
 class _Thread:
-    """A thread ``run`` and ``simulate`` step in place: its level and next site; ``NoRedex`` holds its value."""
+    """A thread's record: its level and next site; ``NoRedex`` holds its value.
+
+    ``run`` and ``simulate`` step a record in place. A state ``_explore``
+    reaches holds its records unchanged, so a firing there steps a copy.
+    """
 
     __slots__ = ("fid", "level", "site")
 
-    def __init__(self, fid: FutureId, expr: Expression, level: FrequencyLevel):
+    def __init__(self, fid: FutureId, site: RedexSite, level: FrequencyLevel):
         self.fid = fid
         self.level = level
-        self.site = decompose(expr)
+        self.site = site
 
 
 def _advance(thr: _Thread, threads: dict[FutureId, _Thread], strategy: ScalingStrategy, fresh: FutureId,
@@ -222,7 +193,7 @@ def _advance(thr: _Thread, threads: dict[FutureId, _Thread], strategy: ScalingSt
     site = thr.site
     hole, thr.site, thr.level, event = _rule(site, thr.level, thr.fid, strategy, fresh, claimed)
     if isinstance(event, CreateEvent):
-        threads[fresh] = _Thread(fresh, site.body, event.child_level)
+        threads[fresh] = _Thread(fresh, decompose(site.body), event.child_level)
     return hole, event
 
 
@@ -312,7 +283,7 @@ def run(
     thread, a Create's child and the claimant parked on a thread that just
     realized can change readiness, so only they are tested again.
     """
-    root = _Thread(0, expr, start_level(expr, ladder, init_index, strategy))
+    root = _Thread(0, decompose(expr), start_level(expr, ladder, init_index, strategy))
     threads = {0: root}  # live threads: a claimed producer leaves
     fresh = 1
     if step_limit is None:
@@ -441,20 +412,22 @@ _INTERN_SLACK = 1 << 16
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
     """Breadth-first search over every interleaving from ``config``; a state's key is one interned integer.
 
-    A thread's entry is (level index, shape, *its children's nodes in
+    A state is each thread's record, ``{fid: _Thread}``, and the next fresh
+    id. A thread's entry is (level index, shape, *its children's nodes in
     reference order), and its node is the entry's number in an intern table,
     so two threads have equal nodes exactly when ``canonical_key`` of their
     subtrees is equal (a Merkle key). The state key is the root's node. A
-    state carries its configuration, each thread's entry, each non-root
-    thread's parent and the index of its node in the parent's entry, and
-    its enabled set. A rule changes only the fired thread's subtree, so the
-    successor's key is the fired thread's new entry re-interned up its path
-    to the root, O(depth of the reference tree), and the successor is built
-    only when that key is new. Firings are memoised per closure: a Create's
-    result depends also on the fresh id, a Claim's on the claimed value; a
-    miss fires through ``_fire``. Only the fired thread, a Create's child and
-    the fired thread's parent, which may be parked on it, can change
-    readiness, so only they are tested again.
+    state carries also each thread's entry, each non-root thread's parent and
+    the index of its node in the parent's entry, and its enabled set. A rule
+    changes only the fired thread's subtree, so the successor's key is the
+    fired thread's new entry re-interned up its path to the root, O(depth of
+    the reference tree), and the successor is built only when that key is
+    new. Firings are memoised per record: a Create's result depends also on
+    the fresh id, a Claim's on the claimed value; a miss fires a copy of the
+    record through ``_advance``, as ``run`` fires the record itself, and
+    plugs the hole only to take its shape. Only the fired thread, a Create's
+    child and the fired thread's parent, which may be parked on it, can
+    change readiness, so only they are tested again.
 
     A state's depth in the search is its total step count, which the state
     itself fixes, so two states can be equal only within one level: keys
@@ -484,60 +457,58 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
         shape, refs = _memo_shape(closure.expr, shapes)
         entries[fid] = entry = (closure.freq.index, shape, *(nodes[ref] for ref in refs))
         nodes[fid] = ids.setdefault(entry, len(ids) + base)
+    threads = {c.realizes: _Thread(c.realizes, decompose(c.expr), c.freq) for c in config.closures}
 
-    # A move maps a firing to (the fired closure, which pins its id, the
-    # updated closure, its (level index, shape) and references, the entry
+    # A move maps a firing to (the fired record, which pins its id, the
+    # updated record, its (level index, shape) and references, the entry
     # index of the reference a Create added or a Claim removed, and the
     # Create's child and its entry).
     moves: dict = {}
     count = 1
     kept = len(ids)
-    frontier = [(config, entries, up, set(enabled_threads(config)))]
+    frontier = [(threads, config.next_fresh, entries, up, set(enabled_threads(config)))]
     outcomes: set[tuple[int, FrequencyLevel]] = set()
     while frontier:
         next_frontier: list = []
         seen: set[int] = set()  # the next level's keys
-        for cfg, entries, up, enabled in frontier:
-            closures = cfg.closures
+        for threads, fresh, entries, up, enabled in frontier:
             if not enabled:
-                if not is_terminal(cfg):
+                site = threads[root].site
+                if len(threads) != 1 or not isinstance(site, NoRedex):
                     raise EngineError("stuck non-terminal state during exploration")
-                assert isinstance(closures[0].expr, IntLit)
-                outcomes.add((closures[0].expr.value, closures[0].freq))
+                outcomes.add((site.value.value, threads[root].level))
                 continue
-            positions = {c.realizes: i for i, c in enumerate(closures)}
             for thread in sorted(enabled):
-                index = positions[thread]
-                closure = closures[index]
-                site = closure.site
-                producer = None
+                thr = threads[thread]
+                site = thr.site
+                claimed = None
                 if isinstance(site, CreateRedex):
-                    key: object = (id(closure), cfg.next_fresh)
+                    key: object = (id(thr), fresh)
                 elif isinstance(site, ClaimSite):
-                    producer = positions[site.target]
-                    key = (id(closure), closures[producer].expr.value)
+                    claimed = threads[site.target].site.value
+                    key = (id(thr), claimed.value)
                 else:
-                    key = id(closure)
+                    key = id(thr)
                 move = moves.get(key)
-                stepped = None
                 if move is None:
-                    stepped, event = _fire(cfg, index, strategy)
-                    child = stepped.closures[0] if isinstance(event, CreateEvent) else None
-                    updated = stepped.closures[index + (child is not None) - (producer is not None and producer < index)]
-                    shape, refs = _memo_shape(updated.expr, shapes)
+                    updated = _Thread(thread, site, thr.level)
+                    born: dict[FutureId, _Thread] = {}
+                    hole, _ = _advance(updated, born, strategy, fresh, claimed)
+                    shape, refs = _shape(plug(*hole))
+                    child = born.get(fresh)
                     slot = child_entry = None
                     if child is not None:
-                        slot = 2 + refs.index(child.realizes)
+                        slot = 2 + refs.index(fresh)
                         # A future's body is program text, so the child references nothing.
-                        child_entry = (child.freq.index, _memo_shape(child.expr, shapes)[0])
-                    elif producer is not None:
+                        child_entry = (child.level.index, _memo_shape(site.body, shapes)[0])
+                    elif claimed is not None:
                         slot = up[site.target][1]
-                    move = moves[key] = (closure, updated, (updated.freq.index, shape), refs, slot, child, child_entry)
+                    move = moves[key] = (thr, updated, (updated.level.index, shape), refs, slot, child, child_entry)
                 _, updated, head, refs, slot, child, child_entry = move
                 entry = entries[thread]
                 if child is not None:
                     entry = entry[:slot] + (ids.setdefault(child_entry, len(ids) + base),) + entry[slot:]
-                elif producer is not None:
+                elif slot is not None:
                     entry = entry[:slot] + entry[slot + 1 :]
                 entry = head + entry[2:]
                 node = ids.setdefault(entry, len(ids) + base)
@@ -555,38 +526,36 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                     raise ExplorationLimitError(f"more than {state_limit} states")
                 count += 1
                 seen.add(node)
-                if stepped is None:
-                    stepped = _successor(cfg, index, updated, child, producer)
+                next_threads = threads | {thread: updated}
                 next_entries = entries | changed
                 next_up = up
+                retest = [thread]
                 if slot is not None:  # a Create or a Claim moves the references after its slot
                     next_up = up.copy()
                     if child is not None:
-                        next_entries[child.realizes] = child_entry
+                        next_threads[fresh] = child
+                        next_entries[fresh] = child_entry
+                        retest.append(fresh)
                     else:
-                        del next_entries[site.target], next_up[site.target]
+                        del next_threads[site.target], next_entries[site.target], next_up[site.target]
                     for at, ref in enumerate(refs, 2):
                         next_up[ref] = (thread, at)
-                retest = {thread: updated.site}
-                if child is not None:
-                    retest[child.realizes] = _site(child)
                 if thread != root:
-                    parent = up[thread][0]
-                    retest[parent] = closures[positions[parent]].site
-                site_of = lambda fid: retest[fid] if fid in retest else closures[positions[fid]].site
+                    retest.append(up[thread][0])
+                site_of = lambda fid: next_threads[fid].site
                 next_enabled = set(enabled)
-                for fid, fid_site in retest.items():
-                    if _ready(fid_site, site_of):
+                for fid in retest:
+                    if _ready(next_threads[fid].site, site_of):
                         next_enabled.add(fid)
                     else:
                         next_enabled.discard(fid)
-                next_frontier.append((stepped, next_entries, next_up, next_enabled))
+                next_frontier.append((next_threads, fresh + (child is not None), next_entries, next_up, next_enabled))
         frontier = next_frontier
         if len(ids) > kept + _INTERN_SLACK:
             # Keys are compared within a level only, so an entry no frontier
             # state holds may be dropped: if it recurs, it gets a new node. A
             # state holds every thread's entry, so a held entry's children stay.
-            held = {entry: ids[entry] for _, entries, _, _ in frontier for entry in entries.values()}
+            held = {entry: ids[entry] for _, _, entries, _, _ in frontier for entry in entries.values()}
             base += len(ids) - len(held)
             ids, kept = held, len(held)
     return outcomes, count

@@ -12,6 +12,8 @@ from futsim.energy import (
     WAIT_BLOCK,
     WAIT_SPIN,
     CostModel,
+    Segment,
+    ThreadTimeline,
     simulate,
     step_duration,
     step_energy,
@@ -174,6 +176,12 @@ def test_energy_accounting_re_summation():
         assert report.total_energy == pytest.approx(resummed, rel=1e-12)
         for fid, timeline in report.timelines.items():
             assert report.per_thread_energy[fid] == pytest.approx(timeline.energy(), rel=1e-12)
+
+
+def test_timeline_energy_adds_left_to_right_on_every_python():
+    # Python 3.12's builtin sum compensates rounding and gives 1.0 here.
+    segments = tuple(Segment(i, i + 1, SEG_COMPUTE, lvl(1), 0.1) for i in range(10))
+    assert ThreadTimeline(segments).energy() == 0.9999999999999999
 
 
 def test_timelines_contiguous_and_nonnegative():

@@ -367,7 +367,7 @@ def test_event_levels_stay_in_ladder():
 
 
 # ---------------------------------------------------------------------------
-# run's unchecked firing and cached sites against the public API
+# run's unchecked firing against the public API
 # ---------------------------------------------------------------------------
 
 ALL_STRATEGIES = ["both", "parent-only", "child-only", "none"]
@@ -397,35 +397,6 @@ def test_run_matches_reference_loop(seed):
             assert result.step_count == len(expected)
 
 
-def test_every_closure_reached_carries_its_decomposed_site(monkeypatch):
-    fired = []
-    original = engine._fire
-
-    def recording(config, index, strategy):
-        fired.append(config)
-        return original(config, index, strategy)
-
-    monkeypatch.setattr(engine, "_fire", recording)
-    for seed in range(15):
-        expr = gen_random_program(seed, 6, 3)
-        for policy in POLICIES:
-            run(expr, LADDER, 2, BOTH, policy)
-        explore_with_stats(expr, LADDER, 2, BOTH)
-    assert fired
-    for config in fired:
-        for closure in config.closures:
-            assert closure.site == decompose(closure.expr)
-
-
-def test_site_cache_is_not_part_of_closure_identity():
-    cached = _cl(2, Add(IntLit(1), IntLit(2)), 0)
-    assert enabled_threads(Configuration((cached,), 1, 0)) == {0}
-    assert cached.site is not None
-    fresh = _cl(2, Add(IntLit(1), IntLit(2)), 0)
-    assert fresh.site is None
-    assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
-
-
 def test_run_step_limit_zero():
     with pytest.raises(DivergenceError):
         run(GOLDEN_PROGRAM, LADDER, 2, BOTH, step_limit=0)
@@ -453,13 +424,13 @@ def test_explore_fires_each_move_once_however_many_states_reach_it(monkeypatch):
     # par 5 has 14 distinct moves of the root (5 Creates, 5 Claims, 4 Adds)
     # and 3 Adds in each child; explore reaches them ~7,000 times in all.
     fired = []
-    original = engine._fire
+    original = engine._advance
 
-    def recording(config, index, strategy):
-        fired.append(config)
-        return original(config, index, strategy)
+    def recording(thr, threads, strategy, fresh, claimed=None):
+        fired.append(thr)
+        return original(thr, threads, strategy, fresh, claimed)
 
-    monkeypatch.setattr(engine, "_fire", recording)
+    monkeypatch.setattr(engine, "_advance", recording)
     expr = parse(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)))
     assert explore_with_stats(expr, LADDER, 2, BOTH)[1] == 1791
     assert len(fired) == 14 + 5 * 3
@@ -477,7 +448,7 @@ def test_run_rejects_a_pick_outside_the_enabled_set():
 
 
 # State counts computed with the search that re-decomposed every closure on
-# every step; the cached sites must reach exactly the same states.
+# every step; stepping thread records must reach exactly the same states.
 @pytest.mark.parametrize(
     "text, states",
     [

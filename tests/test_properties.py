@@ -9,9 +9,12 @@ and on every program of at most 8 nodes over the literals 0 and 1."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 import tempfile
 from collections import Counter
@@ -64,6 +67,7 @@ from futsim.engine import (  # noqa: E402
     _explore,
     canonical_key,
     enabled_threads,
+    explore_with_stats,
     gen_random_program,
     run,
     step,
@@ -412,8 +416,12 @@ def test_every_site_run_reaches_is_decompose(expr):
     with mock.patch.object(engine, "_refocus", _checking_refocus(reached)):
         results = [run(expr, LADDER, 2, make_strategy("both", LADDER), policy)
                    for policy in (NewestFirst(), RoundRobin(), SeededRandom(7))]
+        steps = len(reached)
+        with contextlib.suppress(ExplorationLimitError):  # wide programs have too many states; check the first ones
+            explore_with_stats(expr, LADDER, 2, make_strategy("both", LADDER), state_limit=2_000)
     assert {r.final_value for r in results} == {eval_sequential(expr)}
-    assert len(reached) == sum(r.step_count for r in results)
+    assert steps == sum(r.step_count for r in results)
+    assert len(reached) > steps or not steps
 
 
 def _replay_through_step(expr, strategy, report):
@@ -524,10 +532,11 @@ def test_energy_identities(expr, name, init, wait, transition_energy):
     report = simulate(expr, LADDER, init, make_strategy(name, LADDER), model)
     energy, makespan = report.total_energy, report.makespan
 
-    assert energy == sum(report.per_thread_energy.values())
+    assert energy == functools.reduce(operator.add, report.per_thread_energy.values(), 0)
     assert report.per_thread_energy.keys() == report.timelines.keys()
     for fid, timeline in report.timelines.items():
-        assert report.per_thread_energy[fid] == sum(seg.energy for seg in timeline.segments)
+        added = functools.reduce(operator.add, (seg.energy for seg in timeline.segments), 0)
+        assert report.per_thread_energy[fid] == added
         for seg in timeline.segments:
             assert 0 <= seg.start <= seg.end <= makespan
     assert report.edp == energy * makespan
@@ -600,7 +609,7 @@ def test_structural_keys_are_equal_exactly_when_renaming_keys_are(program, sched
 
 def _flat_key_explore(config, strategy, state_limit):
     """The search explore used before Merkle keys, kept as the oracle: every
-    successor is built through ``_fire`` and named by the flat ``canonical_key``."""
+    successor is built through the public ``step`` and named by the flat ``canonical_key``."""
     if state_limit < 1:
         raise ExplorationLimitError(f"more than {state_limit} states")
     shapes = {}
@@ -616,9 +625,8 @@ def _flat_key_explore(config, strategy, state_limit):
                 root = cfg.closures[0]
                 outcomes.add((root.expr.value, root.freq))
                 continue
-            positions = {c.realizes: i for i, c in enumerate(cfg.closures)}
             for thread in sorted(enabled):
-                stepped, _ = engine._fire(cfg, positions[thread], strategy)
+                stepped, _ = step(cfg, thread, strategy)
                 key = canonical_key(stepped, shapes)
                 if key in seen:
                     continue
@@ -678,6 +686,16 @@ def test_explore_every_small_program_has_one_outcome_its_sequential_value_at_the
         found, expected = _explore_and_oracle(expr, name, CLAMP_FREE, 8)
         assert found[0] == {(eval_sequential(expr), CLAMP_FREE.level(8))}, unparse(expr)
         assert found == expected, unparse(expr)
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_run_every_small_program_under_every_policy_reaches_its_sequential_value_at_the_start_level(name):
+    strategy = make_strategy(name, CLAMP_FREE)
+    for expr in SMALL_SCOPE:
+        expected = (eval_sequential(expr), CLAMP_FREE.level(8))
+        for policy in (NewestFirst(), RoundRobin(), SeededRandom(7)):
+            result = run(expr, CLAMP_FREE, 8, strategy, policy)
+            assert (result.final_value, result.final_level) == expected, (unparse(expr), policy.name)
 
 
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
