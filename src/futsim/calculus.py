@@ -105,7 +105,7 @@ class ArithRedex:
     context: Context
     left: int
     right: int
-    # Set by ``refill`` when the expression holds no other redex (a claim made
+    # Set by ``_refocus`` when the expression holds no other redex (a claim made
     # this one); not part of the site's identity, so ``decompose`` leaves it False.
     _claim_phase: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
@@ -206,26 +206,20 @@ def plug(context: Context, filler: Expression) -> Expression:
 
 
 def _refocus(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> RedexSite:
-    """The site ``refill`` returns, found without plugging the hole."""
+    """The site of ``plug(site.context, filler)``, found without plugging the hole.
+
+    ``filler`` is the ``IntLit`` an Add or Claim produced, or the ``FutureRef``
+    of a Create. The search climbs from the hole instead of starting at the
+    root (refocusing, Danvy & Nielsen 2004), since nothing left of the hole's
+    path holds a redex. After a claim the search stays in the claim phase,
+    and the Add redex it may find keeps that phase for its own refocus.
+    """
     if not isinstance(filler, (IntLit, FutureRef)):
-        raise TypeError(f"refill takes an integer or a future reference, not {type(filler).__name__}")
+        raise TypeError(f"a hole takes an integer or a future reference, not {type(filler).__name__}")
     claims = isinstance(filler, IntLit) and (
         isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
     )
     return _search(list(site.context), filler, claims, True)
-
-
-def refill(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression) -> tuple[Expression, RedexSite]:
-    """Plug the atom a rule produced into a fired site's hole; return it and its site.
-
-    ``filler`` is the ``IntLit`` an Add or Claim produced, or the ``FutureRef``
-    of a Create. Equal to ``(e, decompose(e))`` for ``e = plug(site.context,
-    filler)``, but the search climbs from the hole instead of starting at the
-    root (refocusing, Danvy & Nielsen 2004), since nothing left of the hole's
-    path holds a redex. After a claim the search stays in the claim phase,
-    and the Add redex it may find keeps that phase for its own refill.
-    """
-    return plug(site.context, filler), _refocus(site, filler)
 
 
 def eval_sequential(expr: Expression) -> int:
@@ -247,13 +241,33 @@ def eval_sequential(expr: Expression) -> int:
 # Configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Closure:
-    """One thread: an expression evaluated at a frequency, realizing a future id."""
+    """One thread: its frequency, its next redex site, and the future id it realizes.
+
+    A realized thread's site is ``NoRedex``, which holds its value. Every
+    driver steps this record: ``run`` and ``simulate`` in place, while
+    ``step`` and ``explore_with_stats`` step a copy and leave the records of
+    the configuration they were given unchanged.
+    """
 
     freq: FrequencyLevel
-    expr: Expression
+    site: RedexSite
     realizes: FutureId
+
+    @property
+    def expr(self) -> Expression:
+        """The thread's expression: the site's focus plugged back into its context."""
+        site = self.site
+        if isinstance(site, NoRedex):
+            return site.value
+        if isinstance(site, ArithRedex):
+            focus: Expression = Add(IntLit(site.left), IntLit(site.right))
+        elif isinstance(site, CreateRedex):
+            focus = FutureCreate(site.body)
+        else:
+            focus = FutureRef(site.target)
+        return plug(site.context, focus)
 
 
 @dataclass(frozen=True)
@@ -264,23 +278,9 @@ class Configuration:
     next_fresh: FutureId
     root: FutureId
 
-    def closure_for(self, fid: FutureId) -> Closure:
-        for c in self.closures:
-            if c.realizes == fid:
-                return c
-        raise KeyError(f"no closure realizes fv{fid}")
-
 
 def initial_configuration(expr: Expression, level: FrequencyLevel) -> Configuration:
-    return Configuration(closures=(Closure(level, expr, 0),), next_fresh=1, root=0)
-
-
-def is_terminal(config: Configuration) -> bool:
-    return (
-        len(config.closures) == 1
-        and config.closures[0].realizes == config.root
-        and isinstance(config.closures[0].expr, IntLit)
-    )
+    return Configuration(closures=(Closure(level, decompose(expr), 0),), next_fresh=1, root=0)
 
 
 class ConfigurationError(Exception):

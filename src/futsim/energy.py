@@ -1,6 +1,6 @@
 """Virtual-time execution of a reduction run with a parametric energy model.
 
-Threads are the engine's record, stepped in place through the rule kernel
+Threads are ``Closure`` records, stepped in place through the rule kernel
 (``engine._advance``), so no expression is built: a thread is realized once
 its site is ``NoRedex``, which holds its value. This module keeps the threads'
 segments and realize times, and prices each rule on virtual time. Each thread
@@ -20,8 +20,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .calculus import ClaimSite, Context, Expression, FutureId, NoRedex, decompose, plug
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, _Thread, start_level
+from .calculus import ClaimSite, Closure, Context, Expression, FutureId, NoRedex, decompose, plug
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, start_level
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
@@ -168,7 +168,7 @@ class _Simulation:
     def __init__(self, strategy: ScalingStrategy, model: CostModel):
         self.strategy = strategy
         self.model = model
-        self.threads: dict[FutureId, _Thread] = {}  # every thread ever created: the next fresh id is its size
+        self.threads: dict[FutureId, Closure] = {}  # every thread ever created: the next fresh id is its size
         self.segments: dict[FutureId, list[Segment]] = defaultdict(list)
         self.t_realize: dict[FutureId, float] = {}  # realized threads only
         self.heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
@@ -177,7 +177,7 @@ class _Simulation:
         self.clamp_count = 0
         self.transition_count = 0
 
-    def fire_rule(self, thr: _Thread, start: float, claimed: Expression | None = None) -> None:
+    def fire_rule(self, thr: Closure, start: float, claimed: Expression | None = None) -> None:
         """Fire the thread's rule through the kernel at ``start``, price it, and schedule what it leaves runnable.
 
         The compute segment runs at the level the rule fired at; each level
@@ -187,7 +187,7 @@ class _Simulation:
         model, rule, level = self.model, event.rule, event.level
         end = start + step_duration(rule, level, model)
         energy = step_energy(rule, level, model)
-        segments = self.segments[thr.fid]
+        segments = self.segments[thr.realizes]
         segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=hole))
         self.clamp_count += event.clamps
         for new_level in event.scaled:
@@ -199,26 +199,26 @@ class _Simulation:
                     end += model.tau
         if isinstance(event, CreateEvent):
             heapq.heappush(self.heap, (end, event.child))
-        heapq.heappush(self.heap, (end, thr.fid))
+        heapq.heappush(self.heap, (end, thr.realizes))
 
-    def fire_claim(self, claimant: _Thread, t_arrive: float) -> None:
+    def fire_claim(self, claimant: Closure, t_arrive: float) -> None:
         """Fire the claimant's claim on its realized producer, after a wait if it arrived first."""
         producer = claimant.site.target
         t_realize = self.t_realize[producer]
         wait = max(0.0, t_realize - t_arrive)
         case_tag = CASE_I if wait > 0 else CASE_II
-        self.claim_records.append(ClaimRecord(claimant.fid, producer, t_arrive, t_realize, wait, case_tag))
+        self.claim_records.append(ClaimRecord(claimant.realizes, producer, t_arrive, t_realize, wait, case_tag))
         start = t_arrive
         if wait > 0:
             if self.model.wait_policy == WAIT_SPIN:
-                start, energy = t_realize, spin_power(claimant.level, self.model) * wait
+                start, energy = t_realize, spin_power(claimant.freq, self.model) * wait
             else:  # one flat context-switch penalty per block/unblock pair
                 start, energy = t_realize + self.model.block_time, self.model.block_energy
-            self.segments[claimant.fid].append(Segment(t_arrive, start, SEG_WAIT, claimant.level, energy, target=producer))
+            self.segments[claimant.realizes].append(Segment(t_arrive, start, SEG_WAIT, claimant.freq, energy, target=producer))
         self.fire_rule(claimant, start, self.threads[producer].site.value)
 
     def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
-        root = self.threads[0] = _Thread(0, decompose(expr), init_level)
+        root = self.threads[0] = Closure(init_level, decompose(expr), 0)
 
         while self.heap:
             now, fid = heapq.heappop(self.heap)

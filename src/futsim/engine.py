@@ -113,27 +113,27 @@ def _ready(site: RedexSite, site_of: Callable[[FutureId], RedexSite]) -> bool:
 
 def enabled_threads(config: Configuration) -> frozenset[FutureId]:
     """Threads that can take a step right now; realized non-root closures sit idle until claimed."""
-    sites = {c.realizes: decompose(c.expr) for c in config.closures}
+    sites = {c.realizes: c.site for c in config.closures}
     return frozenset(fid for fid, site in sites.items() if _ready(site, sites.__getitem__))
 
 
 def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
     """Fire the one rule the named thread can take; pure, returns a new configuration.
 
-    The successor's closures: a Create's child first, with the fresh id; a
-    Claim's producer gone; the rest in their order.
+    Only the fired closure is copied and stepped; the others are shared with
+    ``config``. The successor's closures: a Create's child first, with the
+    fresh id; a Claim's producer gone; the rest in their order.
     """
     if thread not in enabled_threads(config):
         raise NotEnabledError(f"fv{thread} has no enabled reduction")
     closures = {c.realizes: c for c in config.closures}
-    closure = closures[thread]
-    site = decompose(closure.expr)
-    claimed = closures.pop(site.target).expr if isinstance(site, ClaimSite) else None
-    thr = _Thread(thread, site, closure.freq)
-    hole, event = _advance(thr, {}, strategy, config.next_fresh, claimed)
-    closures[thread] = Closure(thr.level, plug(*hole), thread)
-    child = (Closure(event.child_level, site.body, event.child),) if isinstance(event, CreateEvent) else ()
-    return Configuration((*child, *closures.values()), config.next_fresh + len(child), config.root), event
+    fired = closures[thread]
+    site = fired.site
+    claimed = closures.pop(site.target).site.value if isinstance(site, ClaimSite) else None
+    closures[thread] = fired = Closure(fired.freq, site, thread)
+    born: dict[FutureId, Closure] = {}
+    _, event = _advance(fired, born, strategy, config.next_fresh, claimed)
+    return Configuration((*born.values(), *closures.values()), config.next_fresh + len(born), config.root), event
 
 
 Hole = tuple[Context, Expression]
@@ -172,28 +172,13 @@ def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sc
     return (site.context, filler), _refocus(site, filler), level, event
 
 
-class _Thread:
-    """A thread's record: its level and next site; ``NoRedex`` holds its value.
-
-    ``run`` and ``simulate`` step a record in place. A state ``_explore``
-    reaches holds its records unchanged, so a firing there steps a copy.
-    """
-
-    __slots__ = ("fid", "level", "site")
-
-    def __init__(self, fid: FutureId, site: RedexSite, level: FrequencyLevel):
-        self.fid = fid
-        self.level = level
-        self.site = site
-
-
-def _advance(thr: _Thread, threads: dict[FutureId, _Thread], strategy: ScalingStrategy, fresh: FutureId,
+def _advance(thr: Closure, threads: dict[FutureId, Closure], strategy: ScalingStrategy, fresh: FutureId,
              claimed: Expression | None = None) -> tuple[Hole, ReductionEvent]:
     """Fire the thread's rule through the kernel in place; a Create's child joins ``threads`` as ``fresh``."""
     site = thr.site
-    hole, thr.site, thr.level, event = _rule(site, thr.level, thr.fid, strategy, fresh, claimed)
+    hole, thr.site, thr.freq, event = _rule(site, thr.freq, thr.realizes, strategy, fresh, claimed)
     if isinstance(event, CreateEvent):
-        threads[fresh] = _Thread(fresh, decompose(site.body), event.child_level)
+        threads[fresh] = Closure(event.child_level, decompose(site.body), fresh)
     return hole, event
 
 
@@ -283,7 +268,7 @@ def run(
     thread, a Create's child and the claimant parked on a thread that just
     realized can change readiness, so only they are tested again.
     """
-    root = _Thread(0, decompose(expr), start_level(expr, ladder, init_index, strategy))
+    root = Closure(start_level(expr, ladder, init_index, strategy), decompose(expr), 0)
     threads = {0: root}  # live threads: a claimed producer leaves
     fresh = 1
     if step_limit is None:
@@ -293,13 +278,13 @@ def run(
     enabled: set[FutureId] = set()
     parked: dict[FutureId, FutureId] = {}  # producer -> the claimant waiting on it
 
-    def retest(thr: _Thread) -> None:
+    def retest(thr: Closure) -> None:
         if _ready(thr.site, site_of):
-            enabled.add(thr.fid)
+            enabled.add(thr.realizes)
         else:
-            enabled.discard(thr.fid)
+            enabled.discard(thr.realizes)
             if isinstance(thr.site, ClaimSite):
-                parked[thr.site.target] = thr.fid
+                parked[thr.site.target] = thr.realizes
 
     retest(root)
     events: list[ReductionEvent] = []
@@ -327,7 +312,7 @@ def run(
     return RunResult(
         final_value=root.site.value.value,
         events=tuple(events),
-        final_level=root.level,
+        final_level=root.freq,
         step_count=len(events),
         clamp_count=clamps,
     )
@@ -337,9 +322,9 @@ def run(
 # Exhaustive interleaving exploration
 # ---------------------------------------------------------------------------
 
-# A shape memo maps id(expr) -> (expr, shape, referenced ids). The entry holds
-# the expression, so the id cannot be reused while the entry lives.
-ShapeMemo = dict[int, tuple[Expression, str, tuple[FutureId, ...]]]
+# A shape memo maps id(closure) -> (closure, shape, referenced ids). The entry
+# holds the record, so the id cannot be reused while the entry lives.
+ShapeMemo = dict[int, tuple[Closure, str, tuple[FutureId, ...]]]
 
 
 def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
@@ -369,11 +354,11 @@ def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
     return "".join(parts), tuple(refs)
 
 
-def _memo_shape(expr: Expression, shapes: ShapeMemo) -> tuple[str, tuple[FutureId, ...]]:
-    """``_shape(expr)``, walked once per expression in ``shapes``."""
-    entry = shapes.get(id(expr))
+def _memo_shape(closure: Closure, shapes: ShapeMemo) -> tuple[str, tuple[FutureId, ...]]:
+    """``_shape(closure.expr)``, walked once per record in ``shapes``: ``.expr`` is rebuilt on each read."""
+    entry = shapes.get(id(closure))
     if entry is None:
-        entry = shapes[id(expr)] = (expr, *_shape(expr))
+        entry = shapes[id(closure)] = (closure, *_shape(closure.expr))
     return entry[1], entry[2]
 
 
@@ -384,9 +369,10 @@ def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tup
     emits each thread's level index and shape: a flat tuple of length
     2 × threads. Every non-root future is referenced exactly once, so the
     shapes' blanks say where each subtree hangs and the key is exact up to
-    renaming future ids. ``shapes`` memoises shapes by expression identity
-    across calls; closures a rule did not touch share their expressions with
-    the parent configuration, so only new expressions are walked.
+    renaming future ids. ``shapes`` memoises shapes by record identity
+    across calls, so a record must not be stepped in place once keyed; ``step``
+    shares the closures it did not fire with the parent configuration, so
+    only new records are walked.
     """
     if shapes is None:
         shapes = {}
@@ -395,7 +381,7 @@ def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tup
     stack = [config.root]
     while stack:
         closure = producers[stack.pop()]
-        shape, refs = _memo_shape(closure.expr, shapes)
+        shape, refs = _memo_shape(closure, shapes)
         key.append(closure.freq.index)
         key.append(shape)
         stack.extend(reversed(refs))
@@ -412,11 +398,12 @@ _INTERN_SLACK = 1 << 16
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
     """Breadth-first search over every interleaving from ``config``; a state's key is one interned integer.
 
-    A state is each thread's record, ``{fid: _Thread}``, and the next fresh
-    id. A thread's entry is (level index, shape, *its children's nodes in
-    reference order), and its node is the entry's number in an intern table,
-    so two threads have equal nodes exactly when ``canonical_key`` of their
-    subtrees is equal (a Merkle key). The state key is the root's node. A
+    A state is each thread's record, ``{fid: Closure}``, and the next fresh
+    id; the first state holds the configuration's own records. A thread's
+    entry is (level index, shape, *its children's nodes in reference order),
+    and its node is the entry's number in an intern table, so two threads
+    have equal nodes exactly when ``canonical_key`` of their subtrees is
+    equal (a Merkle key). The state key is the root's node. A
     state carries also each thread's entry, each non-root thread's parent and
     the index of its node in the parent's entry, and its enabled set. A rule
     changes only the fired thread's subtree, so the successor's key is the
@@ -443,21 +430,20 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     base = 0  # nodes numbered so far, less len(ids)
 
     root = config.root
-    producers = {c.realizes: c for c in config.closures}
+    threads = {c.realizes: c for c in config.closures}
     up: dict[FutureId, tuple[FutureId, int]] = {}
     order = [root]
     for fid in order:  # breadth first, so a thread comes before its children
-        for at, ref in enumerate(_memo_shape(producers[fid].expr, shapes)[1], 2):
+        for at, ref in enumerate(_memo_shape(threads[fid], shapes)[1], 2):
             up[ref] = (fid, at)
             order.append(ref)
     entries: dict[FutureId, tuple] = {}
     nodes: dict[FutureId, int] = {}
     for fid in reversed(order):
-        closure = producers[fid]
-        shape, refs = _memo_shape(closure.expr, shapes)
+        closure = threads[fid]
+        shape, refs = _memo_shape(closure, shapes)
         entries[fid] = entry = (closure.freq.index, shape, *(nodes[ref] for ref in refs))
         nodes[fid] = ids.setdefault(entry, len(ids) + base)
-    threads = {c.realizes: _Thread(c.realizes, decompose(c.expr), c.freq) for c in config.closures}
 
     # A move maps a firing to (the fired record, which pins its id, the
     # updated record, its (level index, shape) and references, the entry
@@ -476,7 +462,7 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                 site = threads[root].site
                 if len(threads) != 1 or not isinstance(site, NoRedex):
                     raise EngineError("stuck non-terminal state during exploration")
-                outcomes.add((site.value.value, threads[root].level))
+                outcomes.add((site.value.value, threads[root].freq))
                 continue
             for thread in sorted(enabled):
                 thr = threads[thread]
@@ -491,8 +477,8 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                     key = id(thr)
                 move = moves.get(key)
                 if move is None:
-                    updated = _Thread(thread, site, thr.level)
-                    born: dict[FutureId, _Thread] = {}
+                    updated = Closure(thr.freq, site, thread)
+                    born: dict[FutureId, Closure] = {}
                     hole, _ = _advance(updated, born, strategy, fresh, claimed)
                     shape, refs = _shape(plug(*hole))
                     child = born.get(fresh)
@@ -500,10 +486,10 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                     if child is not None:
                         slot = 2 + refs.index(fresh)
                         # A future's body is program text, so the child references nothing.
-                        child_entry = (child.level.index, _memo_shape(site.body, shapes)[0])
+                        child_entry = (child.freq.index, _shape(site.body)[0])
                     elif claimed is not None:
                         slot = up[site.target][1]
-                    move = moves[key] = (thr, updated, (updated.level.index, shape), refs, slot, child, child_entry)
+                    move = moves[key] = (thr, updated, (updated.freq.index, shape), refs, slot, child, child_entry)
                 _, updated, head, refs, slot, child, child_entry = move
                 entry = entries[thread]
                 if child is not None:

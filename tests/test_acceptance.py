@@ -15,7 +15,6 @@ from futsim.calculus import (
     IntLit,
     eval_sequential,
     initial_configuration,
-    is_terminal,
     node_count,
     validate_configuration,
 )
@@ -32,6 +31,7 @@ from futsim.engine import (
 )
 from futsim.parser import parse
 from futsim.scaling import FrequencyLadder, ScaleOp, make_strategy, strategy_both, strategy_none, strategy_parent_only
+from oracles import is_terminal
 
 LADDER4 = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 GOLDEN_PROGRAM = parse("2 + future (future (3+4))")

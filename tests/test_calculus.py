@@ -23,13 +23,13 @@ from futsim.calculus import (
     initial_configuration,
     node_count,
     plug,
-    refill,
     validate_configuration,
     wrap_int,
 )
 from futsim.energy import simulate
 from futsim.engine import NewestFirst, enabled_threads, gen_random_program, run, step
 from futsim.scaling import FrequencyLadder, strategy_both
+from oracles import refill
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 
@@ -158,7 +158,7 @@ def test_node_count():
 
 
 def _closure(level_index, expr, fid):
-    return Closure(LADDER.level(level_index), expr, fid)
+    return Closure(LADDER.level(level_index), decompose(expr), fid)
 
 
 def test_validator_accepts_well_formed():
@@ -206,7 +206,7 @@ def test_validator_rejects_cycle():
 def test_validator_rejects_off_ladder_frequency():
     from futsim.scaling import FrequencyLevel
 
-    config = Configuration(closures=(Closure(FrequencyLevel(9, 99.0), IntLit(1), 0),), next_fresh=1, root=0)
+    config = Configuration(closures=(Closure(FrequencyLevel(9, 99.0), decompose(IntLit(1)), 0),), next_fresh=1, root=0)
     with pytest.raises(ConfigurationError):
         validate_configuration(config, LADDER)
 

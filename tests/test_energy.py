@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from futsim.calculus import Add, FutureCreate, IntLit, eval_sequential, initial_configuration, is_terminal
+from futsim.calculus import Add, FutureCreate, IntLit, eval_sequential, initial_configuration
 from futsim.energy import (
     CASE_I,
     CASE_II,
@@ -21,6 +21,7 @@ from futsim.energy import (
 from futsim.engine import gen_random_program, run, step
 from futsim.parser import parse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_child_only, strategy_none
+from oracles import is_terminal
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 REL = 1e-9

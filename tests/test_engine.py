@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import futsim.calculus as calculus
 import futsim.engine as engine
 from futsim.calculus import (
     Add,
@@ -10,10 +11,10 @@ from futsim.calculus import (
     FutureCreate,
     FutureRef,
     IntLit,
+    NoRedex,
     decompose,
     eval_sequential,
     initial_configuration,
-    is_terminal,
     node_count,
     plug,
     validate_configuration,
@@ -40,6 +41,7 @@ from futsim.engine import (
 from futsim.energy import simulate
 from futsim.parser import parse, unparse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_parent_only
+from oracles import is_terminal
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 BOTH = strategy_both(LADDER)
@@ -48,7 +50,7 @@ GOLDEN_PROGRAM = parse("2 + future (future (3+4))")
 
 
 def _cl(level_index, expr, fid):
-    return Closure(LADDER.level(level_index), expr, fid)
+    return Closure(LADDER.level(level_index), decompose(expr), fid)
 
 
 def _mid_run_three_threads():
@@ -434,6 +436,33 @@ def test_explore_fires_each_move_once_however_many_states_reach_it(monkeypatch):
     expr = parse(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)))
     assert explore_with_stats(expr, LADDER, 2, BOTH)[1] == 1791
     assert len(fired) == 14 + 5 * 3
+
+
+def test_public_step_plugs_nothing_and_decomposes_only_a_create_body(monkeypatch):
+    # A driver of the public API pays per thread, not per expression node: the
+    # closures hold their sites, so only a Create's body is decomposed.
+    calls = {"engine.plug": 0, "calculus.plug": 0, "engine.decompose": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(engine, "plug", counting("engine.plug", plug))
+    monkeypatch.setattr(calculus, "plug", counting("calculus.plug", plug))
+    monkeypatch.setattr(engine, "decompose", counting("engine.decompose", decompose))
+    expr = parse(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(40)))
+    config = initial_configuration(expr, LADDER.level(2))
+    pick = NewestFirst().session()
+    creates = 0
+    while enabled := enabled_threads(config):
+        config, event = step(config, pick(enabled), BOTH)
+        creates += isinstance(event, CreateEvent)
+    assert creates == 40
+    assert calls == {"engine.plug": 0, "calculus.plug": 0, "engine.decompose": creates}
+    assert config.closures[0].site == NoRedex(IntLit(eval_sequential(expr)))
 
 
 def test_run_rejects_a_pick_outside_the_enabled_set():

@@ -48,9 +48,7 @@ from futsim.calculus import (  # noqa: E402
     eval_sequential,
     future_ref_ids,
     initial_configuration,
-    is_terminal,
     plug,
-    refill,
     subterms,
     wrap_int,
 )
@@ -74,6 +72,7 @@ from futsim.engine import (  # noqa: E402
 )
 from futsim.parser import ParseError, Token, _tokenize, parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
+from oracles import closure_for, is_terminal, refill  # noqa: E402
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 STRATEGIES = ("none", "parent-only", "child-only", "both")
@@ -438,7 +437,7 @@ def _replay_through_step(expr, strategy, report):
                     for seg in tl.segments if seg.kind == SEG_COMPUTE), key=lambda t: t[:2])
     for _, fid, seg in order:
         config, _ = step(config, fid, strategy)
-        assert seg.expr == config.closure_for(fid).expr
+        assert seg.expr == closure_for(config, fid).expr
     assert config.closures[0].expr == IntLit(report.final_value)
 
 
@@ -678,6 +677,29 @@ CLAMP_FREE = FrequencyLadder(tuple(float(f) for f in range(1, 17)))
 def test_small_scope_holds_every_program_up_to_8_nodes_over_0_and_1():
     assert len(SMALL_SCOPE) == 1776
     assert len(set(map(unparse, SMALL_SCOPE))) == 1776
+
+
+def test_parse_inverts_unparse_on_every_small_program():
+    for expr in SMALL_SCOPE:
+        assert parse(unparse(expr)) == expr, unparse(expr)
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_step_every_small_program_gives_runs_events_and_every_closure_its_expressions_site(name):
+    strategy = make_strategy(name, CLAMP_FREE)
+    for expr in SMALL_SCOPE:
+        config = initial_configuration(expr, CLAMP_FREE.level(8))
+        pick = NewestFirst().session()
+        events = []
+        while True:
+            assert all(decompose(c.expr) == c.site for c in config.closures), unparse(expr)
+            enabled = enabled_threads(config)
+            if not enabled:
+                break
+            config, event = step(config, pick(enabled), strategy)
+            events.append(event)
+        assert is_terminal(config), unparse(expr)
+        assert tuple(events) == run(expr, CLAMP_FREE, 8, strategy, NewestFirst()).events, unparse(expr)
 
 
 @pytest.mark.parametrize("name", STRATEGIES)
