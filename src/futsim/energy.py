@@ -1,22 +1,21 @@
 """Virtual-time execution of a reduction run with a parametric energy model.
 
-Threads are ``Closure`` records, stepped in place through the rule kernel
+``simulate`` is one loop over a heap of (time, thread) events. Threads are
+``Closure`` records, stepped in place through the rule kernel
 (``engine._advance``), so no expression is built: a thread is realized once
-its site is ``NoRedex``, which holds its value. This module keeps the threads'
-segments and realize times, and prices each rule on virtual time. Each thread
-owns a core: a step takes cycles/frequency and its energy follows the
-dynamic-power law P = kappa * f**alpha. Claims on unfinished producers wait by
-spinning (at the waiting thread's level, or at ``idle_power`` if set) or
-blocking (flat penalty); realized producers terminate and accrue nothing
-afterward. Event order is fully determined by virtual time, ties broken by
-thread id.
+its site is ``NoRedex``, which holds its value. Each thread owns a core: a
+step takes cycles/frequency and its energy follows the dynamic-power law
+P = kappa * f**alpha. A claim on an unfinished producer parks the claimant's
+event until the producer realizes, then waits by spinning (at the waiting
+thread's level, or at ``idle_power`` if set) or blocking (flat penalty);
+realized producers terminate and accrue nothing afterward. Event order is
+fully determined by virtual time, ties broken by thread id.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -66,7 +65,10 @@ class CostModel:
             raise ValueError(f"unknown wait policy {self.wait_policy!r}")
 
     def cycles_for(self, rule: str) -> float:
-        return {RULE_CREATE: self.create_cycles, RULE_ADD: self.add_cycles, RULE_CLAIM: self.claim_cycles}[rule]
+        return getattr(self, _CYCLES[rule])
+
+
+_CYCLES = {RULE_CREATE: "create_cycles", RULE_ADD: "add_cycles", RULE_CLAIM: "claim_cycles"}  # rule -> its field
 
 
 def step_duration(rule: str, level: FrequencyLevel, model: CostModel) -> float:
@@ -164,108 +166,6 @@ class SimulationReport:
     timelines: dict[FutureId, ThreadTimeline]
 
 
-class _Simulation:
-    def __init__(self, strategy: ScalingStrategy, model: CostModel):
-        self.strategy = strategy
-        self.model = model
-        self.threads: dict[FutureId, Closure] = {}  # every thread ever created: the next fresh id is its size
-        self.segments: dict[FutureId, list[Segment]] = defaultdict(list)
-        self.t_realize: dict[FutureId, float] = {}  # realized threads only
-        self.heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
-        self.parked: dict[FutureId, tuple[FutureId, float]] = {}  # producer -> (claimant, t_arrive)
-        self.claim_records: list[ClaimRecord] = []
-        self.clamp_count = 0
-        self.transition_count = 0
-
-    def fire_rule(self, thr: Closure, start: float, claimed: Expression | None = None) -> None:
-        """Fire the thread's rule through the kernel at ``start``, price it, and schedule what it leaves runnable.
-
-        The compute segment runs at the level the rule fired at; each level
-        the rule's operators changed then costs tau on this thread's timeline.
-        """
-        hole, event = _advance(thr, self.threads, self.strategy, len(self.threads), claimed)
-        model, rule, level = self.model, event.rule, event.level
-        end = start + step_duration(rule, level, model)
-        energy = step_energy(rule, level, model)
-        segments = self.segments[thr.realizes]
-        segments.append(Segment(start, end, SEG_COMPUTE, level, energy, rule=rule, hole=hole))
-        self.clamp_count += event.clamps
-        for new_level in event.scaled:
-            if new_level.index != level.index:
-                self.transition_count += 1
-                if model.tau > 0:
-                    energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
-                    segments.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
-                    end += model.tau
-        if isinstance(event, CreateEvent):
-            heapq.heappush(self.heap, (end, event.child))
-        heapq.heappush(self.heap, (end, thr.realizes))
-
-    def fire_claim(self, claimant: Closure, t_arrive: float) -> None:
-        """Fire the claimant's claim on its realized producer, after a wait if it arrived first."""
-        producer = claimant.site.target
-        t_realize = self.t_realize[producer]
-        wait = max(0.0, t_realize - t_arrive)
-        case_tag = CASE_I if wait > 0 else CASE_II
-        self.claim_records.append(ClaimRecord(claimant.realizes, producer, t_arrive, t_realize, wait, case_tag))
-        start = t_arrive
-        if wait > 0:
-            if self.model.wait_policy == WAIT_SPIN:
-                start, energy = t_realize, spin_power(claimant.freq, self.model) * wait
-            else:  # one flat context-switch penalty per block/unblock pair
-                start, energy = t_realize + self.model.block_time, self.model.block_energy
-            self.segments[claimant.realizes].append(Segment(t_arrive, start, SEG_WAIT, claimant.freq, energy, target=producer))
-        self.fire_rule(claimant, start, self.threads[producer].site.value)
-
-    def run(self, expr: Expression, init_level: FrequencyLevel) -> SimulationReport:
-        root = self.threads[0] = Closure(init_level, decompose(expr), 0)
-
-        while self.heap:
-            now, fid = heapq.heappop(self.heap)
-            thr = self.threads[fid]
-            site = thr.site
-
-            if isinstance(site, NoRedex):
-                self.t_realize[fid] = now
-                if fid in self.parked:
-                    claimant_id, t_arrive = self.parked.pop(fid)
-                    self.fire_claim(self.threads[claimant_id], t_arrive)
-                continue
-
-            if isinstance(site, ClaimSite):
-                if site.target in self.t_realize:
-                    self.fire_claim(thr, now)
-                else:
-                    if site.target in self.parked:
-                        raise EngineError(f"fv{site.target} claimed twice")
-                    self.parked[site.target] = (fid, now)
-                continue
-
-            self.fire_rule(thr, now)
-
-        if 0 not in self.t_realize:
-            raise EngineError("simulation stalled before the root realized a value")
-        if self.parked:
-            raise EngineError("simulation ended with parked claimants")
-        makespan = self.t_realize[0]
-
-        timelines = {fid: ThreadTimeline(tuple(self.segments[fid])) for fid in sorted(self.threads)}
-        per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
-        total = _left_sum(per_thread.values())
-        return SimulationReport(
-            final_value=root.site.value.value,
-            makespan=makespan,
-            total_energy=total,
-            per_thread_energy=per_thread,
-            edp=total * makespan,
-            ed2p=total * makespan * makespan,
-            claim_records=tuple(self.claim_records),
-            clamp_count=self.clamp_count,
-            transition_count=self.transition_count,
-            timelines=timelines,
-        )
-
-
 def simulate(
     expr: Expression,
     ladder: FrequencyLadder,
@@ -273,6 +173,89 @@ def simulate(
     strategy: ScalingStrategy,
     model: CostModel | None = None,
 ) -> SimulationReport:
-    """Run a program on virtual time, one core per thread, under the cost model."""
-    sim = _Simulation(strategy, model or CostModel())
-    return sim.run(expr, start_level(expr, ladder, init_index, strategy))
+    """Run a program on virtual time, one core per thread, under the cost model.
+
+    An event fires the thread's rule through the kernel, prices it, and
+    schedules what it leaves runnable. The compute segment runs at the level
+    the rule fired at; each level the rule's operators changed then costs tau
+    on this thread's timeline. Every claim is priced where it fires: its
+    record, then its wait segment if the producer realized after it arrived.
+    """
+    model = model or CostModel()
+    root = Closure(start_level(expr, ladder, init_index, strategy), decompose(expr), 0)
+    threads = {0: root}  # every thread ever created: the next fresh id is its size
+    segments: dict[FutureId, list[Segment]] = {0: []}
+    t_realize: dict[FutureId, float] = {}  # realized threads only
+    heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
+    parked: dict[FutureId, tuple[float, FutureId]] = {}  # producer -> its claimant's event
+    claim_records: list[ClaimRecord] = []
+    clamp_count = transition_count = 0
+
+    while heap:
+        now, fid = heapq.heappop(heap)
+        thr = threads[fid]
+        site = thr.site
+        if isinstance(site, NoRedex):
+            t_realize[fid] = now
+            if fid in parked:  # the claimant arrived no later than this event, the least, so it pops next
+                heapq.heappush(heap, parked.pop(fid))
+            continue
+
+        start, claimed, own = now, None, segments[fid]
+        if isinstance(site, ClaimSite):
+            producer = site.target
+            if producer not in t_realize:
+                if producer in parked:
+                    raise EngineError(f"fv{producer} claimed twice")
+                parked[producer] = (now, fid)
+                continue
+            ready = t_realize[producer]
+            wait = max(0.0, ready - now)
+            claim_records.append(ClaimRecord(fid, producer, now, ready, wait, CASE_I if wait > 0 else CASE_II))
+            if wait > 0:
+                if model.wait_policy == WAIT_SPIN:
+                    start, energy = ready, spin_power(thr.freq, model) * wait
+                else:  # one flat context-switch penalty per block/unblock pair
+                    start, energy = ready + model.block_time, model.block_energy
+                own.append(Segment(now, start, SEG_WAIT, thr.freq, energy, target=producer))
+            claimed = threads[producer].site.value
+
+        hole, event = _advance(thr, threads, strategy, len(threads), claimed)
+        rule, level = event.rule, event.level
+        duration = step_duration(rule, level, model)
+        end = start + duration
+        own.append(Segment(start, end, SEG_COMPUTE, level, dynamic_power(level, model) * duration, rule=rule, hole=hole))
+        clamp_count += event.clamps
+        for new_level in event.scaled:
+            if new_level.index != level.index:
+                transition_count += 1
+                if model.tau > 0:
+                    energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
+                    own.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
+                    end += model.tau
+        if isinstance(event, CreateEvent):
+            segments[event.child] = []
+            heapq.heappush(heap, (end, event.child))
+        heapq.heappush(heap, (end, fid))
+
+    if 0 not in t_realize:
+        raise EngineError("simulation stalled before the root realized a value")
+    if parked:
+        raise EngineError("simulation ended with parked claimants")
+    makespan = t_realize[0]
+
+    timelines = {fid: ThreadTimeline(tuple(segments[fid])) for fid in sorted(threads)}
+    per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
+    total = _left_sum(per_thread.values())
+    return SimulationReport(
+        final_value=root.site.value.value,
+        makespan=makespan,
+        total_energy=total,
+        per_thread_energy=per_thread,
+        edp=total * makespan,
+        ed2p=total * makespan * makespan,
+        claim_records=tuple(claim_records),
+        clamp_count=clamp_count,
+        transition_count=transition_count,
+        timelines=timelines,
+    )

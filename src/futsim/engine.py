@@ -322,11 +322,6 @@ def run(
 # Exhaustive interleaving exploration
 # ---------------------------------------------------------------------------
 
-# A shape memo maps id(closure) -> (closure, shape, referenced ids). The entry
-# holds the record, so the id cannot be reused while the entry lives.
-ShapeMemo = dict[int, tuple[Closure, str, tuple[FutureId, ...]]]
-
-
 def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
     """The expression's shape, with every future reference blanked, and the blanked ids in order.
 
@@ -354,42 +349,6 @@ def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
     return "".join(parts), tuple(refs)
 
 
-def _memo_shape(closure: Closure, shapes: ShapeMemo) -> tuple[str, tuple[FutureId, ...]]:
-    """``_shape(closure.expr)``, walked once per record in ``shapes``: ``.expr`` is rebuilt on each read."""
-    entry = shapes.get(id(closure))
-    if entry is None:
-        entry = shapes[id(closure)] = (closure, *_shape(closure.expr))
-    return entry[1], entry[2]
-
-
-def canonical_key(config: Configuration, shapes: ShapeMemo | None = None) -> tuple:
-    """A configuration key invariant under closure order and fresh-id choice.
-
-    Walks the reference tree from the root in pre-order, left to right, and
-    emits each thread's level index and shape: a flat tuple of length
-    2 × threads. Every non-root future is referenced exactly once, so the
-    shapes' blanks say where each subtree hangs and the key is exact up to
-    renaming future ids. ``shapes`` memoises shapes by record identity
-    across calls, so a record must not be stepped in place once keyed; ``step``
-    shares the closures it did not fire with the parent configuration, so
-    only new records are walked.
-    """
-    if shapes is None:
-        shapes = {}
-    producers = {c.realizes: c for c in config.closures}
-    key: list = []
-    stack = [config.root]
-    while stack:
-        closure = producers[stack.pop()]
-        shape, refs = _memo_shape(closure, shapes)
-        key.append(closure.freq.index)
-        key.append(shape)
-        stack.extend(reversed(refs))
-    if len(key) != 2 * len(config.closures):
-        raise EngineError("configuration has closures unreachable from the root")
-    return tuple(key)
-
-
 # Explore drops the interned key entries that no frontier state holds once
 # this many more have piled up.
 _INTERN_SLACK = 1 << 16
@@ -399,11 +358,12 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     """Breadth-first search over every interleaving from ``config``; a state's key is one interned integer.
 
     A state is each thread's record, ``{fid: Closure}``, and the next fresh
-    id; the first state holds the configuration's own records. A thread's
+    id; the first state holds the configuration's own records, walked once
+    breadth first from the root, which must reach every closure. A thread's
     entry is (level index, shape, *its children's nodes in reference order),
     and its node is the entry's number in an intern table, so two threads
-    have equal nodes exactly when ``canonical_key`` of their subtrees is
-    equal (a Merkle key). The state key is the root's node. A
+    have equal nodes exactly when their subtrees are equal up to renaming
+    future ids (a Merkle key). The state key is the root's node. A
     state carries also each thread's entry, each non-root thread's parent and
     the index of its node in the parent's entry, and its enabled set. A rule
     changes only the fired thread's subtree, so the successor's key is the
@@ -424,25 +384,25 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     """
     if state_limit < 1:  # the initial state counts against the budget too
         raise ExplorationLimitError(f"more than {state_limit} states")
-    shapes: ShapeMemo = {}
-    canonical_key(config, shapes)  # checks every closure hangs off the root, and fills the shape memo
-    ids: dict[tuple, int] = {}  # entry -> node
-    base = 0  # nodes numbered so far, less len(ids)
-
     root = config.root
     threads = {c.realizes: c for c in config.closures}
+    shapes: dict[FutureId, tuple[str, tuple[FutureId, ...]]] = {}
     up: dict[FutureId, tuple[FutureId, int]] = {}
     order = [root]
     for fid in order:  # breadth first, so a thread comes before its children
-        for at, ref in enumerate(_memo_shape(threads[fid], shapes)[1], 2):
+        shapes[fid] = _shape(threads[fid].expr)
+        for at, ref in enumerate(shapes[fid][1], 2):
             up[ref] = (fid, at)
             order.append(ref)
+    if len(order) != len(threads):
+        raise EngineError("configuration has closures unreachable from the root")
+    ids: dict[tuple, int] = {}  # entry -> node
+    base = 0  # nodes numbered so far, less len(ids)
     entries: dict[FutureId, tuple] = {}
     nodes: dict[FutureId, int] = {}
     for fid in reversed(order):
-        closure = threads[fid]
-        shape, refs = _memo_shape(closure, shapes)
-        entries[fid] = entry = (closure.freq.index, shape, *(nodes[ref] for ref in refs))
+        shape, refs = shapes[fid]
+        entries[fid] = entry = (threads[fid].freq.index, shape, *(nodes[ref] for ref in refs))
         nodes[fid] = ids.setdefault(entry, len(ids) + base)
 
     # A move maps a firing to (the fired record, which pins its id, the

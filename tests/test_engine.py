@@ -31,7 +31,6 @@ from futsim.engine import (
     RoundRobin,
     SeededRandom,
     _explore,
-    canonical_key,
     enabled_threads,
     explore_with_stats,
     gen_random_program,
@@ -41,7 +40,7 @@ from futsim.engine import (
 from futsim.energy import simulate
 from futsim.parser import parse, unparse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_parent_only
-from oracles import is_terminal
+from oracles import canonical_key, is_terminal
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 BOTH = strategy_both(LADDER)
@@ -255,6 +254,12 @@ def test_canonical_key_rejects_a_closure_unreachable_from_the_root():
     config = Configuration(closures=(_cl(2, IntLit(1), 5), _cl(1, IntLit(2), 0)), next_fresh=6, root=0)
     with pytest.raises(EngineError, match="unreachable from the root"):
         canonical_key(config)
+
+
+def test_explore_rejects_a_closure_unreachable_from_the_root():
+    config = Configuration(closures=(_cl(2, IntLit(1), 5), _cl(1, IntLit(2), 0)), next_fresh=6, root=0)
+    with pytest.raises(EngineError, match="unreachable from the root"):
+        _explore(config, BOTH, 10_000)
 
 
 def test_canonical_key_tells_apart_expressions_that_print_alike_without_parentheses():

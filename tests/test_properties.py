@@ -55,6 +55,7 @@ from futsim.calculus import (  # noqa: E402
 from futsim.cli import _snippet, _write_simulate_trace  # noqa: E402
 from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
 from futsim.engine import (  # noqa: E402
+    RULE_CLAIM,
     ClaimEvent,
     CreateEvent,
     EngineError,
@@ -63,7 +64,6 @@ from futsim.engine import (  # noqa: E402
     RoundRobin,
     SeededRandom,
     _explore,
-    canonical_key,
     enabled_threads,
     explore_with_stats,
     gen_random_program,
@@ -72,7 +72,7 @@ from futsim.engine import (  # noqa: E402
 )
 from futsim.parser import ParseError, Token, _tokenize, parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
-from oracles import closure_for, is_terminal, refill  # noqa: E402
+from oracles import canonical_key, closure_for, is_terminal, refill  # noqa: E402
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 STRATEGIES = ("none", "parent-only", "child-only", "both")
@@ -546,6 +546,32 @@ def test_energy_identities(expr, name, init, wait, transition_energy):
         assert record.case_tag == (CASE_I if record.wait > 0 else CASE_II)
     non_root = sorted(fid for fid in report.timelines if fid != 0)
     assert sorted(record.target for record in report.claim_records) == non_root
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10**6))
+@example(3)
+def test_claim_records_come_in_firing_order(seed):
+    """A claim fires at its arrival or at its producer's realize, whichever is later,
+    and is recorded then; ``block_time=0`` ties a blocked claim's start to the realize."""
+    expr = gen_random_program(seed, 6, 3)
+    for name in STRATEGIES:
+        strategy = make_strategy(name, LADDER)
+        for wait in (WAIT_SPIN, WAIT_BLOCK):
+            for tau in (0.0, 0.05):
+                model = CostModel(wait_policy=wait, tau=tau, block_time=0.0)
+                report = simulate(expr, LADDER, 2, strategy, model)
+                fired = [max(record.t_arrive, record.t_realize) for record in report.claim_records]
+                assert fired == sorted(fired)
+                for fid, timeline in report.timelines.items():
+                    claims = [seg for seg in timeline.segments if seg.rule == RULE_CLAIM]
+                    records = [record for record in report.claim_records if record.claimant == fid]
+                    assert len(claims) == len(records)
+                    for seg, record in zip(claims, records):
+                        if record.wait > 0:
+                            assert seg.start == record.t_realize + (model.block_time if wait == WAIT_BLOCK else 0.0)
+                        else:
+                            assert seg.start == record.t_arrive
 
 
 def _renamed(expr, rename):
