@@ -148,6 +148,12 @@ def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool
     parent can be one. So both phases can look for every kind of action.
     With ``climbing`` set, the walk starts by climbing from ``focus``, which
     must hold no action.
+
+    ``frames`` is a stack: a popped frame is never pushed again (a climb
+    through a ``HoleLeft`` pushes a new ``HoleRight``), and a site's context
+    is a tuple sharing the frame objects, which ``_refocus`` copies back into
+    a list. So a frame object has the same outer frames in every context
+    that holds it; the trace writer memoises its text per frame on that.
     """
     while True:
         while climbing and frames:

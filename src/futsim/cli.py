@@ -15,14 +15,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from pathlib import Path
 from typing import Callable, NoReturn
 
-from .calculus import Expression
+from .calculus import Add, Context, Expression, FutureCreate, HoleLeft, HoleRight, IntLit
 from .energy import (
     CASE_I,
     CASE_II,
@@ -219,7 +222,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call (not at import) and shared
+    by every later call in the process: callers must not add to it."""
     top = _ArgumentParser(prog="futsim", description=__doc__.splitlines()[0], allow_abbrev=False)
     commands = top.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
@@ -289,12 +295,25 @@ def _snippet(text: str) -> str:
     return text[: EXPR_SNIPPET_CHARS - 3] + "..."
 
 
+# A trace v1 line: the record's keys in sorted order, as ``json.dumps(record,
+# sort_keys=True)`` writes them, with every number a ``repr`` and every string
+# JSON-quoted.
+_RECORD_LINE = (
+    '{{"dur": {!r}, "energy": {!r}, "expr": {}, "freq": {!r}, "freq_idx": {!r}, "kind": {}, "rule": {}, '
+    '"seq": {!r}, "t": {!r}, "thread": {!r}, "v": ' + str(TRACE_VERSION) + '}}'
+)
+
+
 def _trace_record(seq: int, t: float, thread: int, kind: str, rule: str | None, level: FrequencyLevel,
                   dur: float, energy: float, expr: str) -> str:
     """One trace v1 line; its fields are exactly these, with the level as freq_idx and freq."""
-    record = dict(v=TRACE_VERSION, seq=seq, t=t, thread=thread, kind=kind, rule=rule, freq_idx=level.index,
-                  freq=level.value, dur=dur, energy=energy, expr=expr)
-    return _json_dump(record, indent=None)
+    freq = level.value
+    if not (isfinite(t) and isfinite(dur) and isfinite(energy) and isfinite(freq)):
+        record = dict(v=TRACE_VERSION, seq=seq, t=t, thread=thread, kind=kind, rule=rule, freq_idx=level.index,
+                      freq=freq, dur=dur, energy=energy, expr=expr)
+        return _json_dump(record, indent=None)  # raises the OutputError a non-finite number gets
+    return _RECORD_LINE.format(dur, energy, _quote(expr), freq, level.index, _quote(kind),
+                               "null" if rule is None else _quote(rule), seq, t, thread)
 
 
 def _json_dump(obj, indent: int | None = 2) -> str:
@@ -313,17 +332,90 @@ def _write_lines(path: str, lines: list[str]) -> None:
         raise OutputError(f"cannot write trace {path}: {exc}") from exc
 
 
+def _hole_snippets() -> Callable[[Context, Expression], str]:
+    """A function giving ``_snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))``
+    for the holes of one report, in time linear in the report.
+
+    The text of a hole with frames F_0..F_{m-1}, outermost first, is
+    before_0 ... before_{m-1} + filler + after_{m-1} ... after_0. A
+    ``HoleRight(L)`` writes ``L + (`` before and ``)`` after, or ``L + ``
+    and nothing when it is innermost, since the filler is an atom. A
+    ``HoleLeft(R)`` writes `` + R`` after, with ``R`` fenced in parentheses
+    when it is a sum, or when it is a future and F_{j-1} is a ``HoleLeft``
+    (then more tokens follow it). Every operand is rendered with the
+    snippet's limit, and the running before and after strings are cut one
+    character past it, which keeps enough to cut the snippet. They are
+    memoised per frame object, once as an outer frame and once as the
+    innermost one: a frame has the same outer frames in every context that
+    holds it (see ``calculus._search``), so no frame is rendered more than
+    twice per write. A ``HoleRight``'s operand is rendered sum by sum down
+    its left spine, and each sum's text is memoised too, since a climb that
+    builds ``L + x`` keeps ``L`` as the next frame's left operand.
+    """
+    limit, cut = EXPR_SNIPPET_CHARS, EXPR_SNIPPET_CHARS + 1
+    outer: dict[int, tuple[str, str]] = {}  # id(frame) -> running (before, after) through it
+    inner: dict[int, tuple[str, str]] = {}  # the same, where the frame is innermost
+    sums: dict[int, str] = {}  # id(sum on a left spine) -> its text, cut
+
+    def operand(expr: Expression, followed: bool) -> str:
+        if expr.__class__ is Add:
+            return "(" + unparse(expr, limit) + ")"
+        if followed and expr.__class__ is FutureCreate:
+            return "(future " + unparse(expr.body, limit) + ")"
+        return unparse(expr, limit)
+
+    def left_text(expr: Expression) -> str:
+        spine = []
+        while expr.__class__ is Add and id(expr) not in sums:
+            spine.append(expr)
+            expr = expr.left
+        text = sums[id(expr)] if expr.__class__ is Add else operand(expr, True)
+        for node in reversed(spine):
+            if len(text) < cut:
+                text = (text + " + " + operand(node.right, True))[:cut]
+            sums[id(node)] = text
+        return text
+
+    def extend(context: Context, j: int, before: str, after: str, innermost: bool) -> tuple[str, str]:
+        if len(before) >= cut:  # the snippet is already decided
+            return before, after
+        frame = context[j]
+        if frame.__class__ is HoleRight:
+            if innermost:
+                return (before + left_text(frame.left) + " + ")[:cut], after
+            return (before + left_text(frame.left) + " + (")[:cut], (")" + after)[:cut]
+        followed = j > 0 and context[j - 1].__class__ is HoleLeft
+        return before, (" + " + operand(frame.right, followed) + after)[:cut]
+
+    def snippet(context: Context, filler: Expression) -> str:
+        atom = str(filler.value) if filler.__class__ is IntLit else f"fv{filler.fid}"
+        if not context:
+            return _snippet(atom)
+        entry = inner.get(id(context[-1]))
+        if entry is None:
+            j = len(context) - 2
+            while j >= 0 and id(context[j]) not in outer:
+                j -= 1
+            before, after = outer[id(context[j])] if j >= 0 else ("", "")
+            for j in range(j + 1, len(context) - 1):
+                before, after = outer[id(context[j])] = extend(context, j, before, after, False)
+            entry = inner[id(context[-1])] = extend(context, len(context) - 1, before, after, True)
+        return _snippet(entry[0] + atom + entry[1])
+
+    return snippet
+
+
 def _write_simulate_trace(path: str, report: SimulationReport) -> None:
     rows = []
     for fid, timeline in report.timelines.items():
         for offset, seg in enumerate(timeline.segments):
             rows.append((seg.start, fid, offset, seg))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows.sort()  # (fid, offset) is unique, so segments are never compared
+    snippet = _hole_snippets()
     lines = []
     for seq, (_, fid, _, seg) in enumerate(rows):
         if seg.kind == SEG_COMPUTE and seg.hole is not None:
-            context, filler = seg.hole
-            expr = _snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))
+            expr = snippet(*seg.hole)
         elif seg.kind == SEG_WAIT:
             expr = f"fv{seg.target}"
         else:

@@ -1,13 +1,17 @@
 """Helpers the library no longer needs, kept as oracles for the tests.
 
-They read a configuration through each closure's expression (``Closure.expr``),
-not through its site, as the library did before closures held sites.
+The configuration helpers read a configuration through each closure's
+expression (``Closure.expr``), not through its site, as the library did before
+closures held sites; ``trace_snippet`` renders a compute record's ``expr`` as
+the trace writer did before it memoised its context frames.
 """
 
 from __future__ import annotations
 
 from futsim.calculus import IntLit, _refocus, plug
+from futsim.cli import EXPR_SNIPPET_CHARS, _snippet
 from futsim.engine import EngineError, _shape
+from futsim.parser import unparse
 
 
 def refill(site, filler):
@@ -62,3 +66,9 @@ def canonical_key(config, shapes=None):
     if len(key) != 2 * len(config.closures):
         raise EngineError("configuration has closures unreachable from the root")
     return tuple(key)
+
+
+def trace_snippet(context, filler):
+    """A compute record's ``expr``: the whole hole rendered by one bounded
+    ``unparse`` through its context, then cut, once per record."""
+    return _snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))

@@ -455,3 +455,24 @@ def test_run_takes_deep_nests_without_recursion(tmp_path, text):
     code, out, err = invoke(["run", str(path), "--format", "json"])
     assert code == 0, err
     assert json.loads(out)["final_value"] == 1
+
+
+def test_consecutive_main_calls_print_what_fresh_processes_print(sum_file, monkeypatch):
+    # main builds its argument parser once per process; later calls must not see earlier ones.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    calls = [
+        ["--help"],
+        ["run", "--help"],
+        ["run", sum_file, "--state-limit", "3"],
+        ["explore", sum_file, "--format", "json"],
+        ["run", sum_file, "--format", "json", "--strategy", "none"],
+        ["run", sum_file],
+        ["compare", sum_file, "--strategies", "none,both"],
+    ]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "futsim.cli", *argv], capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert invoke(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
