@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -125,12 +126,13 @@ def _strategies(text: str) -> dict:
 
 
 def _cycles(text: str) -> dict:
+    """``create=N add=N claim=N``: words split by spaces or commas, as the flag and the key both take them."""
     fields = {}
-    for item in filter(None, (piece.strip() for piece in text.split(","))):
+    for item in re.sub(r"\s*=\s*", "=", text).replace(",", " ").split():
         rule, eq, value = item.partition("=")
-        if not eq or rule.strip() not in ("create", "add", "claim"):
+        if not eq or rule not in ("create", "add", "claim"):
             raise ValueError(f"bad entry {item!r}; use create=N, add=N or claim=N")
-        fields[f"{rule.strip()}_cycles"] = float(value)
+        fields[f"{rule}_cycles"] = float(value)
     return fields
 
 

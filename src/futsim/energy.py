@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .calculus import ClaimSite, Closure, Context, Expression, FutureId, NoRedex, decompose, plug
 from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, start_level
@@ -111,8 +111,9 @@ SEG_WAIT = "wait"
 SEG_TRANSITION = "transition"
 
 
-@dataclass(frozen=True)
-class Segment:
+# Segments and claim records are named tuples: a run builds one or more per
+# step, and a tuple builds in a fraction of a frozen dataclass's time.
+class Segment(NamedTuple):
     start: float
     end: float
     kind: str  # compute | wait | transition
@@ -142,8 +143,7 @@ class ThreadTimeline:
         return _left_sum(s.energy for s in self.segments)
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     claimant: FutureId
     target: FutureId
     t_arrive: float
@@ -177,8 +177,9 @@ def simulate(
 
     An event fires the thread's rule through the kernel, prices it, and
     schedules what it leaves runnable. The compute segment runs at the level
-    the rule fired at; each level the rule's operators changed then costs tau
-    on this thread's timeline. Every claim is priced where it fires: its
+    the rule fired at, priced by ``step_duration`` and ``dynamic_power`` once
+    per (rule, frequency) in a run and looked up after; each level the rule's
+    operators changed then costs tau on this thread's timeline. Every claim is priced where it fires: its
     record, then its wait segment if the producer realized after it arrived.
     """
     model = model or CostModel()
@@ -189,6 +190,7 @@ def simulate(
     heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
     parked: dict[FutureId, tuple[float, FutureId]] = {}  # producer -> its claimant's event
     claim_records: list[ClaimRecord] = []
+    prices: dict[tuple[str, float], tuple[float, float]] = {}  # (rule, frequency) -> (duration, energy)
     clamp_count = transition_count = 0
 
     while heap:
@@ -222,9 +224,14 @@ def simulate(
 
         hole, event = _advance(thr, threads, strategy, len(threads), claimed)
         rule, level = event.rule, event.level
-        duration = step_duration(rule, level, model)
+        key = (rule, level.value)  # a step's price depends on its level only through the frequency
+        price = prices.get(key)
+        if price is None:
+            duration = step_duration(rule, level, model)
+            price = prices[key] = (duration, dynamic_power(level, model) * duration)
+        duration, energy = price
         end = start + duration
-        own.append(Segment(start, end, SEG_COMPUTE, level, dynamic_power(level, model) * duration, rule=rule, hole=hole))
+        own.append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))  # no target: compute
         clamp_count += event.clamps
         for new_level in event.scaled:
             if new_level.index != level.index:

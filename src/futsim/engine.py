@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .calculus import (
     Add,
@@ -52,8 +52,10 @@ class ExplorationLimitError(EngineError):
     """Interleaving exploration hit its state budget."""
 
 
-@dataclass(frozen=True)
-class CreateEvent:
+# Events are named tuples: a run builds one per step, and a tuple builds in a
+# fraction of a frozen dataclass's time. A Create's fourth field is a level
+# and a Claim's an expression, so no two kinds of event compare equal.
+class CreateEvent(NamedTuple):
     thread: FutureId
     level: FrequencyLevel  # level the create executed at, before scaling
     child: FutureId
@@ -69,8 +71,7 @@ class CreateEvent:
         return self.child_level, self.parent_level
 
 
-@dataclass(frozen=True)
-class ClaimEvent:
+class ClaimEvent(NamedTuple):
     thread: FutureId
     level: FrequencyLevel  # level the claim executed at, before scaling
     claimed: FutureId
@@ -85,8 +86,7 @@ class ClaimEvent:
         return (self.claimant_level,)
 
 
-@dataclass(frozen=True)
-class AddEvent:
+class AddEvent(NamedTuple):
     thread: FutureId
     level: FrequencyLevel
     left: int

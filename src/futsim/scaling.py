@@ -18,7 +18,11 @@ class FrequencyLevel:
 
 @dataclass(frozen=True)
 class FrequencyLadder:
-    """The finite, strictly increasing set of frequencies a core supports."""
+    """The finite, strictly increasing set of frequencies a core supports.
+
+    Its ``FrequencyLevel``s are built once, here: ``level`` returns the
+    shared instance, so stepping between levels builds nothing.
+    """
 
     levels: tuple[float, ...]
 
@@ -32,6 +36,8 @@ class FrequencyLadder:
         for lo, hi in zip(self.levels, self.levels[1:]):
             if not lo < hi:
                 raise ValueError(f"ladder must be strictly increasing, got {lo} before {hi}")
+        # Not a field: equality, hash and repr stay those of ``levels``.
+        object.__setattr__(self, "_rungs", tuple(FrequencyLevel(i, v) for i, v in enumerate(self.levels, 1)))
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -40,7 +46,7 @@ class FrequencyLadder:
         """Return the level at a 1-based index."""
         if not 1 <= index <= len(self.levels):
             raise ValueError(f"level index {index} outside ladder of size {len(self.levels)}")
-        return FrequencyLevel(index, self.levels[index - 1])
+        return self._rungs[index - 1]
 
     def contains(self, level: FrequencyLevel) -> bool:
         return 1 <= level.index <= len(self.levels) and self.levels[level.index - 1] == level.value
@@ -68,14 +74,15 @@ class ScalingStrategy:
         self._steps = {ScaleOp.UP_CREATE: up_create, ScaleOp.UP_CLAIM: up_claim, ScaleOp.DOWN: down}
 
     def scale(self, op: ScaleOp, level: FrequencyLevel) -> tuple[FrequencyLevel, bool]:
-        """Apply one operator; returns (new level, clamped?)."""
+        """Apply one operator; returns (new level, clamped?). The new level is the ladder's own, never built."""
         step = self._steps[op]
         if step == 0:
             return level, False
         index = level.index + step
-        if not 1 <= index <= len(self.ladder):
+        rungs = self.ladder._rungs
+        if not 1 <= index <= len(rungs):
             return level, True
-        return self.ladder.level(index), False
+        return rungs[index - 1], False
 
 
 def strategy_both(ladder: FrequencyLadder) -> ScalingStrategy:

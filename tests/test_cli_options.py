@@ -72,6 +72,18 @@ def test_flag_and_config_key_give_the_same_report(name, program, tmp_path):
         assert by_flag != invoke(base), "the sample value should change the result"
 
 
+@pytest.mark.parametrize("words", [["create=2", "add=1"], ["create=2,", "add = 1"]])
+def test_cycles_key_takes_the_flags_space_separated_words(words, program, tmp_path):
+    base = ["run", program, "--format", "json"]
+    config = tmp_path / "cycles.conf"
+    config.write_text(f"cycles = {' '.join(words)}\n")
+
+    by_flag = invoke(base + ["--cycles", *words])
+    by_key = invoke(base + ["--config", str(config)])
+    assert by_flag == by_key == invoke(base + ["--cycles", "create=2,add=1"])
+    assert by_flag[0] == 0 and by_flag != invoke(base)
+
+
 def test_config_mode_is_checked_against_its_choices(program, tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("mode = semantix\n")

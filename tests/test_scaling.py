@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from futsim.energy import SEG_COMPUTE, simulate
+from futsim.engine import run
+from futsim.parser import parse
 from futsim.scaling import (
     FrequencyLadder,
     FrequencyLevel,
     ScaleOp,
+    ScalingStrategy,
     make_strategy,
     register_strategy,
     strategy_both,
@@ -31,6 +35,9 @@ def test_ladder_validation():
 def test_ladder_level_lookup():
     assert LADDER4.level(1) == FrequencyLevel(1, 1.0)
     assert LADDER4.level(4) == FrequencyLevel(4, 4.0)
+    for k, value in enumerate(LADDER4.levels, 1):
+        assert LADDER4.level(k) is LADDER4.level(k)  # built once, shared
+        assert LADDER4.level(k) == FrequencyLevel(k, value)
     with pytest.raises(ValueError):
         LADDER4.level(0)
     with pytest.raises(ValueError):
@@ -148,3 +155,42 @@ def test_ladder_rejects_non_finite(bad):
         FrequencyLadder((1.0, bad))
     with pytest.raises(ValueError):
         FrequencyLadder((bad,))
+
+
+class _AlwaysTop(ScalingStrategy):
+    """Every operator jumps to the ladder's top level; counts its calls."""
+
+    def __init__(self, ladder: FrequencyLadder):
+        super().__init__("always-top", ladder, 0, 0, 0)
+        self.calls = 0
+
+    def scale(self, op: ScaleOp, level: FrequencyLevel) -> tuple[FrequencyLevel, bool]:
+        self.calls += 1
+        return self.ladder.level(len(self.ladder)), False
+
+
+def test_an_overridden_scale_drives_run_and_simulate():
+    expr = parse("(future (1 + 2)) + (future 3) + 4")
+    top = LADDER4.level(4)
+    strategy = _AlwaysTop(LADDER4)
+    result = run(expr, LADDER4, 1, strategy)
+    assert strategy.calls == 2 * 2 + 2  # two creates (child and parent), two claims
+    assert result.final_level == top
+    assert all(level == top for event in result.events for level in event.scaled)
+    strategy.calls = 0
+    report = simulate(expr, LADDER4, 1, strategy)
+    assert strategy.calls == 6
+    levels = [seg.level for tl in report.timelines.values() for seg in tl.segments if seg.kind == SEG_COMPUTE]
+    assert levels.count(LADDER4.level(1)) == 1  # only the first create runs below the top
+    assert set(levels) == {LADDER4.level(1), top}
+    assert report.final_value == result.final_value == 10
+
+
+def test_runs_report_clamps_at_both_ends_of_the_ladder():
+    expr = parse("(future 1) + 2")  # one create, one claim
+    both = strategy_both(LADDER4)
+    # At the top the child cannot go up; at the bottom the parent cannot go down.
+    for init in (4, 1):
+        assert run(expr, LADDER4, init, both).clamp_count == 1
+        assert simulate(expr, LADDER4, init, both).clamp_count == 1
+    assert run(expr, LADDER4, 2, both).clamp_count == 0
