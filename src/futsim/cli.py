@@ -1,10 +1,11 @@
 """Command-line entry point: run programs, compare strategies, explore interleavings.
 
-Exit codes: 0 ok, 2 program parse error (including an unreadable program
-file), 3 configuration/usage error (a negative limit or an unknown config
-key among them) or output that cannot be written (an unwritable trace
-path, a result that overflowed to a non-finite number in JSON output, or a
-standard output its reader closed early), 4 determinacy violation across
+Exit codes: 0 ok, 2 program parse error (including a program file that
+cannot be read or is not UTF-8), 3 configuration/usage error (a negative
+limit, an unknown config key or an unreadable config file among them) or
+output that cannot be written (an unwritable trace path, a result that
+overflowed to a non-finite number in JSON output, or a standard output its
+reader closed early), 4 determinacy violation across
 compared strategies, 5 multiple exploration outcomes, 6 exploration state
 limit exceeded, 7 engine error (a semantics run exceeded its step limit,
 or an engine invariant broke).
@@ -203,7 +204,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -278,7 +279,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _load_program(path: str) -> Expression:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileNotFoundError(f"cannot read program file {path}: {exc}") from exc
     return parse(text)
 

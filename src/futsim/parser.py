@@ -8,7 +8,7 @@ integer literals are optionally signed ASCII decimals that fit in 64 bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .calculus import Add, Context, Expression, FutureCreate, FutureRef, HoleLeft, IntLit, wrap_int
 
@@ -23,68 +23,37 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'int' | 'plus' | 'minus' | 'lparen' | 'rparen' | 'future' | 'eof'
-    text: str
-    line: int
-    col: int
+# A match skips blanks and the comments that end a line, then takes a token of
+# the kind its group names. A comment on the last line belongs to ``eof``, so the
+# end of input is at its '#'. ``bad`` is a stray character or an unknown word.
+_TOKEN = re.compile(r"""\s*(?:\#.*\n\s*)*
+    (?:(?P<int>[0-9]+)|(?P<future>future\b)|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))
+    |(?P<eof>(?:\#.*)?\Z)|(?P<bad>\w+|.))""", re.VERBOSE)
 
 
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word != "future":
-                raise ParseError(line, start_col, f"unknown word {word!r}", ("future", "an integer"))
-            tokens.append(Token("future", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        simple = {"+": "plus", "-": "minus", "(": "lparen", ")": "rparen"}
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(line, start_col, f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _error(source: str, token: tuple[str, str, int], message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """The ParseError at ``token``, positioned from its offset so that lexing
+    counts no lines; a message ending in "found" goes on to name the token."""
+    kind, text, offset = token
+    if message.endswith(", found"):
+        message += " end of input" if kind == "eof" else f" {text!r}"
+    line_start = source.rfind("\n", 0, offset) + 1
+    return ParseError(source.count("\n", 0, line_start) + 1, offset - line_start + 1, message, expected)
 
 
-def _found(tok: Token, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-    where = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-    return ParseError(tok.line, tok.col, f"{message}, found {where}", expected)
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``source``, ending in ``eof``. All are
+    lexed before parsing starts, so a lexical error wins over a syntax error."""
+    tokens = []
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        tokens.append((kind, text := match[kind], match.start(kind)))
+        if kind == "bad":
+            if text[0].isalpha() or text[0] == "_":
+                raise _error(source, tokens[-1], f"unknown word {text!r}", ("future", "an integer"))
+            raise _error(source, tokens[-1], f"unexpected character {text[0]!r}")
+        if kind == "eof":
+            return tokens
 
 
 def parse(source: str) -> Expression:
@@ -102,7 +71,7 @@ def parse(source: str) -> Expression:
     pos = 0
     while True:
         tok = start = tokens[pos]
-        kind = tok.kind
+        kind = tok[0]
         if kind == "future" or kind == "lparen":
             frames.append((kind, left))
             left = None
@@ -112,15 +81,15 @@ def parse(source: str) -> Expression:
         if kind == "minus" or kind == "plus":
             pos += 1
             tok = tokens[pos]
-            if tok.kind != "int":
-                raise _found(tok, "sign must precede an integer literal", ("an integer",))
+            if tok[0] != "int":
+                raise _error(source, tok, "sign must precede an integer literal, found", ("an integer",))
         elif kind != "int":
-            raise _found(tok, "expected an expression", ("an integer", "'('", "future"))
+            raise _error(source, tok, "expected an expression, found", ("an integer", "'('", "future"))
         # 2**63 has 19 digits; counting them first keeps int() off literals
         # too long for it to convert.
-        value = sign * int(tok.text) if len(tok.text.lstrip("0")) <= 19 else None
+        value = sign * int(tok[1]) if len(tok[1].lstrip("0")) <= 19 else None
         if value is None or wrap_int(value) != value:
-            raise ParseError(start.line, start.col, "integer literal outside 64 bits (-2**63 to 2**63-1)")
+            raise _error(source, start, "integer literal outside 64 bits (-2**63 to 2**63-1)")
         operand: Expression = IntLit(value)
         pos += 1
         # Add the operand to the open sum, then close every frame that the
@@ -128,21 +97,21 @@ def parse(source: str) -> Expression:
         while True:
             left = operand if left is None else Add(left, operand)
             tok = tokens[pos]
-            if tok.kind == "plus":
+            if tok[0] == "plus":
                 pos += 1
                 break
             if not frames:
-                if tok.kind != "eof":
-                    raise _found(tok, "trailing input after expression")
+                if tok[0] != "eof":
+                    raise _error(source, tok, "trailing input after expression, found")
                 return left
             kind, outer = frames.pop()
             if kind == "future":
                 operand = FutureCreate(left)
-            elif tok.kind == "rparen":
+            elif tok[0] == "rparen":
                 operand = left
                 pos += 1
             else:
-                raise _found(tok, "unclosed parenthesis", ("')'",))
+                raise _error(source, tok, "unclosed parenthesis, found", ("')'",))
             left = outer
 
 

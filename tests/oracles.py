@@ -3,15 +3,19 @@
 The configuration helpers read a configuration through each closure's
 expression (``Closure.expr``), not through its site, as the library did before
 closures held sites; ``trace_snippet`` renders a compute record's ``expr`` as
-the trace writer did before it memoised its context frames.
+the trace writer did before it memoised its context frames. ``Token`` and
+``_tokenize`` are the character-by-character lexer the parser used before its
+one regex.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from futsim.calculus import IntLit, _refocus, plug
 from futsim.cli import EXPR_SNIPPET_CHARS, _snippet
 from futsim.engine import EngineError, _shape
-from futsim.parser import unparse
+from futsim.parser import ParseError, unparse
 
 
 def refill(site, filler):
@@ -72,3 +76,62 @@ def trace_snippet(context, filler):
     """A compute record's ``expr``: the whole hole rendered by one bounded
     ``unparse`` through its context, then cut, once per record."""
     return _snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # 'int' | 'plus' | 'minus' | 'lparen' | 'rparen' | 'future' | 'eof'
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            tokens.append(Token("int", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            if word != "future":
+                raise ParseError(line, start_col, f"unknown word {word!r}", ("future", "an integer"))
+            tokens.append(Token("future", word, line, start_col))
+            col += j - i
+            i = j
+            continue
+        simple = {"+": "plus", "-": "minus", "(": "lparen", ")": "rparen"}
+        if ch in simple:
+            tokens.append(Token(simple[ch], ch, line, start_col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(line, start_col, f"unexpected character {ch!r}")
+    tokens.append(Token("eof", "", line, col))
+    return tokens

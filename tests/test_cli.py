@@ -197,6 +197,33 @@ def test_missing_program_file(tmp_path):
     assert "nope.gf" in err
 
 
+def _run_command(argv):
+    """Exit code and stderr of ``futsim`` run as its own process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "futsim.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def test_a_program_file_that_is_not_utf8_is_unreadable(tmp_path):
+    path = tmp_path / "bad.gf"
+    path.write_bytes(b"1 + \xff 2\n")
+    code, err = _run_command(["run", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read program file {path}: ")
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, small_file):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"strategy = \xff\n")
+    code, err = _run_command(["run", small_file, "--config", str(config)])
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read config file {config}: ")
+
+
 def test_parse_error_exit_and_position(tmp_path):
     path = tmp_path / "bad.gf"
     path.write_text("1 + + +\n")

@@ -217,6 +217,31 @@ def test_only_ascii_digits_make_integer_literals(source, col):
     assert error.message.startswith("unexpected character")
 
 
+# Exact fields for inputs where lexing and positions are easy to get wrong:
+# lexical errors win over syntax errors, a comment on the last line leaves the
+# end of input at its '#', a word must start with a letter, and only "\n"
+# starts a line.
+@pytest.mark.parametrize("source, fields", [
+    ("1 2 %", (1, 5, "unexpected character '%'", ())),
+    ("1 + # c", (1, 5, "expected an expression, found end of input", ("an integer", "'('", "future"))),
+    ("²", (1, 1, "unexpected character '²'", ())),
+    ("x²", (1, 1, "unknown word 'x²'", ("future", "an integer"))),
+    ("1 +\r\n %", (2, 2, "unexpected character '%'", ())),
+    ("\t1 2", (1, 4, "trailing input after expression, found '2'", ())),
+])
+def test_parse_errors_carry_exact_fields(source, fields):
+    with pytest.raises(ParseError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.col, error.message, error.expected) == fields
+
+
+@pytest.mark.parametrize("text", [" " * 10**6 + "1", "# note\n" * 10**5 + "1", "1 # " + "c" * 10**6],
+                         ids=["blanks", "comment-lines", "long-comment"])
+def test_parse_takes_long_blanks_and_comments_without_recursion(text):
+    assert parse(text) == IntLit(1)
+
+
 def _same_tree(a, b):
     """Equal trees, compared node by node in pre-order, since == recurses."""
     for x, y in zip_longest(subterms(a), subterms(b)):

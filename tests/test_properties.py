@@ -70,9 +70,9 @@ from futsim.engine import (  # noqa: E402
     run,
     step,
 )
-from futsim.parser import ParseError, Token, _tokenize, parse, unparse  # noqa: E402
+from futsim.parser import ParseError, parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
-from oracles import canonical_key, closure_for, is_terminal, refill  # noqa: E402
+from oracles import Token, _tokenize, canonical_key, closure_for, is_terminal, refill  # noqa: E402
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 STRATEGIES = ("none", "parent-only", "child-only", "both")
@@ -185,12 +185,15 @@ def _parse_outcome(parser, source):
 
 # Pieces that the tokenizer takes, so that the strings reach the parser and
 # fail at every kind of position; "1 +", "future (" and ")" are repeated to
-# bias towards well-formed sums and nests.
+# bias towards well-formed sums and nests. The rest fail in the lexer, so that
+# a lexical error must win over a syntax error: a character outside the
+# grammar, word characters that are not letters ("²", "٣") and a comment that
+# may end the input with no newline, which puts the end of input at its '#'.
 TOKEN_TEXTS = ("1", "42", "-7", "+", "-", "(", ")", ")", "future", "1 +", "1 +", "future (", "future (",
                "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809", "007",
-               "# note\n")
+               "# note\n", "# c", "%", "²", "٣", "x²")
 token_strings = st.lists(
-    st.tuples(st.sampled_from(TOKEN_TEXTS), st.sampled_from((" ", " ", " ", "\n", ""))), max_size=30
+    st.tuples(st.sampled_from(TOKEN_TEXTS), st.sampled_from((" ", " ", " ", "\n", "", "\t", "\r\n"))), max_size=30
 ).map(lambda pairs: "".join(text + gap for text, gap in pairs))
 
 
@@ -200,6 +203,10 @@ token_strings = st.lists(
 @example("(future 1 2")
 @example("- (1)")
 @example("1 + )")
+@example("1 2 %")
+@example("1 + # c")
+@example("x²")
+@example("1 +\r\n %")
 def test_parse_agrees_with_the_recursive_parser(source):
     assert _parse_outcome(parse, source) == _parse_outcome(_recursive_parse, source)
 
