@@ -7,8 +7,8 @@ per thread, each realizing a distinct future id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Union
 
 from .scaling import FrequencyLadder, FrequencyLevel
 
@@ -97,33 +97,116 @@ class HoleRight:
 
 
 Frame = Union[HoleLeft, HoleRight]
-Context = tuple[Frame, ...]
 
 
-@dataclass(frozen=True)
-class ArithRedex:
+class Context:
+    """An evaluation context E[·]: a persistent linked list of frames, innermost first.
+
+    A context is its innermost cell: the ``frame`` around the hole, the
+    context ``outer`` that frame sits in, and ``depth``, the number of
+    frames. Pushing a frame builds one cell and shares every outer one
+    (Huet's zipper), so a context that a step pops or pushes costs O(1), and
+    a frame has the same outer frames in every context that holds its cell.
+
+    It reads like the tuple of its frames, outermost first: ``len`` is the
+    stored depth, iteration goes outermost first (materialising the frames
+    once), ``reversed`` goes innermost first without a copy, and ``==``,
+    ``hash`` and ``repr`` are those of the tuple, each computed by a loop.
+    ``Context.of`` builds one from a tuple.
+    """
+
+    __slots__ = ("frame", "outer", "depth")
+
+    def __init__(self, frame: Frame, outer: "Context"):
+        self.frame = frame
+        self.outer = outer
+        self.depth = outer.depth + 1
+
+    @classmethod
+    def of(cls, frames: "Context | tuple[Frame, ...]") -> "Context":
+        """The context of ``frames``, outermost first; a context is returned as it is."""
+        if isinstance(frames, Context):
+            return frames
+        context = EMPTY_CONTEXT
+        for frame in frames:
+            context = cls(frame, context)
+        return context
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __reversed__(self) -> Iterator[Frame]:
+        cell = self
+        while cell.depth:
+            yield cell.frame
+            cell = cell.outer
+
+    def __iter__(self) -> Iterator[Frame]:
+        frames = list(reversed(self))
+        frames.reverse()
+        return iter(frames)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, tuple):
+            return len(other) == self.depth and all(a == b for a, b in zip(reversed(self), reversed(other)))
+        if not isinstance(other, Context):
+            return NotImplemented
+        if self.depth != other.depth:
+            return False
+        a, b = self, other
+        while a is not b and a.depth:  # from a shared cell outward, the frames are the same
+            if a.frame != b.frame:
+                return False
+            a, b = a.outer, b.outer
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+EMPTY_CONTEXT = object.__new__(Context)
+EMPTY_CONTEXT.frame = EMPTY_CONTEXT.outer = None
+EMPTY_CONTEXT.depth = 0
+
+
+# Sites are named tuples: a step builds one, and a tuple builds in a fraction
+# of a frozen dataclass's time. No two kinds compare equal: their lengths or
+# their second fields' types differ.
+class ArithRedex(NamedTuple):
     context: Context
     left: int
     right: int
-    # Set by ``_refocus`` when the expression holds no other redex (a claim made
-    # this one); not part of the site's identity, so ``decompose`` leaves it False.
-    _claim_phase: bool = field(default=False, kw_only=True, repr=False, compare=False)
+
+    # True only on the sites ``_refocus`` finds after a claim, when the
+    # expression holds no other redex; not part of the site's identity, so
+    # ``decompose`` gives the plain class.
+    _claim_phase = False
 
 
-@dataclass(frozen=True)
-class CreateRedex:
+class _ClaimPhaseArithRedex(ArithRedex):
+    """An Add redex found in the claim phase; equal to, and printed as, the plain site."""
+
+    __slots__ = ()
+    _claim_phase = True
+
+    def __repr__(self) -> str:
+        return "ArithRedex" + super().__repr__()[len(type(self).__name__):]
+
+
+class CreateRedex(NamedTuple):
     context: Context
     body: Expression
 
 
-@dataclass(frozen=True)
-class ClaimSite:
+class ClaimSite(NamedTuple):
     context: Context
     target: FutureId
 
 
-@dataclass(frozen=True)
-class NoRedex:
+class NoRedex(NamedTuple):
     """No action left: the expression is the integer ``value``, a realized future."""
 
     value: IntLit
@@ -132,8 +215,8 @@ class NoRedex:
 RedexSite = Union[ArithRedex, CreateRedex, ClaimSite, NoRedex]
 
 
-def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool) -> RedexSite:
-    """The next action in ``plug(frames, focus)``, found by one loop over ``frames``.
+def _search(context: Context, focus: Expression, claims: bool, climbing: bool) -> RedexSite:
+    """The next action in ``plug(context, focus)``, found by one loop over the context's cells.
 
     Descending walks down the left spine: a ``FutureCreate`` is a Create redex
     (evaluation never enters its body), in the claim phase a ``FutureRef`` is
@@ -149,23 +232,27 @@ def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool
     With ``climbing`` set, the walk starts by climbing from ``focus``, which
     must hold no action.
 
-    ``frames`` is a stack: a popped frame is never pushed again (a climb
-    through a ``HoleLeft`` pushes a new ``HoleRight``), and a site's context
-    is a tuple sharing the frame objects, which ``_refocus`` copies back into
-    a list. So a frame object has the same outer frames in every context
-    that holds it; the trace writer memoises its text per frame on that.
+    The context is used as a stack: a pop steps to ``outer`` and a push
+    builds one cell on top (a climb through a ``HoleLeft`` pushes a new
+    ``HoleRight``), and the site holds the innermost cell. So a step does
+    O(1) context work outside the subtree it descends into, and every cell
+    keeps the outer cells it was built on; the trace writer memoises its
+    text per cell on that.
     """
     while True:
-        while climbing and frames:
-            frame = frames.pop()
-            if isinstance(frame, HoleLeft):
+        while climbing and context.depth:
+            frame = context.frame
+            context = context.outer
+            if frame.__class__ is HoleLeft:
                 left, right = focus, frame.right
             else:
                 left, right = frame.left, focus
-            if isinstance(left, IntLit) and isinstance(right, IntLit):
-                return ArithRedex(tuple(frames), left.value, right.value, _claim_phase=claims)
-            if isinstance(frame, HoleLeft) and not isinstance(right, IntLit):
-                frames.append(HoleRight(left))
+            if left.__class__ is IntLit and right.__class__ is IntLit:
+                if claims:
+                    return _ClaimPhaseArithRedex(context, left.value, right.value)
+                return ArithRedex(context, left.value, right.value)
+            if frame.__class__ is HoleLeft and right.__class__ is not IntLit:
+                context = Context(HoleRight(left), context)
                 focus, climbing = right, False
             else:
                 focus = Add(left, right)
@@ -173,13 +260,13 @@ def _search(frames: list[Frame], focus: Expression, claims: bool, climbing: bool
             if claims:
                 return NoRedex(focus)
             claims = True
-        while isinstance(focus, Add):
-            frames.append(HoleLeft(focus.right))
+        while focus.__class__ is Add:
+            context = Context(HoleLeft(focus.right), context)
             focus = focus.left
-        if isinstance(focus, FutureCreate):
-            return CreateRedex(tuple(frames), focus.body)
-        if claims and isinstance(focus, FutureRef):
-            return ClaimSite(tuple(frames), focus.fid)
+        if focus.__class__ is FutureCreate:
+            return CreateRedex(context, focus.body)
+        if claims and focus.__class__ is FutureRef:
+            return ClaimSite(context, focus.fid)
         climbing = True
 
 
@@ -195,11 +282,11 @@ def decompose(expr: Expression) -> RedexSite:
 
     A bare integer is the only expression with no action left.
     """
-    return _search([], expr, False, False)
+    return _search(EMPTY_CONTEXT, expr, False, False)
 
 
-def plug(context: Context, filler: Expression) -> Expression:
-    """Rebuild the expression a context was torn from; inverse of decompose."""
+def plug(context: Context | tuple[Frame, ...], filler: Expression) -> Expression:
+    """Rebuild the expression a context (or the tuple of its frames) was torn from; inverse of decompose."""
     expr = filler
     for frame in reversed(context):
         if isinstance(frame, HoleLeft):
@@ -225,7 +312,7 @@ def _refocus(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression
     claims = isinstance(filler, IntLit) and (
         isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
     )
-    return _search(list(site.context), filler, claims, True)
+    return _search(Context.of(site.context), filler, claims, True)
 
 
 def eval_sequential(expr: Expression) -> int:

@@ -348,19 +348,22 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
     (then more tokens follow it). Every operand is rendered with the
     snippet's limit, and the running before and after strings are cut one
     character past it, which keeps enough to cut the snippet. They are
-    memoised per frame object, once as an outer frame and once as the
-    innermost one: a frame has the same outer frames in every context that
-    holds it (see ``calculus._search``), so no frame is rendered more than
-    twice per write. A ``HoleRight``'s operand is rendered sum by sum down
-    its left spine, and each sum's text is memoised too, since a climb that
-    builds ``L + x`` keeps ``L`` as the next frame's left operand.
+    memoised per context cell, once as an outer frame and once as the
+    innermost one: a cell keeps the outer cells it was built on (see
+    ``calculus.Context``), and the holes of a report share them, so no
+    frame is rendered more than twice per write. A ``HoleRight``'s operand
+    is rendered sum by sum down its left spine, and each sum's text is
+    memoised too, since a climb that builds ``L + x`` keeps ``L`` as the
+    next frame's left operand.
     """
     limit, cut = EXPR_SNIPPET_CHARS, EXPR_SNIPPET_CHARS + 1
-    outer: dict[int, tuple[str, str]] = {}  # id(frame) -> running (before, after) through it
-    inner: dict[int, tuple[str, str]] = {}  # the same, where the frame is innermost
+    outer: dict[int, tuple[str, str]] = {}  # id(cell) -> running (before, after) through its frame
+    inner: dict[int, tuple[str, str]] = {}  # the same, where the cell's frame is innermost
     sums: dict[int, str] = {}  # id(sum on a left spine) -> its text, cut
 
     def operand(expr: Expression, followed: bool) -> str:
+        if expr.__class__ is IntLit:
+            return str(expr.value)
         if expr.__class__ is Add:
             return "(" + unparse(expr, limit) + ")"
         if followed and expr.__class__ is FutureCreate:
@@ -379,30 +382,32 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
             sums[id(node)] = text
         return text
 
-    def extend(context: Context, j: int, before: str, after: str, innermost: bool) -> tuple[str, str]:
+    def extend(cell: Context, before: str, after: str, innermost: bool) -> tuple[str, str]:
         if len(before) >= cut:  # the snippet is already decided
             return before, after
-        frame = context[j]
+        frame = cell.frame
         if frame.__class__ is HoleRight:
             if innermost:
                 return (before + left_text(frame.left) + " + ")[:cut], after
             return (before + left_text(frame.left) + " + (")[:cut], (")" + after)[:cut]
-        followed = j > 0 and context[j - 1].__class__ is HoleLeft
+        followed = cell.outer.frame.__class__ is HoleLeft  # the empty context's frame is None
         return before, (" + " + operand(frame.right, followed) + after)[:cut]
 
     def snippet(context: Context, filler: Expression) -> str:
         atom = str(filler.value) if filler.__class__ is IntLit else f"fv{filler.fid}"
         if not context:
             return _snippet(atom)
-        entry = inner.get(id(context[-1]))
+        entry = inner.get(id(context))
         if entry is None:
-            j = len(context) - 2
-            while j >= 0 and id(context[j]) not in outer:
-                j -= 1
-            before, after = outer[id(context[j])] if j >= 0 else ("", "")
-            for j in range(j + 1, len(context) - 1):
-                before, after = outer[id(context[j])] = extend(context, j, before, after, False)
-            entry = inner[id(context[-1])] = extend(context, len(context) - 1, before, after, True)
+            spine = []
+            cell = context.outer
+            while cell.depth and id(cell) not in outer:
+                spine.append(cell)
+                cell = cell.outer
+            before, after = outer[id(cell)] if cell.depth else ("", "")
+            for cell in reversed(spine):
+                before, after = outer[id(cell)] = extend(cell, before, after, False)
+            entry = inner[id(context)] = extend(context, before, after, True)
         return _snippet(entry[0] + atom + entry[1])
 
     return snippet

@@ -123,6 +123,8 @@ class Segment(NamedTuple):
     target: FutureId | None = None  # wait only
     # Compute only: the fired site's context and the atom the rule put in its
     # hole, so the step's tree is built only when someone asks for ``expr``.
+    # The context is the site's innermost cell, whose outer cells the holes
+    # before it share, so a report holds O(1) of context per step.
     hole: tuple[Context, Expression] | None = None
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .calculus import Add, Context, Expression, FutureCreate, FutureRef, HoleLeft, IntLit, wrap_int
+from .calculus import Add, Context, Expression, Frame, FutureCreate, FutureRef, HoleLeft, IntLit, wrap_int
 
 
 class ParseError(Exception):
@@ -119,9 +119,10 @@ def _atomic(expr: Expression) -> bool:
     return isinstance(expr, (IntLit, FutureRef))
 
 
-def unparse(expr: Expression, limit: int | None = None, context: Context = ()) -> str:
+def unparse(expr: Expression, limit: int | None = None, context: Context | tuple[Frame, ...] = ()) -> str:
     """Render ``plug(context, expr)`` without building it, so that
-    ``parse(unparse(e)) == e`` for ref-free e.
+    ``parse(unparse(e)) == e`` for ref-free e. The context's frames are
+    materialised once, as a tuple, outermost first.
 
     With ``limit``, rendering stops once the text is longer than ``limit``
     characters: the result is the whole text or a prefix of it longer than
@@ -135,6 +136,7 @@ def unparse(expr: Expression, limit: int | None = None, context: Context = ()) -
     off with parentheses. A run of ``HoleLeft`` frames is pushed as one range,
     so a bounded render does not visit the right operands it never writes.
     """
+    context = tuple(context)
     depth = len(context)
     pieces: list[str] = []
     size = 0

@@ -505,3 +505,51 @@ def test_explore_state_counts_pinned(text, states):
         outcomes, count = explore_with_stats(expr, LADDER, 2, make_strategy(name, LADDER))
         assert count == states
         assert {value for value, _ in outcomes} == {eval_sequential(expr)}
+
+
+# The thread of each event under each scheduler, recorded before contexts
+# were linked cells. Only "nest" has three threads enabled at once under
+# NewestFirst: each of its futures spawns the next before its own add.
+SCHEDULES = {
+    "par-7": (
+        " + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(7)),
+        {
+            "newest-first": "0 1 1 1 0 2 2 2 0 3 3 3 0 4 4 4 0 5 5 5 0 6 6 6 0 7 7 7 0 0 0 0 0 0 0 0 0 0 0 0 0",
+            "round-robin": "0 1 0 1 2 0 1 2 3 0 2 3 4 0 3 4 5 0 4 5 6 0 5 6 7 0 6 7 0 7 0 0 0 0 0 0 0 0 0 0 0",
+            "random": "0 1 0 1 2 1 2 2 0 3 0 4 0 4 3 0 6 4 3 5 0 0 6 7 0 6 5 5 0 7 7 0 0 0 0 0 0 0 0 0 0",
+        },
+    ),
+    "wide-20": (
+        " + ".join(f"(future ({i}+1))" for i in range(20)),
+        {
+            "newest-first": " ".join(f"0 {i}" for i in range(1, 21)) + " 0" * 39,
+            "round-robin": " ".join(f"0 {i}" for i in range(1, 21)) + " 0" * 39,
+            "random": "0 1 0 2 0 3 0 4 0 0 6 0 5 0 0 8 9 0 7 0 11 0 12 10 0 0 13 14 0 0 16 15 0 17 0 0 0 20 19 0 18"
+                      + " 0" * 38,
+        },
+    ),
+    "nest": (
+        "future (future (future (1 + 2) + (3 + 4)) + (5 + 6)) + (7 + 8)",
+        {
+            "newest-first": "0 1 2 3 3 3 2 2 2 1 1 1 0",
+            "round-robin": "0 1 2 3 1 2 3 3 2 2 1 1 0",
+            "random": "0 1 1 2 3 3 3 2 2 2 1 1 0",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", [NewestFirst(), RoundRobin(), SeededRandom(0)], ids=lambda p: p.name)
+@pytest.mark.parametrize("program", SCHEDULES)
+def test_run_schedule_pinned(program, policy):
+    text, threads = SCHEDULES[program]
+    result = run(parse(text), LADDER, 2, BOTH, policy)
+    assert " ".join(str(event.thread) for event in result.events) == threads[policy.name]
+    assert result.final_value == eval_sequential(parse(text))
+
+
+def test_run_default_step_limit_is_thirty_steps_per_node(monkeypatch):
+    monkeypatch.setattr(engine, "node_count", lambda expr: 1)
+    assert run(parse(" + ".join(["1"] * 31)), LADDER, 2, BOTH).step_count == 30
+    with pytest.raises(DivergenceError, match="^exceeded 30 steps$"):
+        run(parse(" + ".join(["1"] * 32)), LADDER, 2, BOTH)
