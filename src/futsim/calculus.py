@@ -18,6 +18,7 @@ FutureId = int
 # same way, so they cannot disagree on overflow.
 INT_BITS = 64
 _INT_MIN = -(1 << (INT_BITS - 1))
+_INT_MAX = (1 << (INT_BITS - 1)) - 1
 _INT_MASK = (1 << INT_BITS) - 1
 
 
@@ -26,23 +27,25 @@ def wrap_int(n: int) -> int:
     return ((n - _INT_MIN) & _INT_MASK) + _INT_MIN
 
 
-@dataclass(frozen=True)
+# The value classes are slotted: a rule step builds about one node, and a
+# slotted instance has no ``__dict__`` to build.
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FutureCreate:
     body: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FutureRef:
     fid: FutureId
 
@@ -70,7 +73,19 @@ def node_count(expr: Expression) -> int:
 
 
 def contains_future_ref(expr: Expression) -> bool:
-    return any(isinstance(e, FutureRef) for e in subterms(expr))
+    """Whether expr holds a ``FutureRef``: one loop, since every run checks its program with it."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        kind = e.__class__
+        if kind is Add:
+            stack.append(e.left)
+            stack.append(e.right)
+        elif kind is FutureCreate:
+            stack.append(e.body)
+        elif kind is FutureRef:
+            return True
+    return False
 
 
 def future_ref_ids(expr: Expression) -> list[FutureId]:
@@ -82,14 +97,14 @@ def future_ref_ids(expr: Expression) -> list[FutureId]:
 # Context paths and redex search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoleLeft:
     """Frame for an addition whose hole is the left operand: (hole + right)."""
 
     right: Expression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoleRight:
     """Frame for an addition whose hole is the right operand: (left + hole)."""
 
@@ -102,11 +117,15 @@ Frame = Union[HoleLeft, HoleRight]
 class Context:
     """An evaluation context E[·]: a persistent linked list of frames, innermost first.
 
-    A context is its innermost cell: the ``frame`` around the hole, the
-    context ``outer`` that frame sits in, and ``depth``, the number of
-    frames. Pushing a frame builds one cell and shares every outer one
-    (Huet's zipper), so a context that a step pops or pushes costs O(1), and
-    a frame has the same outer frames in every context that holds its cell.
+    A context is its innermost cell: the ``operand`` beside the hole, the
+    context ``outer`` its frame sits in, and ``depth``, the number of
+    frames. The cell's class gives the hole's side (one private subclass
+    per frame kind, both built through ``Context.__init__``), so pushing a
+    frame builds one object, and ``frame``, the ``HoleLeft`` or
+    ``HoleRight``, is built only when it is read. Pushing a frame shares
+    every outer cell (Huet's zipper), so a context that a step pops or
+    pushes costs O(1), and a frame has the same outer frames in every
+    context that holds its cell.
 
     It reads like the tuple of its frames, outermost first: ``len`` is the
     stored depth, iteration goes outermost first (materialising the frames
@@ -115,12 +134,17 @@ class Context:
     ``Context.of`` builds one from a tuple.
     """
 
-    __slots__ = ("frame", "outer", "depth")
+    __slots__ = ("operand", "outer", "depth")
 
-    def __init__(self, frame: Frame, outer: "Context"):
-        self.frame = frame
+    def __init__(self, operand: Expression, outer: "Context"):
+        self.operand = operand
         self.outer = outer
         self.depth = outer.depth + 1
+
+    @property
+    def frame(self) -> Frame | None:
+        """The innermost frame, built on read; ``None`` for the empty context."""
+        return None
 
     @classmethod
     def of(cls, frames: "Context | tuple[Frame, ...]") -> "Context":
@@ -129,7 +153,12 @@ class Context:
             return frames
         context = EMPTY_CONTEXT
         for frame in frames:
-            context = cls(frame, context)
+            if isinstance(frame, HoleLeft):
+                context = _HoleLeftCell(frame.right, context)
+            elif isinstance(frame, HoleRight):
+                context = _HoleRightCell(frame.left, context)
+            else:
+                raise TypeError(f"not a context frame: {frame!r}")
         return context
 
     def __len__(self) -> int:
@@ -155,7 +184,7 @@ class Context:
             return False
         a, b = self, other
         while a is not b and a.depth:  # from a shared cell outward, the frames are the same
-            if a.frame != b.frame:
+            if a.__class__ is not b.__class__ or a.operand != b.operand:
                 return False
             a, b = a.outer, b.outer
         return True
@@ -167,8 +196,28 @@ class Context:
         return repr(tuple(self))
 
 
+class _HoleLeftCell(Context):
+    """A cell whose frame is ``HoleLeft(operand)``: the hole is the left operand."""
+
+    __slots__ = ()
+
+    @property
+    def frame(self) -> HoleLeft:
+        return HoleLeft(self.operand)
+
+
+class _HoleRightCell(Context):
+    """A cell whose frame is ``HoleRight(operand)``: the hole is the right operand."""
+
+    __slots__ = ()
+
+    @property
+    def frame(self) -> HoleRight:
+        return HoleRight(self.operand)
+
+
 EMPTY_CONTEXT = object.__new__(Context)
-EMPTY_CONTEXT.frame = EMPTY_CONTEXT.outer = None
+EMPTY_CONTEXT.operand = EMPTY_CONTEXT.outer = None
 EMPTY_CONTEXT.depth = 0
 
 
@@ -233,26 +282,27 @@ def _search(context: Context, focus: Expression, claims: bool, climbing: bool) -
     must hold no action.
 
     The context is used as a stack: a pop steps to ``outer`` and a push
-    builds one cell on top (a climb through a ``HoleLeft`` pushes a new
-    ``HoleRight``), and the site holds the innermost cell. So a step does
+    builds one cell on top, which holds the operand beside the hole (a
+    climb through a ``HoleLeft`` cell pushes a ``HoleRight`` one), and the
+    site holds the innermost cell; no frame is built. So a step does
     O(1) context work outside the subtree it descends into, and every cell
     keeps the outer cells it was built on; the trace writer memoises its
     text per cell on that.
     """
     while True:
         while climbing and context.depth:
-            frame = context.frame
-            context = context.outer
-            if frame.__class__ is HoleLeft:
-                left, right = focus, frame.right
+            hole_left = context.__class__ is _HoleLeftCell
+            if hole_left:
+                left, right = focus, context.operand
             else:
-                left, right = frame.left, focus
+                left, right = context.operand, focus
+            context = context.outer
             if left.__class__ is IntLit and right.__class__ is IntLit:
                 if claims:
                     return _ClaimPhaseArithRedex(context, left.value, right.value)
                 return ArithRedex(context, left.value, right.value)
-            if frame.__class__ is HoleLeft and right.__class__ is not IntLit:
-                context = Context(HoleRight(left), context)
+            if hole_left and right.__class__ is not IntLit:
+                context = _HoleRightCell(left, context)
                 focus, climbing = right, False
             else:
                 focus = Add(left, right)
@@ -261,7 +311,7 @@ def _search(context: Context, focus: Expression, claims: bool, climbing: bool) -
                 return NoRedex(focus)
             claims = True
         while focus.__class__ is Add:
-            context = Context(HoleLeft(focus.right), context)
+            context = _HoleLeftCell(focus.right, context)
             focus = focus.left
         if focus.__class__ is FutureCreate:
             return CreateRedex(context, focus.body)
@@ -286,15 +336,18 @@ def decompose(expr: Expression) -> RedexSite:
 
 
 def plug(context: Context | tuple[Frame, ...], filler: Expression) -> Expression:
-    """Rebuild the expression a context (or the tuple of its frames) was torn from; inverse of decompose."""
+    """Rebuild the expression a context (or the tuple of its frames) was torn from; inverse of decompose.
+
+    Each frame is read from its cell's class and operand, so none is built.
+    """
     expr = filler
-    for frame in reversed(context):
-        if isinstance(frame, HoleLeft):
-            expr = Add(expr, frame.right)
-        elif isinstance(frame, HoleRight):
-            expr = Add(frame.left, expr)
+    context = Context.of(context)
+    while context.depth:
+        if context.__class__ is _HoleLeftCell:
+            expr = Add(expr, context.operand)
         else:
-            raise TypeError(f"not a context frame: {frame!r}")
+            expr = Add(context.operand, expr)
+        context = context.outer
     return expr
 
 
@@ -307,12 +360,17 @@ def _refocus(site: Union[ArithRedex, CreateRedex, ClaimSite], filler: Expression
     path holds a redex. After a claim the search stays in the claim phase,
     and the Add redex it may find keeps that phase for its own refocus.
     """
-    if not isinstance(filler, (IntLit, FutureRef)):
-        raise TypeError(f"a hole takes an integer or a future reference, not {type(filler).__name__}")
-    claims = isinstance(filler, IntLit) and (
-        isinstance(site, ClaimSite) or (isinstance(site, ArithRedex) and site._claim_phase)
-    )
-    return _search(Context.of(site.context), filler, claims, True)
+    kind = filler.__class__
+    if kind is IntLit:
+        claims = site.__class__ is ClaimSite or site.__class__ is _ClaimPhaseArithRedex
+    elif kind is FutureRef:
+        claims = False
+    else:
+        raise TypeError(f"a hole takes an integer or a future reference, not {kind.__name__}")
+    context = site.context
+    if isinstance(context, tuple):
+        context = Context.of(context)
+    return _search(context, filler, claims, True)
 
 
 def eval_sequential(expr: Expression) -> int:

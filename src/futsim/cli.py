@@ -27,7 +27,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, NoReturn
 
-from .calculus import Add, Context, Expression, FutureCreate, HoleLeft, HoleRight, IntLit
+from .calculus import Add, Context, Expression, FutureCreate, IntLit, _HoleLeftCell, _HoleRightCell
 from .energy import (
     CASE_I,
     CASE_II,
@@ -351,11 +351,16 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
     memoised per context cell, once as an outer frame and once as the
     innermost one: a cell keeps the outer cells it was built on (see
     ``calculus.Context``), and the holes of a report share them, so no
-    frame is rendered more than twice per write. A ``HoleRight``'s operand
+    frame is rendered more than twice per write. Each frame is read from its
+    cell's class and operand, so none is built. A ``HoleRight``'s operand
     is rendered sum by sum down its left spine, and each sum's text is
     memoised too, since a climb that builds ``L + x`` keeps ``L`` as the
     next frame's left operand.
     """
+    # Cutting at the limit itself gives the same snippets, so no test tells
+    # the two apart: a running text cut at the limit still gets the filler
+    # atom, at least one character, so the whole is longer than the limit
+    # and is cut with "..." from its first characters, as the uncut text is.
     limit, cut = EXPR_SNIPPET_CHARS, EXPR_SNIPPET_CHARS + 1
     outer: dict[int, tuple[str, str]] = {}  # id(cell) -> running (before, after) through its frame
     inner: dict[int, tuple[str, str]] = {}  # the same, where the cell's frame is innermost
@@ -385,13 +390,12 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
     def extend(cell: Context, before: str, after: str, innermost: bool) -> tuple[str, str]:
         if len(before) >= cut:  # the snippet is already decided
             return before, after
-        frame = cell.frame
-        if frame.__class__ is HoleRight:
+        if cell.__class__ is _HoleRightCell:
             if innermost:
-                return (before + left_text(frame.left) + " + ")[:cut], after
-            return (before + left_text(frame.left) + " + (")[:cut], (")" + after)[:cut]
-        followed = cell.outer.frame.__class__ is HoleLeft  # the empty context's frame is None
-        return before, (" + " + operand(frame.right, followed) + after)[:cut]
+                return (before + left_text(cell.operand) + " + ")[:cut], after
+            return (before + left_text(cell.operand) + " + (")[:cut], (")" + after)[:cut]
+        followed = cell.outer.__class__ is _HoleLeftCell  # the empty context is neither kind of cell
+        return before, (" + " + operand(cell.operand, followed) + after)[:cut]
 
     def snippet(context: Context, filler: Expression) -> str:
         atom = str(filler.value) if filler.__class__ is IntLit else f"fv{filler.fid}"

@@ -192,7 +192,8 @@ def simulate(
     heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
     parked: dict[FutureId, tuple[float, FutureId]] = {}  # producer -> its claimant's event
     claim_records: list[ClaimRecord] = []
-    prices: dict[tuple[str, float], tuple[float, float]] = {}  # (rule, frequency) -> (duration, energy)
+    # rule -> frequency -> (duration, energy): two lookups, and no key tuple to build
+    prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
     clamp_count = transition_count = 0
 
     while heap:
@@ -226,11 +227,11 @@ def simulate(
 
         hole, event = _advance(thr, threads, strategy, len(threads), claimed)
         rule, level = event.rule, event.level
-        key = (rule, level.value)  # a step's price depends on its level only through the frequency
-        price = prices.get(key)
+        by_frequency = prices[rule]  # a step's price depends on its level only through the frequency
+        price = by_frequency.get(level.value)
         if price is None:
             duration = step_duration(rule, level, model)
-            price = prices[key] = (duration, dynamic_power(level, model) * duration)
+            price = by_frequency[level.value] = (duration, dynamic_power(level, model) * duration)
         duration, energy = price
         end = start + duration
         own.append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))  # no target: compute

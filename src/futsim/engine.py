@@ -21,6 +21,8 @@ from .calculus import (
     IntLit,
     NoRedex,
     RedexSite,
+    _INT_MAX,
+    _INT_MIN,
     _refocus,
     contains_future_ref,
     decompose,
@@ -151,7 +153,9 @@ def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: Sc
     ``site.body``) and drops a Claim's producer.
     """
     if isinstance(site, ArithRedex):
-        total = wrap_int(site.left + site.right)
+        total = site.left + site.right
+        if not _INT_MIN <= total <= _INT_MAX:  # wrap only on overflow: in range, wrapping gives the sum
+            total = wrap_int(total)
         filler: Expression = IntLit(total)
         event: ReductionEvent = AddEvent(thread, level, site.left, site.right, total)
     elif isinstance(site, CreateRedex):

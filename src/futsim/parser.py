@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .calculus import Add, Context, Expression, Frame, FutureCreate, FutureRef, HoleLeft, IntLit, wrap_int
+from .calculus import Add, Context, Expression, Frame, FutureCreate, FutureRef, IntLit, _HoleLeftCell, wrap_int
 
 
 class ParseError(Exception):
@@ -121,8 +121,10 @@ def _atomic(expr: Expression) -> bool:
 
 def unparse(expr: Expression, limit: int | None = None, context: Context | tuple[Frame, ...] = ()) -> str:
     """Render ``plug(context, expr)`` without building it, so that
-    ``parse(unparse(e)) == e`` for ref-free e. The context's frames are
-    materialised once, as a tuple, outermost first.
+    ``parse(unparse(e)) == e`` for ref-free e. The context's cells are
+    listed once, outermost first, and each frame is read from its cell's
+    class and operand, so none is built (a tuple of frames is made a
+    ``Context`` first).
 
     With ``limit``, rendering stops once the text is longer than ``limit``
     characters: the result is the whole text or a prefix of it longer than
@@ -136,8 +138,13 @@ def unparse(expr: Expression, limit: int | None = None, context: Context | tuple
     off with parentheses. A run of ``HoleLeft`` frames is pushed as one range,
     so a bounded render does not visit the right operands it never writes.
     """
-    context = tuple(context)
-    depth = len(context)
+    cells = []
+    cell = Context.of(context)
+    while cell.depth:
+        cells.append(cell)
+        cell = cell.outer
+    cells.reverse()
+    depth = len(cells)
     pieces: list[str] = []
     size = 0
     todo: list = [((0,) if depth else expr, False)]
@@ -150,7 +157,7 @@ def unparse(expr: Expression, limit: int | None = None, context: Context | tuple
             last = item[-1]
             if len(item) > 1:
                 todo.append(item[:-1])
-            right = context[last].right
+            right = cells[last].operand
             if right.__class__ is Add:
                 todo += (")", (right, False))
                 text = " + ("
@@ -165,7 +172,7 @@ def unparse(expr: Expression, limit: int | None = None, context: Context | tuple
                     # A context node is the root or a fenced right operand, so
                     # it is not followed; the HoleLeft frames atop it are one run.
                     index = end = node[0]
-                    while end < depth and context[end].__class__ is HoleLeft:
+                    while end < depth and cells[end].__class__ is _HoleLeftCell:
                         end += 1
                     if end > index:
                         todo.append(range(index, end))
@@ -174,7 +181,7 @@ def unparse(expr: Expression, limit: int | None = None, context: Context | tuple
                         node = expr
                         cls = node.__class__
                         continue
-                    left, right = context[end].left, ((end + 1,) if end + 1 < depth else expr)
+                    left, right = cells[end].operand, ((end + 1,) if end + 1 < depth else expr)
                 else:
                     left, right = node.left, node.right
                 cls = right.__class__

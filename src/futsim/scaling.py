@@ -71,11 +71,13 @@ class ScalingStrategy:
     def __init__(self, name: str, ladder: FrequencyLadder, up_create: int, up_claim: int, down: int):
         self.name = name
         self.ladder = ladder
-        self._steps = {ScaleOp.UP_CREATE: up_create, ScaleOp.UP_CLAIM: up_claim, ScaleOp.DOWN: down}
+        # Keyed by the operator's name: hashing the member itself runs
+        # ``Enum.__hash__``, Python code that hashes the same name.
+        self._steps = {ScaleOp.UP_CREATE.name: up_create, ScaleOp.UP_CLAIM.name: up_claim, ScaleOp.DOWN.name: down}
 
     def scale(self, op: ScaleOp, level: FrequencyLevel) -> tuple[FrequencyLevel, bool]:
         """Apply one operator; returns (new level, clamped?). The new level is the ladder's own, never built."""
-        step = self._steps[op]
+        step = self._steps[op._name_]
         if step == 0:
             return level, False
         index = level.index + step

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from futsim.calculus import (
@@ -386,3 +390,28 @@ def test_runs_take_programs_deeper_than_the_recursion_limit(shape, mode):
     evaluate = run if mode == "run" else simulate
     result = evaluate(_deep(shape, n), LADDER, 2, strategy_both(LADDER))
     assert result.final_value == n * (n + 1) // 2
+
+
+VALUES = {
+    "IntLit(value=3)": IntLit(3),
+    "Add(left=IntLit(value=1), right=FutureRef(fid=2))": Add(IntLit(1), FutureRef(2)),
+    "FutureCreate(body=IntLit(value=4))": FutureCreate(IntLit(4)),
+    "FutureRef(fid=5)": FutureRef(5),
+    "HoleLeft(right=IntLit(value=6))": HoleLeft(IntLit(6)),
+    "HoleRight(left=FutureCreate(body=IntLit(value=7)))": HoleRight(FutureCreate(IntLit(7))),
+}
+
+
+@pytest.mark.parametrize("text", VALUES)
+def test_value_classes_are_slotted_frozen_dataclasses_that_print_hash_and_copy_as_before(text):
+    value = VALUES[text]
+    assert not hasattr(value, "__dict__") and repr(value) == text
+    fields = tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+    assert hash(value) == hash(fields)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, dataclasses.fields(value)[0].name, IntLit(0))
+    for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+        restored = pickle.loads(pickle.dumps(value, protocol))
+        assert type(restored) is type(value) and restored == value and hash(restored) == hash(value)
+    duplicate = copy.deepcopy(value)
+    assert duplicate == value and repr(duplicate) == text

@@ -15,6 +15,7 @@ from futsim.calculus import (
     ClaimSite,
     Context,
     CreateRedex,
+    FutureCreate,
     FutureRef,
     HoleLeft,
     HoleRight,
@@ -92,6 +93,43 @@ def test_cells_built_per_step_are_bounded(program, mode, monkeypatch):
         report = simulate(expr, LADDER, 2, BOTH)
         steps = sum(len(_compute_holes(report, fid)) for fid in report.timelines)
     assert steps > 0 and 0 < built[0] <= 2 * steps
+
+
+def _counting_frames(monkeypatch):
+    built = [0]
+    for cls in (HoleLeft, HoleRight):
+        def counting(self, operand, init=cls.__init__):
+            built[0] += 1
+            init(self, operand)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("program", ["chain-2000", "wide-400"])
+@pytest.mark.parametrize("mode", ["run", "simulate"])
+def test_run_and_simulate_build_no_frame(program, mode, monkeypatch):
+    expr = chain(2_000) if program == "chain-2000" else wide(400)
+    frames, cells = _counting_frames(monkeypatch), _counting_cells(monkeypatch)
+    if mode == "run":
+        run(expr, LADDER, 2, BOTH)
+    else:
+        simulate(expr, LADDER, 2, BOTH)
+    assert cells[0] > 0 and frames[0] == 0
+    assert HoleLeft(IntLit(1)) != HoleRight(IntLit(1)) and frames[0] == 2  # the counter sees a frame built
+
+
+def test_a_cells_frame_is_the_frame_it_was_built_from():
+    for frame in (HoleLeft(Add(IntLit(1), FutureRef(2))), HoleRight(FutureCreate(IntLit(3)))):
+        for context in (Context.of((frame,)), Context.of((HoleLeft(IntLit(0)), frame))):
+            assert context.frame == frame and type(context.frame) is type(frame)
+            assert context.operand is (frame.right if isinstance(frame, HoleLeft) else frame.left)
+            with pytest.raises(AttributeError):
+                context.frame = frame
+    assert Context.of(()).frame is None
+    site = decompose(parse("1 + ((future 2) + 3)"))
+    assert isinstance(site, CreateRedex)
+    assert (site.context.frame, site.context.outer.frame) == (HoleLeft(IntLit(3)), HoleRight(IntLit(1)))
 
 
 def _report_bytes(expr) -> int:

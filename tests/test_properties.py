@@ -753,6 +753,21 @@ def test_run_every_small_program_under_every_policy_reaches_its_sequential_value
             assert (result.final_value, result.final_level) == expected, (unparse(expr), policy.name)
 
 
+SMALL_SCOPE_MODELS = [CostModel(wait_policy=wait, tau=tau) for wait in (WAIT_SPIN, WAIT_BLOCK) for tau in (0.0, 0.05)]
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_simulate_every_small_program_reaches_its_sequential_value_and_adds_its_energy_left_to_right(name):
+    strategy = make_strategy(name, CLAMP_FREE)
+    for expr in SMALL_SCOPE:
+        expected = eval_sequential(expr)
+        for model in SMALL_SCOPE_MODELS:
+            report = simulate(expr, CLAMP_FREE, 8, strategy, model)
+            assert report.final_value == expected, (unparse(expr), model)
+            added = functools.reduce(operator.add, report.per_thread_energy.values(), 0)
+            assert repr(report.total_energy) == repr(added), (unparse(expr), model)  # bit for bit
+
+
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
     """The recursive generator gen_random_program used before its single loop, kept as the oracle."""
     rng = random.Random(seed)

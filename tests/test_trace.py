@@ -18,7 +18,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 import futsim.cli as cli  # noqa: E402
 from futsim.calculus import Add, FutureCreate, IntLit  # noqa: E402
+from futsim.calculus import Context, FutureRef, HoleLeft, HoleRight  # noqa: E402
 from futsim.cli import OutputError, _trace_record, _write_simulate_trace, main  # noqa: E402
+from futsim.cli import _snippet  # noqa: E402
 from futsim.energy import SEG_COMPUTE, SEG_TRANSITION, SEG_WAIT, CostModel, simulate  # noqa: E402
 from futsim.engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, gen_random_program  # noqa: E402
 from futsim.parser import parse, unparse  # noqa: E402
@@ -103,6 +105,43 @@ def test_expr_column_of_large_programs_renders_no_whole_context(name, monkeypatc
     assert _check_against_oracle(report) == sum(r["kind"] == SEG_COMPUTE for r in records) > 0
     if name == "chain-6400":
         assert records[-1]["expr"] == "6400"
+
+
+def _sum_of_width(width):
+    """A sum of literals whose text is exactly ``width`` characters: ``99 + 1 + 1``."""
+    ones, lead = divmod(width - 1, 4)
+    return parse(" + ".join([str(10 ** (lead + 1) - 1)] + ["1"] * ones))
+
+
+# Each shape puts a sum of a given width beside the hole, through a HoleLeft
+# or a HoleRight cell, innermost or outer, so the text around the atom grows
+# on the side before it or after it.
+BOUNDARY_SHAPES = {
+    "right-innermost": lambda x: (HoleRight(x),),
+    "left-innermost": lambda x: (HoleLeft(x),),
+    "right-inside-left": lambda x: (HoleLeft(IntLit(5)), HoleRight(x)),
+    "right-outside-left": lambda x: (HoleRight(x), HoleLeft(IntLit(5))),
+    "left-inside-right": lambda x: (HoleRight(IntLit(5)), HoleLeft(x)),
+    "left-outside-right": lambda x: (HoleLeft(x), HoleRight(IntLit(5))),
+    "future-inside-left": lambda x: (HoleLeft(IntLit(5)), HoleLeft(FutureCreate(x))),
+}
+
+
+@pytest.mark.parametrize("shape", BOUNDARY_SHAPES)
+@pytest.mark.parametrize("length", [79, 80, 81, 82])
+@pytest.mark.parametrize("filler", [IntLit(7), FutureRef(12)], ids=["int", "ref"])
+def test_snippets_at_the_snippet_limit(shape, length, filler):
+    # A hole whose whole text is 79 to 82 characters: the writer's running
+    # texts are cut one character past the 80-character limit.
+    for width in range(1, length):
+        context = Context.of(BOUNDARY_SHAPES[shape](_sum_of_width(width)))
+        if len(unparse(filler, None, context)) == length:
+            break
+    else:
+        pytest.fail(f"no {shape} hole is {length} characters long")
+    expected = _snippet(unparse(filler, cli.EXPR_SNIPPET_CHARS, context))
+    assert cli._hole_snippets()(context, filler) == expected
+    assert len(expected) == min(length, 80) and expected.endswith("...") == (length > 80)
 
 
 # ---------------------------------------------------------------------------
