@@ -38,6 +38,7 @@ from .energy import (
     CostModel,
     SimulationReport,
     _left_sum,
+    reprice,
     simulate,
 )
 from .engine import (
@@ -547,9 +548,13 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least two strategies (--strategies a,b)")
     expr = _load_program(cfg.program)
+    # Only the first strategy runs the program: a strategy changes how fast
+    # threads run, not which rules they fire, so the rest reprice that run.
+    first, *others = (make_strategy(name, cfg.ladder) for name in cfg.strategies)
+    simulated = simulate(expr, cfg.ladder, cfg.init_index, first, cfg.model)
+    reports = [simulated, *(reprice(simulated, cfg.ladder, cfg.init_index, s, cfg.model) for s in others)]
     rows = []
-    for name in cfg.strategies:
-        report = simulate(expr, cfg.ladder, cfg.init_index, make_strategy(name, cfg.ladder), cfg.model)
+    for name, report in zip(cfg.strategies, reports):
         rows.append(
             {
                 "strategy": name,

@@ -10,6 +10,12 @@ event until the producer realizes, then waits by spinning (at the waiting
 thread's level, or at ``idle_power`` if set) or blocking (flat penalty);
 realized producers terminate and accrue nothing afterward. Event order is
 fully determined by virtual time, ties broken by thread id.
+
+``reprice`` prices a simulated run again under another strategy or cost
+model without the kernel: a strategy changes only how fast threads run,
+never which rules they fire, so it replays each thread's rules from the
+report on the same heap. Both loops price claims, steps and level switches
+through the same helpers.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .calculus import ClaimSite, Closure, Context, Expression, FutureId, NoRedex, decompose, plug
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, start_level
-from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, ladder_start, start_level
+from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
 
 WAIT_SPIN = "spin"
 WAIT_BLOCK = "block"
@@ -168,6 +174,97 @@ class SimulationReport:
     timelines: dict[FutureId, ThreadTimeline]
 
 
+class CostReport(NamedTuple):
+    """What ``reprice`` returns: the fields of ``SimulationReport``, in its order, but the timelines."""
+
+    final_value: int
+    makespan: float
+    total_energy: float
+    per_thread_energy: dict[FutureId, float]
+    edp: float
+    ed2p: float
+    claim_records: tuple[ClaimRecord, ...]
+    clamp_count: int
+    transition_count: int
+
+
+# The pricing rules, one copy each: the loops of ``simulate`` and ``reprice``
+# call them at a claim, at a (rule, frequency) priced for the first time in a
+# run, and after a Create or a Claim.
+
+def _claim(claimant: FutureId, producer: FutureId, now: float, level: FrequencyLevel, t_realize: dict[FutureId, float],
+           parked: dict[FutureId, tuple[float, FutureId]], records: list[ClaimRecord],
+           model: CostModel) -> tuple[float, float | None] | None:
+    """Park a claim whose producer has not realized, or record and price it.
+
+    A parked claimant returns None; its event waits in ``parked`` until the
+    producer's realize pushes it back. Otherwise the claim's record is
+    appended, and this returns when its rule starts and its wait's energy,
+    None for a claim that did not wait (Case II). A Case I claim spins from
+    its arrival to the realize, at ``level`` or at ``idle_power``, or blocks
+    for one flat context-switch penalty.
+    """
+    ready = t_realize.get(producer)
+    if ready is None:
+        if producer in parked:
+            raise EngineError(f"fv{producer} claimed twice")
+        parked[producer] = (now, claimant)
+        return None
+    wait = max(0.0, ready - now)
+    records.append(ClaimRecord(claimant, producer, now, ready, wait, CASE_I if wait > 0 else CASE_II))
+    if not wait > 0:
+        return now, None
+    if model.wait_policy == WAIT_SPIN:
+        return ready, spin_power(level, model) * wait
+    return ready + model.block_time, model.block_energy
+
+
+def _priced(by_frequency: dict[float, tuple[float, float]], rule: str, level: FrequencyLevel,
+            model: CostModel) -> tuple[float, float]:
+    """Price a step of ``rule`` at ``level``, the first at its frequency in a run: (duration, energy), kept for the rest.
+
+    A step's price depends on its level only through the frequency, so a run
+    keeps one table per rule, frequency -> price.
+    """
+    duration = step_duration(rule, level, model)
+    price = by_frequency[level.value] = (duration, dynamic_power(level, model) * duration)
+    return price
+
+
+def _switches(level: FrequencyLevel, scaled: tuple[FrequencyLevel, ...],
+              model: CostModel) -> tuple[int, list[tuple[FrequencyLevel, float]]]:
+    """The level switches of a rule that ran at ``level`` and whose operators set ``scaled``, in order.
+
+    Each new level other than ``level`` is one switch. When tau > 0 each
+    switch also takes tau on the firing thread's timeline, and costs
+    kappa * f_new**alpha * tau with ``transition_energy``, else nothing.
+    Returns the switch count and the (new level, energy) of each tau segment.
+    """
+    count, taus = 0, []
+    for new_level in scaled:
+        if new_level.index != level.index:
+            count += 1
+            if model.tau > 0:
+                taus.append((new_level, dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0))
+    return count, taus
+
+
+def _report(report_type: type, final_value: int, per_thread: dict[FutureId, float], t_realize: dict[FutureId, float],
+            parked: dict, claim_records: list[ClaimRecord], clamp_count: int, transition_count: int, *more):
+    """A finished run's report, with ``more`` its fields after ``transition_count`` (a simulation's timelines).
+
+    The makespan is the root's realize, and the energy adds up left to right.
+    """
+    if 0 not in t_realize:
+        raise EngineError("simulation stalled before the root realized a value")
+    if parked:
+        raise EngineError("simulation ended with parked claimants")
+    makespan = t_realize[0]
+    total = _left_sum(per_thread.values())
+    return report_type(final_value, makespan, total, per_thread, total * makespan, total * makespan * makespan,
+                       tuple(claim_records), clamp_count, transition_count, *more)
+
+
 def simulate(
     expr: Expression,
     ladder: FrequencyLadder,
@@ -209,63 +306,143 @@ def simulate(
         start, claimed, own = now, None, segments[fid]
         if isinstance(site, ClaimSite):
             producer = site.target
-            if producer not in t_realize:
-                if producer in parked:
-                    raise EngineError(f"fv{producer} claimed twice")
-                parked[producer] = (now, fid)
+            claim = _claim(fid, producer, now, thr.freq, t_realize, parked, claim_records, model)
+            if claim is None:
                 continue
-            ready = t_realize[producer]
-            wait = max(0.0, ready - now)
-            claim_records.append(ClaimRecord(fid, producer, now, ready, wait, CASE_I if wait > 0 else CASE_II))
-            if wait > 0:
-                if model.wait_policy == WAIT_SPIN:
-                    start, energy = ready, spin_power(thr.freq, model) * wait
-                else:  # one flat context-switch penalty per block/unblock pair
-                    start, energy = ready + model.block_time, model.block_energy
+            start, energy = claim
+            if energy is not None:
                 own.append(Segment(now, start, SEG_WAIT, thr.freq, energy, target=producer))
             claimed = threads[producer].site.value
 
         hole, event = _advance(thr, threads, strategy, len(threads), claimed)
         rule, level = event.rule, event.level
-        by_frequency = prices[rule]  # a step's price depends on its level only through the frequency
-        price = by_frequency.get(level.value)
-        if price is None:
-            duration = step_duration(rule, level, model)
-            price = by_frequency[level.value] = (duration, dynamic_power(level, model) * duration)
-        duration, energy = price
+        by_frequency = prices[rule]
+        duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
         end = start + duration
         own.append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))  # no target: compute
-        clamp_count += event.clamps
-        for new_level in event.scaled:
-            if new_level.index != level.index:
-                transition_count += 1
-                if model.tau > 0:
-                    energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
-                    own.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
-                    end += model.tau
+        if rule != RULE_ADD:
+            clamp_count += event.clamps
+            switches, taus = _switches(level, event.scaled, model)
+            transition_count += switches
+            for new_level, energy in taus:
+                own.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
+                end += model.tau
         if isinstance(event, CreateEvent):
             segments[event.child] = []
             heapq.heappush(heap, (end, event.child))
         heapq.heappush(heap, (end, fid))
 
-    if 0 not in t_realize:
-        raise EngineError("simulation stalled before the root realized a value")
-    if parked:
-        raise EngineError("simulation ended with parked claimants")
-    makespan = t_realize[0]
-
     timelines = {fid: ThreadTimeline(tuple(segments[fid])) for fid in sorted(threads)}
     per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
-    total = _left_sum(per_thread.values())
-    return SimulationReport(
-        final_value=root.site.value.value,
-        makespan=makespan,
-        total_energy=total,
-        per_thread_energy=per_thread,
-        edp=total * makespan,
-        ed2p=total * makespan * makespan,
-        claim_records=tuple(claim_records),
-        clamp_count=clamp_count,
-        transition_count=transition_count,
-        timelines=timelines,
-    )
+    return _report(SimulationReport, root.site.value.value, per_thread, t_realize, parked, claim_records, clamp_count,
+                   transition_count, timelines)
+
+
+def _tapes(report: SimulationReport) -> dict[FutureId, list[tuple[str, FutureId | None]]]:
+    """Each thread's rule tape: the rules of its compute segments, in order.
+
+    A Create names its child, ``hole[1].fid``; a Claim its producer, the
+    target of the claimant's next claim record; an Add names no thread.
+    """
+    producers: dict[FutureId, list[FutureId]] = {}
+    for record in report.claim_records:
+        producers.setdefault(record.claimant, []).append(record.target)
+    tapes = {}
+    for fid, timeline in report.timelines.items():
+        claimed = iter(producers.get(fid, ()))
+        tapes[fid] = tape = []
+        for seg in timeline.segments:
+            rule = seg.rule
+            if rule == RULE_ADD:
+                tape.append((rule, None))
+            elif rule == RULE_CREATE:
+                tape.append((rule, seg.hole[1].fid))
+            elif rule == RULE_CLAIM:
+                tape.append((rule, next(claimed)))
+    return tapes
+
+
+def reprice(
+    report: SimulationReport,
+    ladder: FrequencyLadder,
+    init_index: int,
+    strategy: ScalingStrategy,
+    model: CostModel | None = None,
+) -> CostReport:
+    """Price a simulated run again under another strategy and cost model, without the rule kernel.
+
+    A strategy changes only how fast threads run, never which rules they
+    fire, so each thread replays its rule tape from ``report`` (made by
+    ``simulate`` under any strategy, ladder and model) on ``simulate``'s
+    (time, thread) heap. A Create names its child with the next fresh id, so
+    threads get the ids a fresh ``simulate`` gives them, and levels come
+    from ``strategy.scale`` in the kernel's order. The result equals that
+    ``simulate``'s report, bit for bit, in every field but the timelines;
+    no segment, event or expression is built.
+    """
+    model = model or CostModel()
+    levels = [ladder_start(ladder, init_index, strategy)]  # thread -> its level
+    tapes = _tapes(report)
+    scale = strategy.scale
+    tape_of = [tapes[0]]  # thread -> the tape it replays
+    at = [0]  # thread -> its next rule on the tape
+    spent = [0]  # thread -> its segments' energy, added in segment order from 0 as ``ThreadTimeline.energy`` does
+    ids = {0: 0}  # the report's thread id -> this run's
+    t_realize: dict[FutureId, float] = {}
+    heap: list[tuple[float, FutureId]] = [(0.0, 0)]
+    parked: dict[FutureId, tuple[float, FutureId]] = {}
+    claim_records: list[ClaimRecord] = []
+    prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
+    clamp_count = transition_count = 0
+
+    while heap:
+        now, fid = heapq.heappop(heap)
+        tape, i = tape_of[fid], at[fid]
+        if i == len(tape):
+            t_realize[fid] = now
+            if fid in parked:
+                heapq.heappush(heap, parked.pop(fid))
+            continue
+
+        rule, other = tape[i]
+        level, start = levels[fid], now
+        if rule == RULE_CLAIM:
+            claim = _claim(fid, ids[other], now, level, t_realize, parked, claim_records, model)
+            if claim is None:
+                continue
+            start, energy = claim
+            if energy is not None:
+                spent[fid] += energy
+        at[fid] = i + 1
+
+        by_frequency = prices[rule]
+        duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
+        end = start + duration
+        spent[fid] += energy
+        if rule != RULE_ADD:
+            if rule == RULE_CREATE:
+                child_level, clamp_up = scale(ScaleOp.UP_CREATE, level)
+                new_level, clamp_down = scale(ScaleOp.DOWN, level)
+                clamp_count += int(clamp_up) + int(clamp_down)
+                scaled = (child_level, new_level)
+            else:
+                new_level, clamped = scale(ScaleOp.UP_CLAIM, level)
+                clamp_count += int(clamped)
+                scaled = (new_level,)
+            levels[fid] = new_level
+            switches, taus = _switches(level, scaled, model)
+            transition_count += switches
+            for _, energy in taus:
+                spent[fid] += energy
+                end += model.tau
+            if rule == RULE_CREATE:
+                ids[other] = child = len(tape_of)
+                tape_of.append(tapes[other])
+                at.append(0)
+                levels.append(child_level)
+                spent.append(0)
+                heapq.heappush(heap, (end, child))
+        heapq.heappush(heap, (end, fid))
+
+    return _report(CostReport, report.final_value, dict(enumerate(spent)), t_realize, parked, claim_records,
+                   clamp_count, transition_count)

@@ -253,6 +253,11 @@ def start_level(expr: Expression, ladder: FrequencyLadder, init_index: int, stra
     """Check a program and its strategy at the start of a run; return the root's starting level."""
     if contains_future_ref(expr):
         raise ValueError("programs must not contain future references")
+    return ladder_start(ladder, init_index, strategy)
+
+
+def ladder_start(ladder: FrequencyLadder, init_index: int, strategy: ScalingStrategy) -> FrequencyLevel:
+    """Check that the strategy steps over ``ladder``; return the level a run starts at."""
     if strategy.ladder != ladder:
         raise ValueError("strategy was built over a different ladder")
     return ladder.level(init_index)

@@ -5,15 +5,26 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import futsim.cli as cli
+import futsim.energy as energy
+import futsim.engine as engine
 from futsim.calculus import Add, IntLit
 from futsim.cli import main
-from futsim.energy import simulate
-from futsim.scaling import FrequencyLadder, strategy_both
+from futsim.energy import SEG_COMPUTE, CostModel, simulate
+from futsim.parser import parse
+from futsim.scaling import (
+    DEFAULT_INIT_INDEX,
+    DEFAULT_LADDER,
+    FrequencyLadder,
+    ScalingStrategy,
+    make_strategy,
+    strategy_both,
+)
 
 
 @pytest.fixture()
@@ -161,9 +172,43 @@ def test_compare_detects_value_divergence(small_file, monkeypatch):
             self.ed2p = 1.0
 
     monkeypatch.setattr(cli, "simulate", lambda *a, **k: Fake(next(reports)))
+    monkeypatch.setattr(cli, "reprice", lambda *a, **k: Fake(next(reports)))
     code, _, err = invoke(["compare", small_file, "--strategies", "none,both"])
     assert code == 4
     assert "disagree" in err
+
+
+def test_compare_simulates_once_and_reprices_the_other_strategies(tmp_path, monkeypatch):
+    """A 4-strategy compare fires each rule once and walks the program once, yet
+    calls the scaling operators as often as 4 simulates, and prints their totals."""
+    path = tmp_path / "wide.gf"
+    path.write_text(" + ".join(f"(future ({i} + (future {i})))" for i in range(12)))
+    names = ("none", "both", "parent-only", "child-only")
+    counts = Counter()
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(energy, "_advance", counting("rules", energy._advance))
+    monkeypatch.setattr(engine, "contains_future_ref", counting("walks", engine.contains_future_ref))
+    monkeypatch.setattr(ScalingStrategy, "scale", counting("scales", ScalingStrategy.scale))
+    code, out, _ = invoke(["compare", str(path), "--strategies", ",".join(names), "--tau", "0.05", "--format", "json"])
+    assert code == 0
+    compared = dict(counts)
+    counts.clear()
+    expr, model = parse(path.read_text()), CostModel(tau=0.05)
+    reports = [simulate(expr, DEFAULT_LADDER, DEFAULT_INIT_INDEX, make_strategy(name, DEFAULT_LADDER), model)
+               for name in names]
+    steps = sum(seg.kind == SEG_COMPUTE for timeline in reports[0].timelines.values() for seg in timeline.segments)
+    assert compared["rules"] == steps and counts["rules"] == 4 * steps
+    assert compared["walks"] == 1 and counts["walks"] == 4
+    assert compared["scales"] == counts["scales"] > 0
+    for row, report in zip(json.loads(out)["rows"], reports):
+        assert (row["energy"], row["makespan"], row["edp"], row["ed2p"]) == (
+            report.total_energy, report.makespan, report.edp, report.ed2p)
 
 
 def test_explore_single_outcome(golden_file):

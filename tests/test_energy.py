@@ -14,6 +14,7 @@ from futsim.energy import (
     CostModel,
     Segment,
     ThreadTimeline,
+    reprice,
     simulate,
     step_duration,
     step_energy,
@@ -333,3 +334,9 @@ def test_simulated_schedule_replays_through_engine_step(name, wait):
             assert (event.rule, event.level) == (seg.rule, seg.level), (seed, fid)
         assert is_terminal(config)
         assert config.closures[0].expr == IntLit(report.final_value)
+
+
+def test_reprice_rejects_a_strategy_over_another_ladder():
+    report = simulate(parse("1 + future (2 + 3)"), LADDER, 2, strategy_both(LADDER))
+    with pytest.raises(ValueError, match="different ladder"):
+        reprice(report, LADDER, 2, strategy_both(FrequencyLadder((1.0, 5.0))))

@@ -2,14 +2,16 @@
 decompose and gen_random_program against the recursive walkers they replaced,
 refocused sites against decompose, a simulator and a run that never plug
 against the public step, the rule work of run against simulate, the simulator's energy
-identities, trace snippets against the whole rendered expression,
-explore's structural state keys against the renaming key they replaced, and
-explore's Merkle keys against the flat-key search they replaced, on samples
-and on every program of at most 8 nodes over the literals 0 and 1."""
+identities, reprice against a fresh simulate under every strategy pair, trace
+snippets against the whole rendered expression, explore's structural state
+keys against the renaming key they replaced, and explore's Merkle keys
+against the flat-key search they replaced, on samples and on every program of
+at most 8 nodes over the literals 0 and 1."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -53,9 +55,22 @@ from futsim.calculus import (  # noqa: E402
     wrap_int,
 )
 from futsim.cli import _snippet, _write_simulate_trace  # noqa: E402
-from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, WAIT_BLOCK, WAIT_SPIN, CostModel, simulate  # noqa: E402
+from futsim.energy import (  # noqa: E402
+    CASE_I,
+    CASE_II,
+    SEG_COMPUTE,
+    SEG_TRANSITION,
+    WAIT_BLOCK,
+    WAIT_SPIN,
+    CostModel,
+    CostReport,
+    SimulationReport,
+    reprice,
+    simulate,
+)
 from futsim.engine import (  # noqa: E402
     RULE_CLAIM,
+    RULE_CREATE,
     ClaimEvent,
     CreateEvent,
     EngineError,
@@ -71,7 +86,7 @@ from futsim.engine import (  # noqa: E402
     step,
 )
 from futsim.parser import ParseError, parse, unparse  # noqa: E402
-from futsim.scaling import FrequencyLadder, make_strategy  # noqa: E402
+from futsim.scaling import FrequencyLadder, ScalingStrategy, make_strategy  # noqa: E402
 from oracles import Token, _tokenize, canonical_key, closure_for, is_terminal, refill  # noqa: E402
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
@@ -766,6 +781,114 @@ def test_simulate_every_small_program_reaches_its_sequential_value_and_adds_its_
             assert report.final_value == expected, (unparse(expr), model)
             added = functools.reduce(operator.add, report.per_thread_energy.values(), 0)
             assert repr(report.total_energy) == repr(added), (unparse(expr), model)  # bit for bit
+
+
+def _assert_energy_identities(report):
+    """The facts ``reprice`` reads from a report: each thread's segments run without a gap from its birth
+    (the end of its creator's Create and the switches after it), lie within [0, makespan] and add up, left
+    to right, to its energy; each claim's producer realized at the end of its last segment; a claim waits
+    exactly until then, and is Case I exactly when it waits."""
+    last_end = {}  # thread -> the end of its last segment, or its birth if it has none
+    born = {0: 0.0}
+    for fid, timeline in report.timelines.items():  # ids ascend in creation order, so a creator comes first
+        segments, time = timeline.segments, born[fid]
+        for k, seg in enumerate(segments):
+            assert seg.start == time and 0 <= seg.start <= seg.end <= report.makespan, (fid, k)
+            time = seg.end
+            if seg.rule == RULE_CREATE:
+                after = k + 1
+                while after < len(segments) and segments[after].kind == SEG_TRANSITION:
+                    after += 1
+                born[seg.hole[1].fid] = segments[after - 1].end
+        last_end[fid] = time
+        added = functools.reduce(operator.add, (seg.energy for seg in segments), 0)
+        assert repr(report.per_thread_energy[fid]) == repr(added), fid
+    assert last_end[0] == report.makespan
+    for record in report.claim_records:
+        assert record.t_realize == last_end[record.target], record
+        assert record.wait == max(0.0, record.t_realize - record.t_arrive), record
+        assert record.case_tag == (CASE_I if record.wait > 0 else CASE_II), record
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_energy_identities_hold_on_every_small_program(name):
+    strategy = make_strategy(name, LADDER)
+    for expr in SMALL_SCOPE:
+        for model in SMALL_SCOPE_MODELS:
+            _assert_energy_identities(simulate(expr, LADDER, 2, strategy, model))
+
+
+def test_a_cost_report_has_the_fields_of_a_simulation_report_but_the_timelines():
+    assert CostReport._fields + ("timelines",) == tuple(field.name for field in dataclasses.fields(SimulationReport))
+
+
+def _assert_repriced(repriced, report, *context):
+    """``reprice`` gave ``simulate``'s report in every field the two share, bit for bit."""
+    assert type(repriced) is CostReport
+    for name in CostReport._fields:
+        assert repr(getattr(repriced, name)) == repr(getattr(report, name)), (name, *context)
+
+
+@pytest.mark.parametrize("model", SMALL_SCOPE_MODELS, ids=lambda m: f"{m.wait_policy}-tau{m.tau}")
+def test_reprice_from_none_gives_each_strategys_simulate_on_every_small_program(model):
+    """At the 4-level ladder's second level, so ``both`` and ``child-only`` clamp on nested futures."""
+    strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
+    for expr in SMALL_SCOPE:
+        source = simulate(expr, LADDER, 2, strategies[0], model)
+        for strategy in strategies:
+            expected = source if strategy is strategies[0] else simulate(expr, LADDER, 2, strategy, model)
+            _assert_repriced(reprice(source, LADDER, 2, strategy, model), expected, unparse(expr), strategy.name)
+
+
+def _wide_draw(seed):
+    """A left-deep sum of 100-150 futures whose bodies are small random programs, some with futures of their own."""
+    rng = random.Random(seed)
+    terms = [FutureCreate(gen_random_program(rng.randrange(10**6), 4, 2)) for _ in range(rng.randint(100, 150))]
+    return functools.reduce(Add, terms)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reprice_gives_simulate_on_wide_draws_under_every_strategy_pair(seed):
+    expr = _wide_draw(seed)
+    for model in (CostModel(tau=0.05), CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True)):
+        reports = {name: simulate(expr, LADDER, 2, make_strategy(name, LADDER), model) for name in STRATEGIES}
+        assert len(reports["none"].timelines) > 100
+        for source, target in itertools.product(STRATEGIES, repeat=2):
+            repriced = reprice(reports[source], LADDER, 2, make_strategy(target, LADDER), model)
+            _assert_repriced(repriced, reports[target], source, target, model)
+
+
+class _EveryThirdHeld(ScalingStrategy):
+    """Overrides ``scale``: every third call holds the level, so a run's levels depend on the order of its calls."""
+
+    def __init__(self, ladder):
+        super().__init__("every-third-held", ladder, +1, +1, -1)
+        self.calls = 0
+
+    def scale(self, op, level):
+        self.calls += 1
+        return (level, False) if self.calls % 3 == 0 else super().scale(op, level)
+
+
+ONE_LEVEL = FrequencyLadder((2.0,))
+REPRICE_FACTORIES = [functools.partial(make_strategy, name) for name in STRATEGIES] + [_EveryThirdHeld]
+REPRICE_MODELS = [
+    CostModel(idle_power=0.5, tau=0.05),
+    CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True, block_time=0.3, block_energy=2.5),
+    CostModel(create_cycles=2.0, add_cycles=0.5, claim_cycles=3.0, kappa=1.7, alpha=2.5, tau=0.01, transition_energy=True),
+]
+
+
+@pytest.mark.parametrize("ladder, init", [(LADDER, 1), (LADDER, 4), (ONE_LEVEL, 1)], ids=["bottom", "top", "one-level"])
+def test_reprice_gives_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
+    """Sources ran on the 4-level ladder at its second level under the default model: a rule tape holds no level."""
+    for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
+        sources = [simulate(expr, LADDER, 2, factory(LADDER)) for factory in REPRICE_FACTORIES]
+        for model in REPRICE_MODELS:
+            for factory in REPRICE_FACTORIES:
+                expected = simulate(expr, ladder, init, factory(ladder), model)
+                for source in sources:
+                    _assert_repriced(reprice(source, ladder, init, factory(ladder), model), expected, unparse(expr))
 
 
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
