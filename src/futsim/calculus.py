@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .scaling import FrequencyLadder, FrequencyLevel
+from .scaling import FrequencyLevel
 
 FutureId = int
 
@@ -86,11 +86,6 @@ def contains_future_ref(expr: Expression) -> bool:
         elif kind is FutureRef:
             return True
     return False
-
-
-def future_ref_ids(expr: Expression) -> list[FutureId]:
-    """All future ids referenced in expr, in left-to-right occurrence order."""
-    return [e.fid for e in subterms(expr) if isinstance(e, FutureRef)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,49 +427,3 @@ class Configuration:
 
 def initial_configuration(expr: Expression, level: FrequencyLevel) -> Configuration:
     return Configuration(closures=(Closure(level, decompose(expr), 0),), next_fresh=1, root=0)
-
-
-class ConfigurationError(Exception):
-    """A configuration violates a structural invariant."""
-
-
-def validate_configuration(config: Configuration, ladder: FrequencyLadder | None = None) -> None:
-    """Check producer uniqueness, no dangling futures, acyclicity, and ladder membership."""
-    producers: dict[FutureId, Closure] = {}
-    for c in config.closures:
-        if c.realizes in producers:
-            raise ConfigurationError(f"two closures realize fv{c.realizes}")
-        producers[c.realizes] = c
-    if config.root not in producers:
-        raise ConfigurationError(f"no closure realizes the root fv{config.root}")
-
-    referenced: dict[FutureId, int] = {}
-    for c in config.closures:
-        for fid in future_ref_ids(c.expr):
-            if fid not in producers:
-                raise ConfigurationError(f"dangling reference to fv{fid}")
-            referenced[fid] = referenced.get(fid, 0) + 1
-    if config.root in referenced:
-        raise ConfigurationError("the root future must not be referenced")
-    for fid in producers:
-        if fid != config.root and referenced.get(fid, 0) != 1:
-            raise ConfigurationError(f"fv{fid} referenced {referenced.get(fid, 0)} times, expected once")
-
-    # Each non-root future is referenced exactly once, so reachability from the
-    # root implies the realizes/references relation is a tree (hence acyclic).
-    seen: set[FutureId] = set()
-    stack = [config.root]
-    while stack:
-        fid = stack.pop()
-        if fid in seen:
-            raise ConfigurationError(f"fv{fid} reachable twice; reference cycle or sharing")
-        seen.add(fid)
-        stack.extend(future_ref_ids(producers[fid].expr))
-    if seen != set(producers):
-        orphans = sorted(set(producers) - seen)
-        raise ConfigurationError(f"closures unreachable from the root: {orphans}")
-
-    if ladder is not None:
-        for c in config.closures:
-            if not ladder.contains(c.freq):
-                raise ConfigurationError(f"fv{c.realizes} runs at {c.freq} outside the ladder")

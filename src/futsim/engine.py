@@ -15,7 +15,6 @@ from .calculus import (
     Context,
     CreateRedex,
     Expression,
-    FutureCreate,
     FutureId,
     FutureRef,
     IntLit,
@@ -526,46 +525,3 @@ def explore_with_stats(
     """All distinct terminal (value, root level) pairs over every interleaving, and the number of states seen."""
     config = initial_configuration(expr, start_level(expr, ladder, init_index, strategy))
     return _explore(config, strategy, state_limit)
-
-
-# ---------------------------------------------------------------------------
-# Random program generation (property-test fuel)
-# ---------------------------------------------------------------------------
-
-def gen_random_program(seed: int, max_depth: int, max_future_nesting: int) -> Expression:
-    """Deterministic random expression, reference-free, at most ``max_depth`` deep.
-
-    ``max_depth`` caps depth, not size: while nesting allows, a node has 4/3
-    children on average (int 1/6, add 1/2, future 1/3), so most draws grow
-    exponentially with depth and only small depths are usable: seed 3 at
-    depth 5,000 passes 10**6 nodes. One loop over an explicit stack of nodes
-    still to draw, left child on top, draws in pre-order without recursion.
-    """
-    if max_depth < 1 or max_future_nesting < 1:
-        raise ValueError("bounds must be at least 1")
-    rng = random.Random(seed)
-    todo: list = [(1, 0)]  # (depth, nesting) of a node to draw, or the constructor that closes one
-    built: list[Expression] = []
-    while todo:
-        item = todo.pop()
-        if item is Add:
-            right = built.pop()
-            built[-1] = Add(built[-1], right)
-            continue
-        if item is FutureCreate:
-            built[-1] = FutureCreate(built[-1])
-            continue
-        depth, nesting = item
-        kind = "int"
-        if depth < max_depth:
-            kinds = ["int", "add", "add", "add"]
-            if nesting < max_future_nesting:
-                kinds += ["future", "future"]
-            kind = rng.choice(kinds)
-        if kind == "int":
-            built.append(IntLit(rng.randint(-9, 9)))
-        elif kind == "add":
-            todo += (Add, (depth + 1, nesting), (depth + 1, nesting))
-        else:
-            todo += (FutureCreate, (depth + 1, nesting + 1))
-    return built[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .calculus import Add, Context, Expression, Frame, FutureCreate, FutureRef, IntLit, _HoleLeftCell, wrap_int
+from .calculus import Add, Expression, FutureCreate, FutureRef, IntLit, wrap_int
 
 
 class ParseError(Exception):
@@ -119,79 +119,37 @@ def _atomic(expr: Expression) -> bool:
     return isinstance(expr, (IntLit, FutureRef))
 
 
-def unparse(expr: Expression, limit: int | None = None, context: Context | tuple[Frame, ...] = ()) -> str:
-    """Render ``plug(context, expr)`` without building it, so that
-    ``parse(unparse(e)) == e`` for ref-free e. The context's cells are
-    listed once, outermost first, and each frame is read from its cell's
-    class and operand, so none is built (a tuple of frames is made a
-    ``Context`` first).
+def unparse(expr: Expression, limit: int | None = None) -> str:
+    """Render ``expr`` so that ``parse(unparse(e)) == e`` for ref-free e.
 
     With ``limit``, rendering stops once the text is longer than ``limit``
     characters: the result is the whole text or a prefix of it longer than
     ``limit``. One loop over an explicit stack does the work, so nesting depth
-    costs no recursion. The stack holds text still to write, (node, followed)
-    pairs still to render, and ranges of ``HoleLeft`` frames whose right
-    operands are still to write, deepest first. A node is an expression or a
-    1-tuple holding the index of a context frame, which stands for the
-    subterm that frame and those inside it surround. ``followed`` means more
-    tokens come after the node, so a future on its right spine must be fenced
-    off with parentheses. A run of ``HoleLeft`` frames is pushed as one range,
-    so a bounded render does not visit the right operands it never writes.
+    costs no recursion. The stack holds text still to write and (node,
+    followed) pairs still to render. ``followed`` means more tokens come after
+    the node, so a future on its right spine must be fenced off with
+    parentheses.
     """
-    cells = []
-    cell = Context.of(context)
-    while cell.depth:
-        cells.append(cell)
-        cell = cell.outer
-    cells.reverse()
-    depth = len(cells)
     pieces: list[str] = []
     size = 0
-    todo: list = [((0,) if depth else expr, False)]
+    todo: list = [(expr, False)]
     while todo:
         item = todo.pop()
-        cls = item.__class__
-        if cls is str:
+        if item.__class__ is str:
             text = item
-        elif cls is range:
-            last = item[-1]
-            if len(item) > 1:
-                todo.append(item[:-1])
-            right = cells[last].operand
-            if right.__class__ is Add:
-                todo += (")", (right, False))
-                text = " + ("
-            else:
-                todo.append((right, last > item.start))
-                text = " + "
         else:
             node, followed = item
             cls = node.__class__
-            while cls is tuple or cls is Add:  # down the left spine of the sums
-                if cls is tuple:
-                    # A context node is the root or a fenced right operand, so
-                    # it is not followed; the HoleLeft frames atop it are one run.
-                    index = end = node[0]
-                    while end < depth and cells[end].__class__ is _HoleLeftCell:
-                        end += 1
-                    if end > index:
-                        todo.append(range(index, end))
-                        followed = True
-                    if end == depth:
-                        node = expr
-                        cls = node.__class__
-                        continue
-                    left, right = cells[end].operand, ((end + 1,) if end + 1 < depth else expr)
-                else:
-                    left, right = node.left, node.right
+            while cls is Add:  # down the left spine of the sums
+                right = node.right
                 cls = right.__class__
                 if cls is IntLit:
                     todo.append(f" + {right.value}")
-                elif cls is tuple or cls is Add:
+                elif cls is Add:
                     todo += (")", (right, False), " + (")
                 else:
                     todo += ((right, followed), " + ")
-                node, followed = left, True
+                node, followed = node.left, True
                 cls = node.__class__
             if cls is IntLit:
                 text = str(node.value)

@@ -1,21 +1,42 @@
-"""Helpers the library no longer needs, kept as oracles for the tests.
+"""Helpers the library no longer needs, kept as oracles and test fuel.
 
 The configuration helpers read a configuration through each closure's
 expression (``Closure.expr``), not through its site, as the library did before
-closures held sites; ``trace_snippet`` renders a compute record's ``expr`` as
-the trace writer did before it memoised its context frames. ``Token`` and
-``_tokenize`` are the character-by-character lexer the parser used before its
-one regex.
+closures held sites; ``validate_configuration`` (with ``ConfigurationError``
+and ``future_ref_ids``) checks a configuration's structural invariants.
+``unparse_in_context`` is ``unparse`` as it was when it could render a hole
+through its context, and ``trace_snippet`` renders a compute record's
+``expr`` with it, as the trace writer did before it memoised its context
+frames. ``gen_random_program`` draws the seeded random programs the property
+tests run. ``Token`` and ``_tokenize`` are the character-by-character lexer
+the parser used before its one regex.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from futsim.calculus import IntLit, _refocus, plug
+from futsim.calculus import (
+    Add,
+    Closure,
+    Configuration,
+    Context,
+    Expression,
+    Frame,
+    FutureCreate,
+    FutureId,
+    FutureRef,
+    IntLit,
+    _HoleLeftCell,
+    _refocus,
+    plug,
+    subterms,
+)
 from futsim.cli import EXPR_SNIPPET_CHARS, _snippet
 from futsim.engine import EngineError, _shape
-from futsim.parser import ParseError, unparse
+from futsim.parser import ParseError, _atomic
+from futsim.scaling import FrequencyLadder
 
 
 def refill(site, filler):
@@ -72,10 +93,201 @@ def canonical_key(config, shapes=None):
     return tuple(key)
 
 
+def future_ref_ids(expr: Expression) -> list[FutureId]:
+    """All future ids referenced in expr, in left-to-right occurrence order."""
+    return [e.fid for e in subterms(expr) if isinstance(e, FutureRef)]
+
+
+class ConfigurationError(Exception):
+    """A configuration violates a structural invariant."""
+
+
+def validate_configuration(config: Configuration, ladder: FrequencyLadder | None = None) -> None:
+    """Check producer uniqueness, no dangling futures, acyclicity, and ladder membership."""
+    producers: dict[FutureId, Closure] = {}
+    for c in config.closures:
+        if c.realizes in producers:
+            raise ConfigurationError(f"two closures realize fv{c.realizes}")
+        producers[c.realizes] = c
+    if config.root not in producers:
+        raise ConfigurationError(f"no closure realizes the root fv{config.root}")
+
+    referenced: dict[FutureId, int] = {}
+    for c in config.closures:
+        for fid in future_ref_ids(c.expr):
+            if fid not in producers:
+                raise ConfigurationError(f"dangling reference to fv{fid}")
+            referenced[fid] = referenced.get(fid, 0) + 1
+    if config.root in referenced:
+        raise ConfigurationError("the root future must not be referenced")
+    for fid in producers:
+        if fid != config.root and referenced.get(fid, 0) != 1:
+            raise ConfigurationError(f"fv{fid} referenced {referenced.get(fid, 0)} times, expected once")
+
+    # Each non-root future is referenced exactly once, so reachability from the
+    # root implies the realizes/references relation is a tree (hence acyclic).
+    seen: set[FutureId] = set()
+    stack = [config.root]
+    while stack:
+        fid = stack.pop()
+        if fid in seen:
+            raise ConfigurationError(f"fv{fid} reachable twice; reference cycle or sharing")
+        seen.add(fid)
+        stack.extend(future_ref_ids(producers[fid].expr))
+    if seen != set(producers):
+        orphans = sorted(set(producers) - seen)
+        raise ConfigurationError(f"closures unreachable from the root: {orphans}")
+
+    if ladder is not None:
+        for c in config.closures:
+            if not ladder.contains(c.freq):
+                raise ConfigurationError(f"fv{c.realizes} runs at {c.freq} outside the ladder")
+
+
+def unparse_in_context(expr: Expression, limit: int | None = None, context: Context | tuple[Frame, ...] = ()) -> str:
+    """Render ``plug(context, expr)`` without building it, so that
+    ``parse(unparse(e)) == e`` for ref-free e. The context's cells are
+    listed once, outermost first, and each frame is read from its cell's
+    class and operand, so none is built (a tuple of frames is made a
+    ``Context`` first).
+
+    With ``limit``, rendering stops once the text is longer than ``limit``
+    characters: the result is the whole text or a prefix of it longer than
+    ``limit``. One loop over an explicit stack does the work, so nesting depth
+    costs no recursion. The stack holds text still to write, (node, followed)
+    pairs still to render, and ranges of ``HoleLeft`` frames whose right
+    operands are still to write, deepest first. A node is an expression or a
+    1-tuple holding the index of a context frame, which stands for the
+    subterm that frame and those inside it surround. ``followed`` means more
+    tokens come after the node, so a future on its right spine must be fenced
+    off with parentheses. A run of ``HoleLeft`` frames is pushed as one range,
+    so a bounded render does not visit the right operands it never writes.
+    """
+    cells = []
+    cell = Context.of(context)
+    while cell.depth:
+        cells.append(cell)
+        cell = cell.outer
+    cells.reverse()
+    depth = len(cells)
+    pieces: list[str] = []
+    size = 0
+    todo: list = [((0,) if depth else expr, False)]
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is str:
+            text = item
+        elif cls is range:
+            last = item[-1]
+            if len(item) > 1:
+                todo.append(item[:-1])
+            right = cells[last].operand
+            if right.__class__ is Add:
+                todo += (")", (right, False))
+                text = " + ("
+            else:
+                todo.append((right, last > item.start))
+                text = " + "
+        else:
+            node, followed = item
+            cls = node.__class__
+            while cls is tuple or cls is Add:  # down the left spine of the sums
+                if cls is tuple:
+                    # A context node is the root or a fenced right operand, so
+                    # it is not followed; the HoleLeft frames atop it are one run.
+                    index = end = node[0]
+                    while end < depth and cells[end].__class__ is _HoleLeftCell:
+                        end += 1
+                    if end > index:
+                        todo.append(range(index, end))
+                        followed = True
+                    if end == depth:
+                        node = expr
+                        cls = node.__class__
+                        continue
+                    left, right = cells[end].operand, ((end + 1,) if end + 1 < depth else expr)
+                else:
+                    left, right = node.left, node.right
+                cls = right.__class__
+                if cls is IntLit:
+                    todo.append(f" + {right.value}")
+                elif cls is tuple or cls is Add:
+                    todo += (")", (right, False), " + (")
+                else:
+                    todo += ((right, followed), " + ")
+                node, followed = left, True
+                cls = node.__class__
+            if cls is IntLit:
+                text = str(node.value)
+            elif cls is FutureRef:
+                text = f"fv{node.fid}"
+            elif cls is FutureCreate:
+                if followed:
+                    todo += (")", (node.body, False))
+                    text = "(future "
+                elif _atomic(node.body):
+                    todo.append((node.body, False))
+                    text = "future "
+                else:
+                    todo += (")", (node.body, False))
+                    text = "future ("
+            else:
+                raise TypeError(f"not an expression: {node!r}")
+        pieces.append(text)
+        size += len(text)
+        if limit is not None and size > limit:
+            break
+    return "".join(pieces)
+
+
 def trace_snippet(context, filler):
     """A compute record's ``expr``: the whole hole rendered by one bounded
-    ``unparse`` through its context, then cut, once per record."""
-    return _snippet(unparse(filler, EXPR_SNIPPET_CHARS, context))
+    ``unparse_in_context`` through its context, then cut, once per record."""
+    return _snippet(unparse_in_context(filler, EXPR_SNIPPET_CHARS, context))
+
+
+# ---------------------------------------------------------------------------
+# Random program generation (property-test fuel)
+# ---------------------------------------------------------------------------
+
+def gen_random_program(seed: int, max_depth: int, max_future_nesting: int) -> Expression:
+    """Deterministic random expression, reference-free, at most ``max_depth`` deep.
+
+    ``max_depth`` caps depth, not size: while nesting allows, a node has 4/3
+    children on average (int 1/6, add 1/2, future 1/3), so most draws grow
+    exponentially with depth and only small depths are usable: seed 3 at
+    depth 5,000 passes 10**6 nodes. One loop over an explicit stack of nodes
+    still to draw, left child on top, draws in pre-order without recursion.
+    """
+    if max_depth < 1 or max_future_nesting < 1:
+        raise ValueError("bounds must be at least 1")
+    rng = random.Random(seed)
+    todo: list = [(1, 0)]  # (depth, nesting) of a node to draw, or the constructor that closes one
+    built: list[Expression] = []
+    while todo:
+        item = todo.pop()
+        if item is Add:
+            right = built.pop()
+            built[-1] = Add(built[-1], right)
+            continue
+        if item is FutureCreate:
+            built[-1] = FutureCreate(built[-1])
+            continue
+        depth, nesting = item
+        kind = "int"
+        if depth < max_depth:
+            kinds = ["int", "add", "add", "add"]
+            if nesting < max_future_nesting:
+                kinds += ["future", "future"]
+            kind = rng.choice(kinds)
+        if kind == "int":
+            built.append(IntLit(rng.randint(-9, 9)))
+        elif kind == "add":
+            todo += (Add, (depth + 1, nesting), (depth + 1, nesting))
+        else:
+            todo += (FutureCreate, (depth + 1, nesting + 1))
+    return built[0]
 
 
 @dataclass(frozen=True)

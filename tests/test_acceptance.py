@@ -16,7 +16,6 @@ from futsim.calculus import (
     eval_sequential,
     initial_configuration,
     node_count,
-    validate_configuration,
 )
 from futsim.energy import CASE_I, CASE_II, SEG_WAIT, CostModel, simulate
 from futsim.engine import (
@@ -25,13 +24,12 @@ from futsim.engine import (
     SeededRandom,
     enabled_threads,
     explore_with_stats,
-    gen_random_program,
     run,
     step,
 )
 from futsim.parser import parse
 from futsim.scaling import FrequencyLadder, ScaleOp, make_strategy, strategy_both, strategy_none, strategy_parent_only
-from oracles import is_terminal
+from oracles import gen_random_program, is_terminal, validate_configuration
 
 LADDER4 = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 GOLDEN_PROGRAM = parse("2 + future (future (3+4))")

@@ -12,7 +12,6 @@ from futsim.calculus import (
     ClaimSite,
     Closure,
     Configuration,
-    ConfigurationError,
     CreateRedex,
     FutureCreate,
     FutureRef,
@@ -23,17 +22,15 @@ from futsim.calculus import (
     contains_future_ref,
     decompose,
     eval_sequential,
-    future_ref_ids,
     initial_configuration,
     node_count,
     plug,
-    validate_configuration,
     wrap_int,
 )
 from futsim.energy import simulate
-from futsim.engine import NewestFirst, enabled_threads, gen_random_program, run, step
+from futsim.engine import NewestFirst, enabled_threads, run, step
 from futsim.scaling import FrequencyLadder, strategy_both
-from oracles import refill
+from oracles import ConfigurationError, future_ref_ids, gen_random_program, refill, validate_configuration
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 

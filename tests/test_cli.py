@@ -159,25 +159,6 @@ def test_compare_single_strategy_is_usage_error(small_file):
     assert "two strategies" in err
 
 
-def test_compare_detects_value_divergence(small_file, monkeypatch):
-    reports = iter([7, 8])
-
-    class Fake:
-        def __init__(self, value):
-            self.final_value = value
-            self.claim_records = ()
-            self.total_energy = 1.0
-            self.makespan = 1.0
-            self.edp = 1.0
-            self.ed2p = 1.0
-
-    monkeypatch.setattr(cli, "simulate", lambda *a, **k: Fake(next(reports)))
-    monkeypatch.setattr(cli, "reprice", lambda *a, **k: Fake(next(reports)))
-    code, _, err = invoke(["compare", small_file, "--strategies", "none,both"])
-    assert code == 4
-    assert "disagree" in err
-
-
 def test_compare_simulates_once_and_reprices_the_other_strategies(tmp_path, monkeypatch):
     """A 4-strategy compare fires each rule once and walks the program once, yet
     calls the scaling operators as often as 4 simulates, and prints their totals."""

@@ -19,10 +19,10 @@ from futsim.energy import (
     step_duration,
     step_energy,
 )
-from futsim.engine import gen_random_program, run, step
+from futsim.engine import run, step
 from futsim.parser import parse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_child_only, strategy_none
-from oracles import is_terminal
+from oracles import gen_random_program, is_terminal
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 REL = 1e-9

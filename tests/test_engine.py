@@ -17,7 +17,6 @@ from futsim.calculus import (
     initial_configuration,
     node_count,
     plug,
-    validate_configuration,
 )
 from futsim.engine import (
     AddEvent,
@@ -33,14 +32,13 @@ from futsim.engine import (
     _explore,
     enabled_threads,
     explore_with_stats,
-    gen_random_program,
     run,
     step,
 )
 from futsim.energy import simulate
 from futsim.parser import parse, unparse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_parent_only
-from oracles import canonical_key, is_terminal
+from oracles import canonical_key, gen_random_program, is_terminal, validate_configuration
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 BOTH = strategy_both(LADDER)

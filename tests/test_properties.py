@@ -48,7 +48,6 @@ from futsim.calculus import (  # noqa: E402
     _refocus,
     decompose,
     eval_sequential,
-    future_ref_ids,
     initial_configuration,
     plug,
     subterms,
@@ -81,13 +80,23 @@ from futsim.engine import (  # noqa: E402
     _explore,
     enabled_threads,
     explore_with_stats,
-    gen_random_program,
     run,
     step,
 )
 from futsim.parser import ParseError, parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, ScalingStrategy, make_strategy  # noqa: E402
-from oracles import Token, _tokenize, canonical_key, closure_for, is_terminal, refill  # noqa: E402
+import oracles  # noqa: E402
+from oracles import (  # noqa: E402
+    Token,
+    _tokenize,
+    canonical_key,
+    closure_for,
+    future_ref_ids,
+    gen_random_program,
+    is_terminal,
+    refill,
+    unparse_in_context,
+)
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0, 4.0))
 STRATEGIES = ("none", "parent-only", "child-only", "both")
@@ -271,11 +280,14 @@ def _splits(expr):
 @example(Add(Add(IntLit(1), FutureCreate(IntLit(2))), Add(FutureCreate(Add(IntLit(3), IntLit(4))), FutureRef(5))))
 def test_unparse_agrees_with_the_recursive_renderer_at_every_split(expr):
     text = _recursive_unparse(expr)
+    renders = [functools.partial(unparse, expr)]
     for context, sub in _splits(expr):
         assert plug(context, sub) == expr
-        assert unparse(sub, context=context) == text
+        renders.append(functools.partial(unparse_in_context, sub, context=context))
+    for render in renders:
+        assert render() == text
         for limit in (0, 10, 80):
-            bounded = unparse(sub, limit, context)
+            bounded = render(limit)
             assert text.startswith(bounded)
             assert bounded == text or len(bounded) > limit
 
@@ -937,7 +949,7 @@ def test_gen_random_program_draws_a_5000_deep_program_without_recursion():
     # Real draws that deep are astronomically large (each node has 4/3
     # children on average), so a stand-in draws a spine: future at odd
     # depths, an add with an int on its left at even depths.
-    with mock.patch.object(engine, "random", SimpleNamespace(Random=_SpineDraws)):
+    with mock.patch.object(oracles, "random", SimpleNamespace(Random=_SpineDraws)):
         expr = gen_random_program(3, 5000, 4000)
     assert Counter(type(e).__name__ for e in subterms(expr)) == {"FutureCreate": 2500, "Add": 2499, "IntLit": 2500}
     assert eval_sequential(expr) == 2500
