@@ -37,7 +37,8 @@ from .energy import (
     CostModel,
     SimulationReport,
     _left_sum,
-    reprice,
+    _price,
+    _record,
     simulate,
 )
 from .engine import (
@@ -546,11 +547,10 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least two strategies (--strategies a,b)")
     expr = _load_program(cfg.program)
-    # Only the first strategy runs the program: a strategy changes how fast
-    # threads run, not which rules they fire, so the rest reprice that run.
-    first, *others = (make_strategy(name, cfg.ladder) for name in cfg.strategies)
-    simulated = simulate(expr, cfg.ladder, cfg.init_index, first, cfg.model)
-    reports = [simulated, *(reprice(simulated, cfg.ladder, cfg.init_index, s, cfg.model) for s in others)]
+    # A strategy changes how fast threads run, not which rules they fire: each rule fires once, every strategy prices it.
+    strategies = [make_strategy(name, cfg.ladder) for name in cfg.strategies]
+    final_value, tapes = _record(expr, cfg.ladder, cfg.init_index)
+    reports = [_price(final_value, tapes, cfg.ladder, cfg.init_index, s, cfg.model) for s in strategies]
     rows = []
     for name, report in zip(cfg.strategies, reports):
         rows.append(

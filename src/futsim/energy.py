@@ -11,11 +11,11 @@ thread's level, or at ``idle_power`` if set) or blocking (flat penalty);
 realized producers terminate and accrue nothing afterward. Event order is
 fully determined by virtual time, ties broken by thread id.
 
-``reprice`` prices a simulated run again under another strategy or cost
-model without the kernel: a strategy changes only how fast threads run,
-never which rules they fire, so it replays each thread's rules from the
-report on the same heap. Both loops price claims, steps and level switches
-through the same helpers.
+A strategy changes only how fast threads run, never which rules they fire,
+so ``_price`` prices each thread's rule tape on the same heap without the
+kernel. ``compare`` fires each rule once with no clock to record the tapes
+(``_record``); ``reprice`` reads them from a simulated run. Both loops price
+claims, steps and level switches through the same helpers.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class CostReport(NamedTuple):
     transition_count: int
 
 
-# The pricing rules, one copy each: the loops of ``simulate`` and ``reprice``
+# The pricing rules, one copy each: the loops of ``simulate`` and ``_price``
 # call them at a claim, at a (rule, frequency) priced for the first time in a
 # run, and after a Create or a Claim.
 
@@ -362,6 +362,42 @@ def _tapes(report: SimulationReport) -> dict[FutureId, list[tuple[str, FutureId 
     return tapes
 
 
+class _Unscaled(ScalingStrategy):
+    """Operators that hold every level: a tape holds none, so recording one calls no strategy's ``scale``."""
+
+    def scale(self, op: ScaleOp, level: FrequencyLevel) -> tuple[FrequencyLevel, bool]:
+        return level, False
+
+
+def _record(expr: Expression, ladder: FrequencyLadder, init_index: int) -> tuple[int, dict[FutureId, list]]:
+    """Fire each rule of a program once, with no clock: its value and each thread's tape, as ``_tapes`` gives.
+
+    The top of an explicit stack of threads fires until it realizes, and a
+    Create pushes its child, so a child ends before its parent resumes: a
+    thread claims only futures it created, so each producer has realized.
+    """
+    unscaled = _Unscaled("unscaled", ladder, 0, 0, 0)
+    root = Closure(start_level(expr, ladder, init_index, unscaled), decompose(expr), 0)
+    threads, tapes, stack = {0: root}, {0: []}, [root]
+    while stack:
+        thr = stack[-1]
+        site = thr.site
+        if isinstance(site, NoRedex):
+            stack.pop()
+            continue
+        other = claimed = None
+        if isinstance(site, ClaimSite):
+            other = site.target
+            claimed = threads[other].site.value
+        _, event = _advance(thr, threads, unscaled, len(threads), claimed)
+        if isinstance(event, CreateEvent):
+            other = event.child
+            tapes[other] = []
+            stack.append(threads[other])
+        tapes[thr.realizes].append((event.rule, other))
+    return root.site.value.value, tapes
+
+
 def reprice(
     report: SimulationReport,
     ladder: FrequencyLadder,
@@ -371,23 +407,30 @@ def reprice(
 ) -> CostReport:
     """Price a simulated run again under another strategy and cost model, without the rule kernel.
 
-    A strategy changes only how fast threads run, never which rules they
-    fire, so each thread replays its rule tape from ``report`` (made by
-    ``simulate`` under any strategy, ladder and model) on ``simulate``'s
-    (time, thread) heap. A Create names its child with the next fresh id, so
-    threads get the ids a fresh ``simulate`` gives them, and levels come
-    from ``strategy.scale`` in the kernel's order. The result equals that
-    ``simulate``'s report, bit for bit, in every field but the timelines;
-    no segment, event or expression is built.
+    ``report`` may come from ``simulate`` under any strategy, ladder and model. The result equals a
+    fresh ``simulate``'s under these arguments, bit for bit, in every field but the timelines.
+    """
+    return _price(report.final_value, _tapes(report), ladder, init_index, strategy, model)
+
+
+def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadder, init_index: int,
+           strategy: ScalingStrategy, model: CostModel | None = None) -> CostReport:
+    """Price each thread's rule tape on ``simulate``'s (time, thread) heap: its report, bit for bit, but the timelines.
+
+    A Create names its child with the next fresh id, so threads get the ids
+    a fresh ``simulate`` gives them, and levels come from ``strategy.scale``
+    in the kernel's order. An Add changes no level, so a heap visit also
+    runs the Adds after its rule at one looked-up price: only Creates,
+    Claims and realizes pop the heap, at ``simulate``'s keys. No segment,
+    event or expression is built.
     """
     model = model or CostModel()
     levels = [ladder_start(ladder, init_index, strategy)]  # thread -> its level
-    tapes = _tapes(report)
     scale = strategy.scale
     tape_of = [tapes[0]]  # thread -> the tape it replays
     at = [0]  # thread -> its next rule on the tape
     spent = [0]  # thread -> its segments' energy, added in segment order from 0 as ``ThreadTimeline.energy`` does
-    ids = {0: 0}  # the report's thread id -> this run's
+    ids = {0: 0}  # the tapes' thread id -> this run's
     t_realize: dict[FutureId, float] = {}
     heap: list[tuple[float, FutureId]] = [(0.0, 0)]
     parked: dict[FutureId, tuple[float, FutureId]] = {}
@@ -405,21 +448,20 @@ def reprice(
             continue
 
         rule, other = tape[i]
-        level, start = levels[fid], now
-        if rule == RULE_CLAIM:
-            claim = _claim(fid, ids[other], now, level, t_realize, parked, claim_records, model)
-            if claim is None:
-                continue
-            start, energy = claim
-            if energy is not None:
-                spent[fid] += energy
-        at[fid] = i + 1
-
-        by_frequency = prices[rule]
-        duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
-        end = start + duration
-        spent[fid] += energy
-        if rule != RULE_ADD:
+        level, end = levels[fid], now
+        if rule != RULE_ADD:  # a Create or a Claim; a thread may start with Adds
+            if rule == RULE_CLAIM:
+                claim = _claim(fid, ids[other], now, level, t_realize, parked, claim_records, model)
+                if claim is None:
+                    continue
+                end, energy = claim
+                if energy is not None:
+                    spent[fid] += energy
+            i += 1
+            by_frequency = prices[rule]
+            duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
+            end += duration
+            spent[fid] += energy
             if rule == RULE_CREATE:
                 child_level, clamp_up = scale(ScaleOp.UP_CREATE, level)
                 new_level, clamp_down = scale(ScaleOp.DOWN, level)
@@ -429,12 +471,12 @@ def reprice(
                 new_level, clamped = scale(ScaleOp.UP_CLAIM, level)
                 clamp_count += int(clamped)
                 scaled = (new_level,)
-            levels[fid] = new_level
             switches, taus = _switches(level, scaled, model)
             transition_count += switches
             for _, energy in taus:
                 spent[fid] += energy
                 end += model.tau
+            levels[fid] = level = new_level
             if rule == RULE_CREATE:
                 ids[other] = child = len(tape_of)
                 tape_of.append(tapes[other])
@@ -442,7 +484,14 @@ def reprice(
                 levels.append(child_level)
                 spent.append(0)
                 heapq.heappush(heap, (end, child))
+        by_frequency = prices[RULE_ADD]
+        duration, energy = by_frequency.get(level.value) or _priced(by_frequency, RULE_ADD, level, model)
+        while i < len(tape) and tape[i][0] == RULE_ADD:
+            end += duration
+            spent[fid] += energy
+            i += 1
+        at[fid] = i
         heapq.heappush(heap, (end, fid))
 
-    return _report(CostReport, report.final_value, dict(enumerate(spent)), t_realize, parked, claim_records,
+    return _report(CostReport, final_value, dict(enumerate(spent)), t_realize, parked, claim_records,
                    clamp_count, transition_count)

@@ -192,6 +192,38 @@ def test_compare_simulates_once_and_reprices_the_other_strategies(tmp_path, monk
             report.total_energy, report.makespan, report.edp, report.ed2p)
 
 
+def _assert_rows_are_each_strategys_simulate(out, expr, names, model):
+    for row, name in zip(json.loads(out)["rows"], names, strict=True):
+        report = simulate(expr, DEFAULT_LADDER, DEFAULT_INIT_INDEX, make_strategy(name, DEFAULT_LADDER), model)
+        assert row["strategy"] == name and row["final_value"] == report.final_value
+        assert (row["energy"], row["makespan"], row["edp"], row["ed2p"]) == (
+            report.total_energy, report.makespan, report.edp, report.ed2p), name
+
+
+def test_compare_runs_no_simulation(tmp_path, monkeypatch):
+    path = tmp_path / "wide.gf"
+    path.write_text(" + ".join(f"(future ({i} + (future {i})))" for i in range(12)))
+    names = ("none", "both", "parent-only", "child-only")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare called simulate")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    code, out, err = invoke(["compare", str(path), "--strategies", ",".join(names), "--tau", "0.05", "--format", "json"])
+    assert code == 0, err
+    _assert_rows_are_each_strategys_simulate(out, parse(path.read_text()), names, CostModel(tau=0.05))
+
+
+@pytest.mark.parametrize("text", ["future " * 4096 + "1", " + ".join(["1"] * 6400)], ids=["future-tower", "chain"])
+def test_compare_takes_deep_programs_without_recursion(tmp_path, text):
+    path = tmp_path / "deep.gf"
+    path.write_text(text)
+    names = ("none", "both")
+    code, out, err = invoke(["compare", str(path), "--strategies", ",".join(names), "--wait", "block", "--format", "json"])
+    assert code == 0, err
+    _assert_rows_are_each_strategys_simulate(out, parse(text), names, CostModel(wait_policy="block"))
+
+
 def test_explore_single_outcome(golden_file):
     code, out, _ = invoke(["explore", golden_file, "--ladder", "1,2,3,4", "--init", "2", "--format", "json"])
     assert code == 0

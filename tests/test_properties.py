@@ -64,6 +64,8 @@ from futsim.energy import (  # noqa: E402
     CostModel,
     CostReport,
     SimulationReport,
+    _price,
+    _record,
     reprice,
     simulate,
 )
@@ -901,6 +903,43 @@ def test_reprice_gives_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladd
                 expected = simulate(expr, ladder, init, factory(ladder), model)
                 for source in sources:
                     _assert_repriced(reprice(source, ladder, init, factory(ladder), model), expected, unparse(expr))
+
+
+def _compared(expr, ladder, init, strategies, models):
+    """``compare``'s path: fire each rule once with no clock, then price the tapes under each model and strategy."""
+    value, tapes = _record(expr, ladder, init)
+    return [[_price(value, tapes, ladder, init, strategy, model) for strategy in strategies] for model in models]
+
+
+def test_recorded_tapes_price_to_each_strategys_simulate_on_every_small_program():
+    """Each program's rules fire once, for all 16 (model, strategy) pairs."""
+    strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
+    for expr in SMALL_SCOPE:
+        source = unparse(expr)
+        for model, priced in zip(SMALL_SCOPE_MODELS, _compared(expr, LADDER, 2, strategies, SMALL_SCOPE_MODELS)):
+            for strategy, report in zip(strategies, priced):
+                _assert_repriced(report, simulate(expr, LADDER, 2, strategy, model), source, strategy.name, model)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recorded_tapes_price_to_each_strategys_simulate_on_wide_draws(seed):
+    expr = _wide_draw(seed)
+    strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
+    models = [CostModel(tau=0.05), CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True)]
+    for model, priced in zip(models, _compared(expr, LADDER, 2, strategies, models)):
+        for strategy, report in zip(strategies, priced):
+            _assert_repriced(report, simulate(expr, LADDER, 2, strategy, model), strategy.name, model)
+
+
+@pytest.mark.parametrize("ladder, init", [(LADDER, 1), (LADDER, 4), (ONE_LEVEL, 1)], ids=["bottom", "top", "one-level"])
+def test_recorded_tapes_price_to_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
+    """Each run builds its own ``_EveryThirdHeld``, so both count that strategy's calls from 0."""
+    for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
+        value, tapes = _record(expr, ladder, init)
+        for model in REPRICE_MODELS:
+            for factory in REPRICE_FACTORIES:
+                expected = simulate(expr, ladder, init, factory(ladder), model)
+                _assert_repriced(_price(value, tapes, ladder, init, factory(ladder), model), expected, unparse(expr))
 
 
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
