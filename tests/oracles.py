@@ -9,34 +9,44 @@ through its context, and ``trace_snippet`` renders a compute record's
 ``expr`` with it, as the trace writer did before it memoised its context
 frames. ``gen_random_program`` draws the seeded random programs the property
 tests run. ``Token`` and ``_tokenize`` are the character-by-character lexer
-the parser used before its one regex.
+the parser used before its one regex. ``compositional_cost`` prices a run
+thread by thread from the paper's rules, with no event heap, as an oracle
+for the simulator.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from futsim.calculus import (
     Add,
+    ArithRedex,
+    ClaimSite,
     Closure,
     Configuration,
     Context,
+    CreateRedex,
     Expression,
     Frame,
     FutureCreate,
     FutureId,
     FutureRef,
     IntLit,
+    NoRedex,
     _HoleLeftCell,
     _refocus,
+    decompose,
     plug,
     subterms,
+    wrap_int,
 )
 from futsim.cli import EXPR_SNIPPET_CHARS, _snippet
 from futsim.engine import EngineError, _shape
 from futsim.parser import ParseError, _atomic
-from futsim.scaling import FrequencyLadder
+from futsim.scaling import FrequencyLadder, ScaleOp
 
 
 def refill(site, filler):
@@ -288,6 +298,107 @@ def gen_random_program(seed: int, max_depth: int, max_future_nesting: int) -> Ex
         else:
             todo += (FutureCreate, (depth + 1, nesting + 1))
     return built[0]
+
+
+# ---------------------------------------------------------------------------
+# Compositional cost (an oracle for the simulator's pricing)
+# ---------------------------------------------------------------------------
+
+def compositional_cost(expr: Expression, ladder: FrequencyLadder, init_index: int, strategy, model) -> dict:
+    """A run's cost, composed thread by thread from the paper's rules, with no event heap: ``simulate``'s fields but the timelines.
+
+    Each thread owns a core, so its timeline depends only on its start, its
+    own rules and the realize times of the futures it claims. A thread fires
+    its expression's redexes in ``decompose`` order. A step of c cycles at
+    frequency f takes c / f and costs kappa * f**alpha * c / f. A Create
+    starts its child at UP_CREATE's level where the Create's step and level
+    switches end, and the parent goes on at DOWN's level. A Claim whose
+    producer realized after the claimant arrived waits (Case I): it spins
+    until the realize, at the claimant's power or at ``idle_power``, or it
+    blocks until ``block_time`` after the realize, for ``block_energy``.
+    UP_CLAIM then sets the claimant's level. Each new level other than the
+    one the rule ran at is a switch: it takes tau and, with
+    ``transition_energy``, costs kappa * f_new**alpha * tau. An explicit
+    stack of threads runs a child to its end before its parent resumes, so
+    every claimed producer has realized.
+
+    Threads are numbered as the simulator's heap numbers them: in order of
+    their Creates' start times, ties broken by the creator's number. Energy
+    is added in that order, each thread's in its timeline's order, so the
+    sums match bit for bit. A claim is priced when both the claimant's
+    arrival and the producer's realize have happened, so the records come in
+    order of the later of the two (time, thread) keys. The walk calls the
+    scaling operators in its own order, so a strategy must be stateless.
+    """
+    def power(level):
+        return model.kappa * level.value**model.alpha
+
+    threads = [[decompose(expr), 0.0, ladder.level(init_index), []]]  # walk order -> [site, clock, level, energies]
+    realized = {}  # walk order -> (time, value)
+    creates, claims = [], []  # (start, creator, child); (claimant, producer, arrival, realize, wait, case)
+    clamps = switches = 0
+    stack = [0]
+    while stack:
+        me = stack[-1]
+        site, now, level, spent = threads[me]
+        if isinstance(site, NoRedex):
+            realized[me] = (now, site.value)
+            stack.pop()
+            continue
+        if isinstance(site, ArithRedex):
+            cycles, filler, new_levels = model.add_cycles, IntLit(wrap_int(site.left + site.right)), ()
+        elif isinstance(site, ClaimSite):
+            ready, filler = realized[site.target]
+            wait = max(0.0, ready - now)
+            claims.append((me, site.target, now, ready, wait, "CaseI" if wait > 0 else "CaseII"))
+            if wait > 0 and model.wait_policy == "spin":
+                spent.append((power(level) if model.idle_power is None else model.idle_power) * wait)
+                now = ready
+            elif wait > 0:
+                spent.append(model.block_energy)
+                now = ready + model.block_time
+            new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
+            cycles, new_levels = model.claim_cycles, (new_level,)
+            clamps += clamped
+        else:
+            child = len(threads)
+            creates.append((now, me, child))
+            child_level, clamped_up = strategy.scale(ScaleOp.UP_CREATE, level)
+            new_level, clamped_down = strategy.scale(ScaleOp.DOWN, level)
+            cycles, filler, new_levels = model.create_cycles, FutureRef(child), (child_level, new_level)
+            clamps += clamped_up + clamped_down
+        duration = cycles / level.value
+        spent.append(power(level) * duration)
+        end = now + duration
+        for new in new_levels:
+            if new.index != level.index:
+                switches += 1
+                if model.tau > 0:
+                    spent.append(power(new) * model.tau if model.transition_energy else 0.0)
+                    end += model.tau
+        threads[me] = [decompose(plug(site.context, filler)), end, new_levels[-1] if new_levels else level, spent]
+        if isinstance(site, CreateRedex):
+            threads.append([decompose(site.body), end, child_level, []])
+            stack.append(child)
+
+    number = {0: 0}
+    for _, group in itertools.groupby(sorted(creates, key=itemgetter(0)), key=itemgetter(0)):
+        for _, creator, child in sorted(group, key=lambda create: number[create[1]]):  # a creator was created earlier
+            number[child] = len(number)
+    per_thread = {}
+    for me in sorted(number, key=number.get):
+        per_thread[number[me]] = 0
+        for energy in threads[me][3]:
+            per_thread[number[me]] += energy
+    total = 0
+    for energy in per_thread.values():
+        total += energy
+    makespan, value = realized[0]
+    records = [(number[c], number[p], *rest) for c, p, *rest in claims]
+    records.sort(key=lambda r: max((r[2], r[0]), (r[3], r[1])))
+    return {"final_value": value.value, "makespan": makespan, "total_energy": total, "per_thread_energy": per_thread,
+            "edp": total * makespan, "ed2p": total * makespan * makespan, "claim_records": tuple(records),
+            "clamp_count": clamps, "transition_count": switches}
 
 
 @dataclass(frozen=True)

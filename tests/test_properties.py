@@ -93,6 +93,7 @@ from oracles import (  # noqa: E402
     _tokenize,
     canonical_key,
     closure_for,
+    compositional_cost,
     future_ref_ids,
     gen_random_program,
     is_terminal,
@@ -903,6 +904,45 @@ def test_reprice_gives_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladd
                 expected = simulate(expr, ladder, init, factory(ladder), model)
                 for source in sources:
                     _assert_repriced(reprice(source, ladder, init, factory(ladder), model), expected, unparse(expr))
+
+
+def _assert_composed(expected, report, *context):
+    """``simulate``'s report holds ``compositional_cost``'s fields, bit for bit, with its threads in the same order."""
+    for name, value in expected.items():
+        got = getattr(report, name)
+        if name == "claim_records":
+            got = tuple(map(tuple, got))
+        elif name == "per_thread_energy":
+            got, value = list(got.items()), list(value.items())
+        assert repr(got) == repr(value), (name, *context)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=3), st.sampled_from(STRATEGIES), st.sampled_from((WAIT_SPIN, WAIT_BLOCK)),
+       st.sampled_from((0.0, 0.05, 0.3)), st.booleans(), st.sampled_from((None, 0.0, 0.7)),
+       st.integers(min_value=1, max_value=4))
+def test_simulate_prices_a_run_as_the_compositional_oracle_does(seed, depth, nesting, name, wait, tau,
+                                                                 transition_energy, idle_power, init):
+    expr = gen_random_program(seed, depth, nesting)
+    model = CostModel(wait_policy=wait, tau=tau, transition_energy=transition_energy, idle_power=idle_power)
+    expected = compositional_cost(expr, LADDER, init, make_strategy(name, LADDER), model)
+    _assert_composed(expected, simulate(expr, LADDER, init, make_strategy(name, LADDER), model), unparse(expr))
+
+
+COMPOSED_MODELS = [
+    CostModel(idle_power=0.5, tau=0.05),
+    CostModel(wait_policy=WAIT_BLOCK, tau=0.3, transition_energy=True, block_time=0.2, block_energy=1.5),
+    CostModel(create_cycles=2.0, add_cycles=0.5, claim_cycles=3.0, kappa=1.7, alpha=2.5, tau=0.01, transition_energy=True),
+]
+
+
+def test_simulate_prices_every_small_program_as_the_compositional_oracle_does():
+    """Each program under one (strategy, model) pair, the pairs taken in turn, at the 4-level ladder's second level."""
+    pairs = itertools.cycle(itertools.product(STRATEGIES, COMPOSED_MODELS))
+    for expr, (name, model) in zip(SMALL_SCOPE, pairs):
+        expected = compositional_cost(expr, LADDER, 2, make_strategy(name, LADDER), model)
+        _assert_composed(expected, simulate(expr, LADDER, 2, make_strategy(name, LADDER), model), unparse(expr), name)
 
 
 def _compared(expr, ladder, init, strategies, models):
