@@ -391,10 +391,10 @@ def eval_sequential(expr: Expression) -> int:
 class Closure:
     """One thread: its frequency, its next redex site, and the future id it realizes.
 
-    A realized thread's site is ``NoRedex``, which holds its value. Every
-    driver steps this record: ``run`` and ``simulate`` in place, while
-    ``step`` and ``explore_with_stats`` step a copy and leave the records of
-    the configuration they were given unchanged.
+    A realized thread's site is ``NoRedex``, which holds its value. The
+    kernel's drivers step this record: ``run`` in place, while ``step`` and
+    ``explore_with_stats`` step a copy and leave the records of the
+    configuration they were given unchanged.
     """
 
     freq: FrequencyLevel

@@ -36,9 +36,9 @@ from .energy import (
     WAIT_SPIN,
     CostModel,
     SimulationReport,
+    _compile,
     _left_sum,
     _price,
-    _record,
     simulate,
 )
 from .engine import (
@@ -547,9 +547,9 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least two strategies (--strategies a,b)")
     expr = _load_program(cfg.program)
-    # A strategy changes how fast threads run, not which rules they fire: each rule fires once, every strategy prices it.
+    # A strategy changes how fast threads run, not which rules they fire: the tapes, compiled once, fit every strategy.
     strategies = [make_strategy(name, cfg.ladder) for name in cfg.strategies]
-    final_value, tapes = _record(expr, cfg.ladder, cfg.init_index)
+    final_value, tapes = _compile(expr)
     reports = [_price(final_value, tapes, cfg.ladder, cfg.init_index, s, cfg.model) for s in strategies]
     rows = []
     for name, report in zip(cfg.strategies, reports):

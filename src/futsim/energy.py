@@ -1,21 +1,21 @@
-"""Virtual-time execution of a reduction run with a parametric energy model.
-
-``simulate`` is one loop over a heap of (time, thread) events. Threads are
-``Closure`` records, stepped in place through the rule kernel
-(``engine._advance``), so no expression is built: a thread is realized once
-its site is ``NoRedex``, which holds its value. Each thread owns a core: a
-step takes cycles/frequency and its energy follows the dynamic-power law
-P = kappa * f**alpha. A claim on an unfinished producer parks the claimant's
-event until the producer realizes, then waits by spinning (at the waiting
-thread's level, or at ``idle_power`` if set) or blocking (flat penalty);
-realized producers terminate and accrue nothing afterward. Event order is
-fully determined by virtual time, ties broken by thread id.
+"""Virtual-time pricing of a reduction run with a parametric energy model.
 
 A strategy changes only how fast threads run, never which rules they fire,
-so ``_price`` prices each thread's rule tape on the same heap without the
-kernel. ``compare`` fires each rule once with no clock to record the tapes
-(``_record``); ``reprice`` reads them from a simulated run. Both loops price
-claims, steps and level switches through the same helpers.
+so a thread's rule tape is fixed by its body's text: ``_compile`` reads
+every tape off the program with no kernel. One heap loop, ``_price``,
+prices every run over (time, thread) events. Each thread owns a core: a
+step takes cycles/frequency and its energy follows the dynamic-power law
+P = kappa * f**alpha. A claim on an unfinished producer parks the
+claimant's event until the producer realizes, then waits by spinning (at
+the waiting thread's level, or at ``idle_power`` if set) or blocking (flat
+penalty); realized producers terminate and accrue nothing afterward. Event
+order is fully determined by virtual time, ties broken by thread id.
+
+``compare`` prices compiled tapes and fires no kernel. ``simulate`` runs
+the same loop and fires the kernel's expression half (``engine._fill``)
+alongside each step, only to fill the holes of its timelines. ``reprice``
+reads the tapes from a simulated run. ``engine``'s ``run``, ``step`` and
+``explore`` fire the whole kernel.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .calculus import ClaimSite, Closure, Context, Expression, FutureId, NoRedex, decompose, plug
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, CreateEvent, EngineError, _advance, ladder_start, start_level
-from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
+from .calculus import Add, Context, Expression, FutureCreate, FutureId, IntLit, RedexSite, decompose, plug, wrap_int
+from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError, _fill, _levels, ladder_start
+from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
 WAIT_BLOCK = "block"
@@ -188,9 +188,8 @@ class CostReport(NamedTuple):
     transition_count: int
 
 
-# The pricing rules, one copy each: the loops of ``simulate`` and ``_price``
-# call them at a claim, at a (rule, frequency) priced for the first time in a
-# run, and after a Create or a Claim.
+# ``_price``'s heap loop is the one pricing loop: these price a claim, and a
+# (rule, frequency) met for the first time in a run.
 
 def _claim(claimant: FutureId, producer: FutureId, now: float, level: FrequencyLevel, t_realize: dict[FutureId, float],
            parked: dict[FutureId, tuple[float, FutureId]], records: list[ClaimRecord],
@@ -231,40 +230,6 @@ def _priced(by_frequency: dict[float, tuple[float, float]], rule: str, level: Fr
     return price
 
 
-def _switches(level: FrequencyLevel, scaled: tuple[FrequencyLevel, ...],
-              model: CostModel) -> tuple[int, list[tuple[FrequencyLevel, float]]]:
-    """The level switches of a rule that ran at ``level`` and whose operators set ``scaled``, in order.
-
-    Each new level other than ``level`` is one switch. When tau > 0 each
-    switch also takes tau on the firing thread's timeline, and costs
-    kappa * f_new**alpha * tau with ``transition_energy``, else nothing.
-    Returns the switch count and the (new level, energy) of each tau segment.
-    """
-    count, taus = 0, []
-    for new_level in scaled:
-        if new_level.index != level.index:
-            count += 1
-            if model.tau > 0:
-                taus.append((new_level, dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0))
-    return count, taus
-
-
-def _report(report_type: type, final_value: int, per_thread: dict[FutureId, float], t_realize: dict[FutureId, float],
-            parked: dict, claim_records: list[ClaimRecord], clamp_count: int, transition_count: int, *more):
-    """A finished run's report, with ``more`` its fields after ``transition_count`` (a simulation's timelines).
-
-    The makespan is the root's realize, and the energy adds up left to right.
-    """
-    if 0 not in t_realize:
-        raise EngineError("simulation stalled before the root realized a value")
-    if parked:
-        raise EngineError("simulation ended with parked claimants")
-    makespan = t_realize[0]
-    total = _left_sum(per_thread.values())
-    return report_type(final_value, makespan, total, per_thread, total * makespan, total * makespan * makespan,
-                       tuple(claim_records), clamp_count, transition_count, *more)
-
-
 def simulate(
     expr: Expression,
     ladder: FrequencyLadder,
@@ -274,68 +239,56 @@ def simulate(
 ) -> SimulationReport:
     """Run a program on virtual time, one core per thread, under the cost model.
 
-    An event fires the thread's rule through the kernel, prices it, and
-    schedules what it leaves runnable. The compute segment runs at the level
-    the rule fired at, priced by ``step_duration`` and ``dynamic_power`` once
-    per (rule, frequency) in a run and looked up after; each level the rule's
-    operators changed then costs tau on this thread's timeline. Every claim is priced where it fires: its
-    record, then its wait segment if the producer realized after it arrived.
+    Its rule tapes are compiled from its text (``_compile``) and priced by
+    ``_price``'s heap loop, while the kernel's expression half fires each
+    step alongside to fill its compute segment's hole. A compute segment
+    runs at the level its rule fired at; each level the rule's operators
+    changed then costs tau on this thread's timeline. Every claim is priced
+    where it fires: its record, then its wait segment if the producer
+    realized after it arrived.
     """
-    model = model or CostModel()
-    root = Closure(start_level(expr, ladder, init_index, strategy), decompose(expr), 0)
-    threads = {0: root}  # every thread ever created: the next fresh id is its size
-    segments: dict[FutureId, list[Segment]] = {0: []}
-    t_realize: dict[FutureId, float] = {}  # realized threads only
-    heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
-    parked: dict[FutureId, tuple[float, FutureId]] = {}  # producer -> its claimant's event
-    claim_records: list[ClaimRecord] = []
-    # rule -> frequency -> (duration, energy): two lookups, and no key tuple to build
-    prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
-    clamp_count = transition_count = 0
+    final_value, tapes = _compile(expr)
+    return _price(final_value, tapes, ladder, init_index, strategy, model, decompose(expr))
 
-    while heap:
-        now, fid = heapq.heappop(heap)
-        thr = threads[fid]
-        site = thr.site
-        if isinstance(site, NoRedex):
-            t_realize[fid] = now
-            if fid in parked:  # the claimant arrived no later than this event, the least, so it pops next
-                heapq.heappush(heap, parked.pop(fid))
-            continue
 
-        start, claimed, own = now, None, segments[fid]
-        if isinstance(site, ClaimSite):
-            producer = site.target
-            claim = _claim(fid, producer, now, thr.freq, t_realize, parked, claim_records, model)
-            if claim is None:
-                continue
-            start, energy = claim
-            if energy is not None:
-                own.append(Segment(now, start, SEG_WAIT, thr.freq, energy, target=producer))
-            claimed = threads[producer].site.value
+_ADD_STEP = (RULE_ADD, None)
 
-        hole, event = _advance(thr, threads, strategy, len(threads), claimed)
-        rule, level = event.rule, event.level
-        by_frequency = prices[rule]
-        duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
-        end = start + duration
-        own.append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))  # no target: compute
-        if rule != RULE_ADD:
-            clamp_count += event.clamps
-            switches, taus = _switches(level, event.scaled, model)
-            transition_count += switches
-            for new_level, energy in taus:
-                own.append(Segment(end, end + model.tau, SEG_TRANSITION, new_level, energy))
-                end += model.tau
-        if isinstance(event, CreateEvent):
-            segments[event.child] = []
-            heapq.heappush(heap, (end, event.child))
-        heapq.heappush(heap, (end, fid))
 
-    timelines = {fid: ThreadTimeline(tuple(segments[fid])) for fid in sorted(threads)}
-    per_thread = {fid: tl.energy() for fid, tl in timelines.items()}
-    return _report(SimulationReport, root.site.value.value, per_thread, t_realize, parked, claim_records, clamp_count,
-                   transition_count, timelines)
+def _compile(expr: Expression) -> tuple[int, dict[FutureId, list[tuple[str, FutureId | None]]]]:
+    """Each thread's rule tape, read off the program text with no kernel, and the program's wrapped literal sum.
+
+    Redex search branches on node classes only, so a thread's tape is fixed
+    by its body: first its Creates and the Adds whose subtree holds no
+    future, then its Claims and the Adds above them, each part in post-order
+    from the left. A Create names its child, a Claim its producer, and an
+    Add no thread. One post-order walk over an explicit stack fills both
+    parts: an Add's subtree holds a future exactly when the second part grew
+    while it was walked. A Create's body is walked next, as the child's, so
+    ids come depth first; ``_price`` renames them into heap order.
+    """
+    early: list[list] = [[]]  # thread -> its Creates and the Adds before its first Claim
+    late: list[list] = [[]]  # thread -> its Claims and the Adds among them
+    total = 0
+    stack: list = [(expr, 0)]  # (node, thread) to walk, or (length of ``late``, thread) to close an Add
+    while stack:
+        node, fid = stack.pop()
+        kind = node.__class__
+        if kind is int:
+            (early[fid] if len(late[fid]) == node else late[fid]).append(_ADD_STEP)
+        elif kind is Add:
+            stack += ((len(late[fid]), fid), (node.right, fid), (node.left, fid))
+        elif kind is IntLit:
+            total += node.value
+        elif kind is FutureCreate:
+            child = len(early)
+            early[fid].append((RULE_CREATE, child))
+            late[fid].append((RULE_CLAIM, child))
+            early.append([])
+            late.append([])
+            stack.append((node.body, child))
+        else:
+            raise ValueError("programs must not contain future references")
+    return wrap_int(total), {fid: first + rest for fid, (first, rest) in enumerate(zip(early, late))}
 
 
 def _tapes(report: SimulationReport) -> dict[FutureId, list[tuple[str, FutureId | None]]]:
@@ -354,48 +307,12 @@ def _tapes(report: SimulationReport) -> dict[FutureId, list[tuple[str, FutureId 
         for seg in timeline.segments:
             rule = seg.rule
             if rule == RULE_ADD:
-                tape.append((rule, None))
+                tape.append(_ADD_STEP)
             elif rule == RULE_CREATE:
                 tape.append((rule, seg.hole[1].fid))
             elif rule == RULE_CLAIM:
                 tape.append((rule, next(claimed)))
     return tapes
-
-
-class _Unscaled(ScalingStrategy):
-    """Operators that hold every level: a tape holds none, so recording one calls no strategy's ``scale``."""
-
-    def scale(self, op: ScaleOp, level: FrequencyLevel) -> tuple[FrequencyLevel, bool]:
-        return level, False
-
-
-def _record(expr: Expression, ladder: FrequencyLadder, init_index: int) -> tuple[int, dict[FutureId, list]]:
-    """Fire each rule of a program once, with no clock: its value and each thread's tape, as ``_tapes`` gives.
-
-    The top of an explicit stack of threads fires until it realizes, and a
-    Create pushes its child, so a child ends before its parent resumes: a
-    thread claims only futures it created, so each producer has realized.
-    """
-    unscaled = _Unscaled("unscaled", ladder, 0, 0, 0)
-    root = Closure(start_level(expr, ladder, init_index, unscaled), decompose(expr), 0)
-    threads, tapes, stack = {0: root}, {0: []}, [root]
-    while stack:
-        thr = stack[-1]
-        site = thr.site
-        if isinstance(site, NoRedex):
-            stack.pop()
-            continue
-        other = claimed = None
-        if isinstance(site, ClaimSite):
-            other = site.target
-            claimed = threads[other].site.value
-        _, event = _advance(thr, threads, unscaled, len(threads), claimed)
-        if isinstance(event, CreateEvent):
-            other = event.child
-            tapes[other] = []
-            stack.append(threads[other])
-        tapes[thr.realizes].append((event.rule, other))
-    return root.site.value.value, tapes
 
 
 def reprice(
@@ -414,27 +331,33 @@ def reprice(
 
 
 def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadder, init_index: int,
-           strategy: ScalingStrategy, model: CostModel | None = None) -> CostReport:
-    """Price each thread's rule tape on ``simulate``'s (time, thread) heap: its report, bit for bit, but the timelines.
+           strategy: ScalingStrategy, model: CostModel | None = None, root: RedexSite | None = None):
+    """Price each thread's rule tape on a (time, thread) heap: ``simulate``'s report, bit for bit.
 
-    A Create names its child with the next fresh id, so threads get the ids
-    a fresh ``simulate`` gives them, and levels come from ``strategy.scale``
-    in the kernel's order. An Add changes no level, so a heap visit also
-    runs the Adds after its rule at one looked-up price: only Creates,
-    Claims and realizes pop the heap, at ``simulate``'s keys. No segment,
-    event or expression is built.
+    A Create names its child with the heap's next id, the id ``simulate``
+    gives it, and levels come from ``_levels`` in the kernel's order. An Add
+    changes no level, so a heap visit also runs the Adds after its rule at
+    one looked-up price: only Creates, Claims and realizes pop the heap.
+    Without ``root`` the result is a ``CostReport``, and no segment or
+    expression is built. With ``root``, the program's redex site, the
+    kernel's expression half (``_fill``) fires each step alongside to fill
+    its compute segment's hole, and the result is a ``SimulationReport``
+    whose value is the root's realized site's.
     """
     model = model or CostModel()
     levels = [ladder_start(ladder, init_index, strategy)]  # thread -> its level
-    scale = strategy.scale
     tape_of = [tapes[0]]  # thread -> the tape it replays
     at = [0]  # thread -> its next rule on the tape
     spent = [0]  # thread -> its segments' energy, added in segment order from 0 as ``ThreadTimeline.energy`` does
     ids = {0: 0}  # the tapes' thread id -> this run's
-    t_realize: dict[FutureId, float] = {}
-    heap: list[tuple[float, FutureId]] = [(0.0, 0)]
-    parked: dict[FutureId, tuple[float, FutureId]] = {}
+    timed = root is not None
+    sites: list[RedexSite] = [root]  # thread -> its redex site, when timed
+    segments: list[list[Segment]] = [[]]  # thread -> its segments, when timed
+    t_realize: dict[FutureId, float] = {}  # realized threads only
+    heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
+    parked: dict[FutureId, tuple[float, FutureId]] = {}  # producer -> its claimant's event
     claim_records: list[ClaimRecord] = []
+    # rule -> frequency -> (duration, energy): two lookups, and no key tuple to build
     prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
     clamp_count = transition_count = 0
 
@@ -443,55 +366,77 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
         tape, i = tape_of[fid], at[fid]
         if i == len(tape):
             t_realize[fid] = now
-            if fid in parked:
+            if fid in parked:  # the claimant arrived no later than this event, the least, so it pops next
                 heapq.heappush(heap, parked.pop(fid))
             continue
 
         rule, other = tape[i]
         level, end = levels[fid], now
         if rule != RULE_ADD:  # a Create or a Claim; a thread may start with Adds
+            child = claimed = None
             if rule == RULE_CLAIM:
-                claim = _claim(fid, ids[other], now, level, t_realize, parked, claim_records, model)
+                producer = ids[other]
+                claim = _claim(fid, producer, now, level, t_realize, parked, claim_records, model)
                 if claim is None:
                     continue
                 end, energy = claim
                 if energy is not None:
                     spent[fid] += energy
+                    if timed:
+                        segments[fid].append(Segment(now, end, SEG_WAIT, level, energy, target=producer))
+                claimed = sites[producer].value if timed else None
+            else:
+                ids[other] = child = len(tape_of)
             i += 1
             by_frequency = prices[rule]
             duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
-            end += duration
             spent[fid] += energy
-            if rule == RULE_CREATE:
-                child_level, clamp_up = scale(ScaleOp.UP_CREATE, level)
-                new_level, clamp_down = scale(ScaleOp.DOWN, level)
-                clamp_count += int(clamp_up) + int(clamp_down)
-                scaled = (child_level, new_level)
-            else:
-                new_level, clamped = scale(ScaleOp.UP_CLAIM, level)
-                clamp_count += int(clamped)
-                scaled = (new_level,)
-            switches, taus = _switches(level, scaled, model)
-            transition_count += switches
-            for _, energy in taus:
-                spent[fid] += energy
-                end += model.tau
-            levels[fid] = level = new_level
-            if rule == RULE_CREATE:
-                ids[other] = child = len(tape_of)
+            start, end = end, end + duration  # a segment's start is its predecessor's end, one float for both
+            if timed:
+                site = sites[fid]
+                hole, sites[fid] = _fill(site, fid, child, claimed)
+                segments[fid].append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))
+            scaled, clamps = _levels(rule, level, strategy)
+            clamp_count += clamps
+            for new_level in scaled:  # each new level is a switch, which takes tau when tau > 0
+                if new_level.index != level.index:
+                    transition_count += 1
+                    if model.tau > 0:  # and costs kappa * f_new**alpha * tau with ``transition_energy``
+                        energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
+                        spent[fid] += energy
+                        start, end = end, end + model.tau
+                        if timed:
+                            segments[fid].append(Segment(start, end, SEG_TRANSITION, new_level, energy))
+            levels[fid] = level = scaled[-1]
+            if child is not None:
                 tape_of.append(tapes[other])
                 at.append(0)
-                levels.append(child_level)
+                levels.append(scaled[0])
                 spent.append(0)
+                if timed:
+                    sites.append(decompose(site.body))
+                    segments.append([])
                 heapq.heappush(heap, (end, child))
         by_frequency = prices[RULE_ADD]
         duration, energy = by_frequency.get(level.value) or _priced(by_frequency, RULE_ADD, level, model)
         while i < len(tape) and tape[i][0] == RULE_ADD:
-            end += duration
+            start, end = end, end + duration
+            if timed:
+                hole, sites[fid] = _fill(sites[fid], fid, None)
+                segments[fid].append(Segment(start, end, SEG_COMPUTE, level, energy, RULE_ADD, None, hole))
             spent[fid] += energy
             i += 1
         at[fid] = i
         heapq.heappush(heap, (end, fid))
 
-    return _report(CostReport, final_value, dict(enumerate(spent)), t_realize, parked, claim_records,
-                   clamp_count, transition_count)
+    if 0 not in t_realize:
+        raise EngineError("simulation stalled before the root realized a value")
+    if parked:
+        raise EngineError("simulation ended with parked claimants")
+    makespan, total = t_realize[0], _left_sum(spent)  # the makespan is the root's realize
+    costs = (makespan, total, dict(enumerate(spent)), total * makespan, total * makespan * makespan,
+             tuple(claim_records), clamp_count, transition_count)
+    if not timed:
+        return CostReport(final_value, *costs)
+    timelines = {fid: ThreadTimeline(tuple(own)) for fid, own in enumerate(segments)}
+    return SimulationReport(sites[0].value.value, *costs, timelines)

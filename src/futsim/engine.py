@@ -140,39 +140,66 @@ def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> 
 Hole = tuple[Context, Expression]
 
 
-def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
-          claimed: Expression | None = None) -> tuple[Hole, RedexSite, FrequencyLevel, ReductionEvent]:
-    """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
+def _fill(site: RedexSite, thread: FutureId, fresh: FutureId | None,
+          claimed: Expression | None = None) -> tuple[Hole, RedexSite]:
+    """The kernel's expression half: fire the rule at a thread's redex site, leaving levels alone.
 
-    A Create names its child ``fresh``; a Claim fills in ``claimed``, the
-    value its producer realized. Returns the filled hole, ``(site.context,
-    filler)``, whose ``plug`` is the thread's expression after the rule; that
-    expression's redex site; the thread's level after scaling; and the event.
-    The caller adds a Create's child (at ``event.child_level``, running
-    ``site.body``) and drops a Claim's producer.
+    An Add fills the hole with its wrapped sum, a Create with ``fresh``, the
+    reference to its child, and a Claim with ``claimed``, the value its
+    producer realized. Returns the filled hole, ``(site.context, filler)``,
+    whose ``plug`` is the thread's expression after the rule, and that
+    expression's redex site.
     """
     if isinstance(site, ArithRedex):
         total = site.left + site.right
         if not _INT_MIN <= total <= _INT_MAX:  # wrap only on overflow: in range, wrapping gives the sum
             total = wrap_int(total)
         filler: Expression = IntLit(total)
-        event: ReductionEvent = AddEvent(thread, level, site.left, site.right, total)
     elif isinstance(site, CreateRedex):
-        child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, level)
-        parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, level)
         filler = FutureRef(fresh)
-        event = CreateEvent(thread, level, fresh, parent_level, child_level, int(clamp_up) + int(clamp_down))
-        level = parent_level
     elif isinstance(site, ClaimSite):
         if claimed is None:
             raise NotEnabledError(f"fv{thread} claims fv{site.target} but no claimed value was given")
-        new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
         filler = claimed
-        event = ClaimEvent(thread, level, site.target, claimed, new_level, int(clamped))
-        level = new_level
     else:
         raise NotEnabledError(f"fv{thread} holds a value")
-    return (site.context, filler), _refocus(site, filler), level, event
+    return (site.context, filler), _refocus(site, filler)
+
+
+def _levels(rule: str, level: FrequencyLevel, strategy: ScalingStrategy) -> tuple[tuple[FrequencyLevel, ...], int]:
+    """The level rules of a Create or a Claim run at ``level``: the levels its operators set, in order, and its clamps.
+
+    A Create sets its child's level by UP_CREATE, then its own by DOWN; a
+    Claim sets its own by UP_CLAIM. So the last level is the thread's after
+    the rule. ``_rule`` and ``energy._price`` call it, and nothing else calls
+    ``strategy.scale``.
+    """
+    if rule == RULE_CREATE:
+        child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, level)
+        parent_level, clamp_down = strategy.scale(ScaleOp.DOWN, level)
+        return (child_level, parent_level), int(clamp_up) + int(clamp_down)
+    new_level, clamped = strategy.scale(ScaleOp.UP_CLAIM, level)
+    return (new_level,), int(clamped)
+
+
+def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
+          claimed: Expression | None = None) -> tuple[Hole, RedexSite, FrequencyLevel, ReductionEvent]:
+    """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
+
+    ``_fill`` fires its expression half and ``_levels`` its level rules.
+    Returns the filled hole, the thread's new redex site, its level after
+    scaling, and the event. The caller adds a Create's child (at
+    ``event.child_level``, running ``site.body``) and drops a Claim's
+    producer.
+    """
+    hole, refocused = _fill(site, thread, fresh, claimed)
+    if site.__class__ is CreateRedex:
+        (child_level, new_level), clamps = _levels(RULE_CREATE, level, strategy)
+        return hole, refocused, new_level, CreateEvent(thread, level, fresh, new_level, child_level, clamps)
+    if site.__class__ is ClaimSite:
+        (new_level,), clamps = _levels(RULE_CLAIM, level, strategy)
+        return hole, refocused, new_level, ClaimEvent(thread, level, site.target, claimed, new_level, clamps)
+    return hole, refocused, level, AddEvent(thread, level, site.left, site.right, hole[1].value)
 
 
 def _advance(thr: Closure, threads: dict[FutureId, Closure], strategy: ScalingStrategy, fresh: FutureId,

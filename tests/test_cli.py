@@ -12,7 +12,6 @@ import pytest
 
 import futsim.cli as cli
 import futsim.energy as energy
-import futsim.engine as engine
 from futsim.calculus import Add, IntLit
 from futsim.cli import main
 from futsim.energy import SEG_COMPUTE, CostModel, simulate
@@ -159,8 +158,8 @@ def test_compare_single_strategy_is_usage_error(small_file):
     assert "two strategies" in err
 
 
-def test_compare_simulates_once_and_reprices_the_other_strategies(tmp_path, monkeypatch):
-    """A 4-strategy compare fires each rule once and walks the program once, yet
+def test_compare_fires_no_rule_and_scales_as_often_as_one_simulate_per_strategy(tmp_path, monkeypatch):
+    """A 4-strategy compare fires no rule and compiles the program once, yet
     calls the scaling operators as often as 4 simulates, and prints their totals."""
     path = tmp_path / "wide.gf"
     path.write_text(" + ".join(f"(future ({i} + (future {i})))" for i in range(12)))
@@ -173,18 +172,20 @@ def test_compare_simulates_once_and_reprices_the_other_strategies(tmp_path, monk
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(energy, "_advance", counting("rules", energy._advance))
-    monkeypatch.setattr(engine, "contains_future_ref", counting("walks", engine.contains_future_ref))
+    monkeypatch.setattr(energy, "_fill", counting("rules", energy._fill))
+    compile_counted = counting("walks", energy._compile)
+    monkeypatch.setattr(energy, "_compile", compile_counted)
+    monkeypatch.setattr(cli, "_compile", compile_counted)
     monkeypatch.setattr(ScalingStrategy, "scale", counting("scales", ScalingStrategy.scale))
     code, out, _ = invoke(["compare", str(path), "--strategies", ",".join(names), "--tau", "0.05", "--format", "json"])
     assert code == 0
-    compared = dict(counts)
+    compared = counts.copy()
     counts.clear()
     expr, model = parse(path.read_text()), CostModel(tau=0.05)
     reports = [simulate(expr, DEFAULT_LADDER, DEFAULT_INIT_INDEX, make_strategy(name, DEFAULT_LADDER), model)
                for name in names]
     steps = sum(seg.kind == SEG_COMPUTE for timeline in reports[0].timelines.values() for seg in timeline.segments)
-    assert compared["rules"] == steps and counts["rules"] == 4 * steps
+    assert compared["rules"] == 0 and counts["rules"] == 4 * steps
     assert compared["walks"] == 1 and counts["walks"] == 4
     assert compared["scales"] == counts["scales"] > 0
     for row, report in zip(json.loads(out)["rows"], reports):
@@ -212,6 +213,16 @@ def test_compare_runs_no_simulation(tmp_path, monkeypatch):
     code, out, err = invoke(["compare", str(path), "--strategies", ",".join(names), "--tau", "0.05", "--format", "json"])
     assert code == 0, err
     _assert_rows_are_each_strategys_simulate(out, parse(path.read_text()), names, CostModel(tau=0.05))
+
+
+def test_compare_prints_the_kernels_value_when_the_sum_wraps_64_bits(tmp_path):
+    path = tmp_path / "wrap.gf"
+    path.write_text("9223372036854775807 + future (1 + -9223372036854775808) + future (9223372036854775807 + 1)")
+    code, out, err = invoke(["compare", str(path), "--strategies", "none,both", "--format", "json"])
+    assert code == 0, err
+    code, run_out, err = invoke(["run", str(path), "--mode", "semantics", "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["final_value"] == json.loads(run_out)["final_value"] == -(1 << 63)
 
 
 @pytest.mark.parametrize("text", ["future " * 4096 + "1", " + ".join(["1"] * 6400)], ids=["future-tower", "chain"])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from futsim.calculus import Add, FutureCreate, IntLit, eval_sequential, initial_configuration
+from futsim.calculus import Add, FutureCreate, FutureRef, IntLit, eval_sequential, initial_configuration
 from futsim.energy import (
     CASE_I,
     CASE_II,
@@ -14,12 +14,14 @@ from futsim.energy import (
     CostModel,
     Segment,
     ThreadTimeline,
+    _compile,
+    _price,
     reprice,
     simulate,
     step_duration,
     step_energy,
 )
-from futsim.engine import run, step
+from futsim.engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, run, step
 from futsim.parser import parse
 from futsim.scaling import FrequencyLadder, make_strategy, strategy_both, strategy_child_only, strategy_none
 from oracles import gen_random_program, is_terminal
@@ -340,3 +342,37 @@ def test_reprice_rejects_a_strategy_over_another_ladder():
     report = simulate(parse("1 + future (2 + 3)"), LADDER, 2, strategy_both(LADDER))
     with pytest.raises(ValueError, match="different ladder"):
         reprice(report, LADDER, 2, strategy_both(FrequencyLadder((1.0, 5.0))))
+
+
+@pytest.mark.parametrize("depth", [4096, 2000])
+def test_compile_reads_a_deep_nest_of_futures_without_recursion(depth):
+    """``future``^4096 ``1`` and a 2,000-deep ``(1 + future (1 + future ... 1))``: each thread creates the next, claims
+    it, and, in the nest, adds the claimed value to its 1 after the claim."""
+    text = "future " * depth + "1" if depth == 4096 else "(1 + future " * depth + "1" + ")" * depth
+    adds = [(RULE_ADD, None)] if depth == 2000 else []
+    expected = {fid: [(RULE_CREATE, fid + 1), (RULE_CLAIM, fid + 1), *adds] for fid in range(depth)}
+    assert _compile(parse(text)) == (1 + len(adds) * depth, {**expected, depth: []})
+
+
+def test_compile_reads_a_6400_term_chain_without_recursion():
+    assert _compile(parse(" + ".join(["1"] * 6400))) == (6400, {0: [(RULE_ADD, None)] * 6399})
+
+
+def test_compile_puts_a_threads_creates_and_future_free_adds_before_its_claims_and_the_adds_above_them():
+    expr = parse("(1 + 2) + ((future (3 + future 4)) + (5 + 6)) + future 7")
+    assert _compile(expr) == (28, {
+        0: [(RULE_ADD, None), (RULE_CREATE, 1), (RULE_ADD, None), (RULE_CREATE, 3),
+            (RULE_CLAIM, 1), (RULE_ADD, None), (RULE_ADD, None), (RULE_CLAIM, 3), (RULE_ADD, None)],
+        1: [(RULE_CREATE, 2), (RULE_CLAIM, 2), (RULE_ADD, None)],
+        2: [],
+        3: [],
+    })
+
+
+def test_compare_pricing_checks_the_program_and_the_strategys_ladder():
+    """``compare``'s path, ``_price`` over ``_compile``, rejects what ``simulate`` rejects."""
+    with pytest.raises(ValueError, match="future references"):
+        _compile(Add(IntLit(1), FutureRef(1)))
+    value, tapes = _compile(parse("1 + future (2 + 3)"))
+    with pytest.raises(ValueError, match="different ladder"):
+        _price(value, tapes, LADDER, 2, strategy_both(FrequencyLadder((1.0, 5.0))))

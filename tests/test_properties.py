@@ -64,8 +64,8 @@ from futsim.energy import (  # noqa: E402
     CostModel,
     CostReport,
     SimulationReport,
+    _compile,
     _price,
-    _record,
     reprice,
     simulate,
 )
@@ -945,9 +945,25 @@ def test_simulate_prices_every_small_program_as_the_compositional_oracle_does():
         _assert_composed(expected, simulate(expr, LADDER, 2, make_strategy(name, LADDER), model), unparse(expr), name)
 
 
+def test_simulated_schedule_of_every_small_program_replays_through_engine_step():
+    """``simulate``'s compute segments, in time order, are a legal run of the small-step rules, so its compiled
+    tapes fire each thread's rules in the kernel's order."""
+    pairs = itertools.cycle(itertools.product(STRATEGIES, COMPOSED_MODELS))
+    for expr, (name, model) in zip(SMALL_SCOPE, pairs):
+        strategy = make_strategy(name, LADDER)
+        report = simulate(expr, LADDER, 2, strategy, model)
+        computes = sorted((seg.start, fid, k, seg) for fid, timeline in report.timelines.items()
+                          for k, seg in enumerate(timeline.segments) if seg.kind == SEG_COMPUTE)
+        config = initial_configuration(expr, LADDER.level(2))
+        for _, fid, _, seg in computes:
+            config, event = step(config, fid, strategy)
+            assert (event.rule, event.level) == (seg.rule, seg.level), (unparse(expr), fid)
+        assert is_terminal(config) and config.closures[0].expr == IntLit(report.final_value), unparse(expr)
+
+
 def _compared(expr, ladder, init, strategies, models):
-    """``compare``'s path: fire each rule once with no clock, then price the tapes under each model and strategy."""
-    value, tapes = _record(expr, ladder, init)
+    """``compare``'s path: compile the tapes from the program text, then price them under each model and strategy."""
+    value, tapes = _compile(expr)
     return [[_price(value, tapes, ladder, init, strategy, model) for strategy in strategies] for model in models]
 
 
@@ -975,7 +991,7 @@ def test_recorded_tapes_price_to_each_strategys_simulate_on_wide_draws(seed):
 def test_recorded_tapes_price_to_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
     """Each run builds its own ``_EveryThirdHeld``, so both count that strategy's calls from 0."""
     for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
-        value, tapes = _record(expr, ladder, init)
+        value, tapes = _compile(expr)
         for model in REPRICE_MODELS:
             for factory in REPRICE_FACTORIES:
                 expected = simulate(expr, ladder, init, factory(ladder), model)
