@@ -331,7 +331,8 @@ def reprice(
 
 
 def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadder, init_index: int,
-           strategy: ScalingStrategy, model: CostModel | None = None, root: RedexSite | None = None):
+           strategy: ScalingStrategy, model: CostModel | None = None,
+           root: RedexSite | None = None) -> CostReport | SimulationReport:
     """Price each thread's rule tape on a (time, thread) heap: ``simulate``'s report, bit for bit.
 
     A Create names its child with the heap's next id, the id ``simulate``
@@ -373,7 +374,7 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
         rule, other = tape[i]
         level, end = levels[fid], now
         if rule != RULE_ADD:  # a Create or a Claim; a thread may start with Adds
-            child = claimed = None
+            child = None
             if rule == RULE_CLAIM:
                 producer = ids[other]
                 claim = _claim(fid, producer, now, level, t_realize, parked, claim_records, model)
@@ -384,7 +385,6 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
                     spent[fid] += energy
                     if timed:
                         segments[fid].append(Segment(now, end, SEG_WAIT, level, energy, target=producer))
-                claimed = sites[producer].value if timed else None
             else:
                 ids[other] = child = len(tape_of)
             i += 1
@@ -394,6 +394,7 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
             start, end = end, end + duration  # a segment's start is its predecessor's end, one float for both
             if timed:
                 site = sites[fid]
+                claimed = sites[producer].value if rule == RULE_CLAIM else None
                 hole, sites[fid] = _fill(site, fid, child, claimed)
                 segments[fid].append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))
             scaled, clamps = _levels(rule, level, strategy)
