@@ -11,11 +11,11 @@ the waiting thread's level, or at ``idle_power`` if set) or blocking (flat
 penalty); realized producers terminate and accrue nothing afterward. Event
 order is fully determined by virtual time, ties broken by thread id.
 
-``compare`` prices compiled tapes and fires no kernel. ``simulate`` runs
-the same loop and fires the kernel's expression half (``engine._fill``)
-alongside each step, only to fill the holes of its timelines. ``reprice``
-reads the tapes from a simulated run. ``engine``'s ``run``, ``step`` and
-``explore`` fire the whole kernel.
+``compare`` and ``reprice`` price compiled tapes and fire no kernel.
+``simulate`` runs the same loop and fires the kernel's expression half
+(``engine._fill``) alongside each step, only to fill the holes of its
+timelines. ``engine``'s ``run``, ``step`` and ``explore`` fire the whole
+kernel.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class SimulationReport:
 
 
 class CostReport(NamedTuple):
-    """What ``reprice`` returns: the fields of ``SimulationReport``, in its order, but the timelines."""
+    """What ``reprice`` gives, priced from compiled tapes: ``SimulationReport``'s fields, in order, but the timelines."""
 
     final_value: int
     makespan: float
@@ -291,43 +291,19 @@ def _compile(expr: Expression) -> tuple[int, dict[FutureId, list[tuple[str, Futu
     return wrap_int(total), {fid: first + rest for fid, (first, rest) in enumerate(zip(early, late))}
 
 
-def _tapes(report: SimulationReport) -> dict[FutureId, list[tuple[str, FutureId | None]]]:
-    """Each thread's rule tape: the rules of its compute segments, in order.
-
-    A Create names its child, ``hole[1].fid``; a Claim its producer, the
-    target of the claimant's next claim record; an Add names no thread.
-    """
-    producers: dict[FutureId, list[FutureId]] = {}
-    for record in report.claim_records:
-        producers.setdefault(record.claimant, []).append(record.target)
-    tapes = {}
-    for fid, timeline in report.timelines.items():
-        claimed = iter(producers.get(fid, ()))
-        tapes[fid] = tape = []
-        for seg in timeline.segments:
-            rule = seg.rule
-            if rule == RULE_ADD:
-                tape.append(_ADD_STEP)
-            elif rule == RULE_CREATE:
-                tape.append((rule, seg.hole[1].fid))
-            elif rule == RULE_CLAIM:
-                tape.append((rule, next(claimed)))
-    return tapes
-
-
 def reprice(
-    report: SimulationReport,
+    expr: Expression,
     ladder: FrequencyLadder,
     init_index: int,
     strategy: ScalingStrategy,
     model: CostModel | None = None,
 ) -> CostReport:
-    """Price a simulated run again under another strategy and cost model, without the rule kernel.
+    """Price a program from its compiled tapes (``_compile``), without the rule kernel.
 
-    ``report`` may come from ``simulate`` under any strategy, ladder and model. The result equals a
-    fresh ``simulate``'s under these arguments, bit for bit, in every field but the timelines.
+    It takes ``simulate``'s arguments, and its result equals ``simulate``'s, bit for bit, in every field but the
+    timelines.
     """
-    return _price(report.final_value, _tapes(report), ladder, init_index, strategy, model)
+    return _price(*_compile(expr), ladder, init_index, strategy, model)
 
 
 def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadder, init_index: int,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import futsim
 
 PUBLIC = [
@@ -19,3 +21,9 @@ PUBLIC = [
 def test_public_api_is_pinned_and_bound():
     assert sorted(futsim.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(futsim, name)] == []
+
+
+def test_reprice_takes_simulates_parameters():
+    names = ["expr", "ladder", "init_index", "strategy", "model"]
+    assert list(inspect.signature(futsim.reprice).parameters) == names
+    assert list(inspect.signature(futsim.simulate).parameters) == names

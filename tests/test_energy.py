@@ -339,9 +339,8 @@ def test_simulated_schedule_replays_through_engine_step(name, wait):
 
 
 def test_reprice_rejects_a_strategy_over_another_ladder():
-    report = simulate(parse("1 + future (2 + 3)"), LADDER, 2, strategy_both(LADDER))
     with pytest.raises(ValueError, match="different ladder"):
-        reprice(report, LADDER, 2, strategy_both(FrequencyLadder((1.0, 5.0))))
+        reprice(parse("1 + future (2 + 3)"), LADDER, 2, strategy_both(FrequencyLadder((1.0, 5.0))))
 
 
 @pytest.mark.parametrize("depth", [4096, 2000])

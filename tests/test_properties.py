@@ -2,11 +2,13 @@
 decompose and gen_random_program against the recursive walkers they replaced,
 refocused sites against decompose, a simulator and a run that never plug
 against the public step, the rule work of run against simulate, the simulator's energy
-identities, reprice against a fresh simulate under every strategy pair, trace
+identities, reprice against a fresh simulate under every strategy, trace
 snippets against the whole rendered expression, explore's structural state
 keys against the renaming key they replaced, and explore's Merkle keys
 against the flat-key search they replaced, on samples and on every program of
-at most 8 nodes over the literals 0 and 1."""
+at most 8 nodes over the literals 0 and 1; and every path's value against the
+sequential oracle on every program of at most 6 nodes over the 64-bit extremes,
+whose sums wrap."""
 
 from __future__ import annotations
 
@@ -742,6 +744,31 @@ def test_small_scope_holds_every_program_up_to_8_nodes_over_0_and_1():
     assert len(set(map(unparse, SMALL_SCOPE))) == 1776
 
 
+# Every program of at most 6 nodes over the 64-bit extremes: most of their literal sums leave the int64 range.
+WRAP_SCOPE = [e for programs in _programs_by_size(6, (-(1 << 63), (1 << 63) - 1)).values() for e in programs]
+
+
+def test_wrap_scope_holds_every_program_up_to_6_nodes_over_the_64_bit_extremes_and_100_sums_wrap():
+    assert len(WRAP_SCOPE) == 188
+    assert len(set(map(unparse, WRAP_SCOPE))) == 188
+    sums = [sum(e.value for e in subterms(expr) if isinstance(e, IntLit)) for expr in WRAP_SCOPE]
+    assert sum(wrap_int(total) != total for total in sums) == 100
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_every_path_gives_the_wrapped_sequential_value_on_every_program_over_the_64_bit_extremes(name):
+    """``run`` under three policies, ``explore``, ``simulate``, ``reprice`` and ``_compile``, from level 8 of 16."""
+    strategy = make_strategy(name, CLAMP_FREE)
+    for expr in WRAP_SCOPE:
+        expected, text = eval_sequential(expr), unparse(expr)
+        for policy in (NewestFirst(), RoundRobin(), SeededRandom(7)):
+            assert run(expr, CLAMP_FREE, 8, strategy, policy).final_value == expected, (text, policy.name)
+        assert explore_with_stats(expr, CLAMP_FREE, 8, strategy)[0] == {(expected, CLAMP_FREE.level(8))}, text
+        assert simulate(expr, CLAMP_FREE, 8, strategy).final_value == expected, text
+        assert reprice(expr, CLAMP_FREE, 8, strategy).final_value == expected, text
+        assert _compile(expr)[0] == expected, text
+
+
 def test_parse_inverts_unparse_on_every_small_program():
     for expr in SMALL_SCOPE:
         assert parse(unparse(expr)) == expr, unparse(expr)
@@ -799,9 +826,9 @@ def test_simulate_every_small_program_reaches_its_sequential_value_and_adds_its_
 
 
 def _assert_energy_identities(report):
-    """The facts ``reprice`` reads from a report: each thread's segments run without a gap from its birth
-    (the end of its creator's Create and the switches after it), lie within [0, makespan] and add up, left
-    to right, to its energy; each claim's producer realized at the end of its last segment; a claim waits
+    """What a report's timelines and claim records say together: each thread's segments run without a gap from
+    its birth (the end of its creator's Create and the switches after it), lie within [0, makespan] and add up,
+    left to right, to its energy; each claim's producer realized at the end of its last segment; a claim waits
     exactly until then, and is Case I exactly when it waits."""
     last_end = {}  # thread -> the end of its last segment, or its birth if it has none
     born = {0: 0.0}
@@ -845,14 +872,13 @@ def _assert_repriced(repriced, report, *context):
 
 
 @pytest.mark.parametrize("model", SMALL_SCOPE_MODELS, ids=lambda m: f"{m.wait_policy}-tau{m.tau}")
-def test_reprice_from_none_gives_each_strategys_simulate_on_every_small_program(model):
+def test_reprice_gives_each_strategys_simulate_on_every_small_program(model):
     """At the 4-level ladder's second level, so ``both`` and ``child-only`` clamp on nested futures."""
     strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
     for expr in SMALL_SCOPE:
-        source = simulate(expr, LADDER, 2, strategies[0], model)
         for strategy in strategies:
-            expected = source if strategy is strategies[0] else simulate(expr, LADDER, 2, strategy, model)
-            _assert_repriced(reprice(source, LADDER, 2, strategy, model), expected, unparse(expr), strategy.name)
+            expected = simulate(expr, LADDER, 2, strategy, model)
+            _assert_repriced(reprice(expr, LADDER, 2, strategy, model), expected, unparse(expr), strategy.name)
 
 
 def _wide_draw(seed):
@@ -863,14 +889,14 @@ def _wide_draw(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_reprice_gives_simulate_on_wide_draws_under_every_strategy_pair(seed):
+def test_reprice_gives_simulate_on_wide_draws_under_every_strategy(seed):
     expr = _wide_draw(seed)
     for model in (CostModel(tau=0.05), CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True)):
         reports = {name: simulate(expr, LADDER, 2, make_strategy(name, LADDER), model) for name in STRATEGIES}
         assert len(reports["none"].timelines) > 100
-        for source, target in itertools.product(STRATEGIES, repeat=2):
-            repriced = reprice(reports[source], LADDER, 2, make_strategy(target, LADDER), model)
-            _assert_repriced(repriced, reports[target], source, target, model)
+        for target in STRATEGIES:
+            repriced = reprice(expr, LADDER, 2, make_strategy(target, LADDER), model)
+            _assert_repriced(repriced, reports[target], target, model)
 
 
 class _EveryThirdHeld(ScalingStrategy):
@@ -896,14 +922,12 @@ REPRICE_MODELS = [
 
 @pytest.mark.parametrize("ladder, init", [(LADDER, 1), (LADDER, 4), (ONE_LEVEL, 1)], ids=["bottom", "top", "one-level"])
 def test_reprice_gives_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
-    """Sources ran on the 4-level ladder at its second level under the default model: a rule tape holds no level."""
+    """Each run builds its own ``_EveryThirdHeld``, so both count that strategy's calls from 0."""
     for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
-        sources = [simulate(expr, LADDER, 2, factory(LADDER)) for factory in REPRICE_FACTORIES]
         for model in REPRICE_MODELS:
             for factory in REPRICE_FACTORIES:
                 expected = simulate(expr, ladder, init, factory(ladder), model)
-                for source in sources:
-                    _assert_repriced(reprice(source, ladder, init, factory(ladder), model), expected, unparse(expr))
+                _assert_repriced(reprice(expr, ladder, init, factory(ladder), model), expected, unparse(expr))
 
 
 def _assert_composed(expected, report, *context):
@@ -967,7 +991,7 @@ def _compared(expr, ladder, init, strategies, models):
     return [[_price(value, tapes, ladder, init, strategy, model) for strategy in strategies] for model in models]
 
 
-def test_recorded_tapes_price_to_each_strategys_simulate_on_every_small_program():
+def test_compiled_tapes_price_to_each_strategys_simulate_on_every_small_program():
     """Each program's rules fire once, for all 16 (model, strategy) pairs."""
     strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
     for expr in SMALL_SCOPE:
@@ -978,7 +1002,7 @@ def test_recorded_tapes_price_to_each_strategys_simulate_on_every_small_program(
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_recorded_tapes_price_to_each_strategys_simulate_on_wide_draws(seed):
+def test_compiled_tapes_price_to_each_strategys_simulate_on_wide_draws(seed):
     expr = _wide_draw(seed)
     strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
     models = [CostModel(tau=0.05), CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True)]
@@ -988,7 +1012,7 @@ def test_recorded_tapes_price_to_each_strategys_simulate_on_wide_draws(seed):
 
 
 @pytest.mark.parametrize("ladder, init", [(LADDER, 1), (LADDER, 4), (ONE_LEVEL, 1)], ids=["bottom", "top", "one-level"])
-def test_recorded_tapes_price_to_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
+def test_compiled_tapes_price_to_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
     """Each run builds its own ``_EveryThirdHeld``, so both count that strategy's calls from 0."""
     for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
         value, tapes = _compile(expr)

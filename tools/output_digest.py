@@ -2,12 +2,14 @@
 
 Runs each command of ``bench/corpus.py`` (all three workloads) for the given
 seeds through ``futsim.cli.main`` in process, imported from ``--src``. Each
-command runs twice, with ``--format json`` and in table form, and every
-``run`` writes a ``--trace`` file. Each ``compare`` command also runs, in
-both forms, with the cost-model flags of ``COST_FLAGS`` appended, since the
-corpus itself sets none of them. The digest covers each invocation's exit
-code, standard output, standard error and trace bytes, in order. Two trees
-that print the same digest for the same seeds gave the same outputs.
+command runs twice, with ``--format json`` and in table form, and both
+forms of a ``run`` write a ``--trace`` file. Each ``run`` also runs once in
+JSON with no ``--trace``, so untraced output is covered too. Each
+``compare`` command also runs, in both forms, with the cost-model flags of
+``COST_FLAGS`` appended, since the corpus itself sets none of them. The
+digest covers each invocation's exit code, standard output, standard error
+and trace bytes, in order. Two trees that print the same digest for the
+same seeds gave the same outputs.
 
     python3 tools/output_digest.py --src src --seeds 1 2
 
@@ -40,7 +42,7 @@ def import_main(src: Path):
 
 
 def invocations(seeds: list[int]):
-    """(program file name, program text, argv) for every command in both output forms, and the cost variants."""
+    """(program file name, program text, argv) for every command in both output forms, and its variants."""
     sys.path.insert(0, str(BENCH))
     import corpus
 
@@ -56,6 +58,9 @@ def invocations(seeds: list[int]):
                 forms = [args, args[:i] + args[i + 2 :]]
                 if sub == "compare":
                     forms += [form + COST_FLAGS for form in forms]
+                if sub == "run":
+                    t = args.index("--trace")
+                    forms.append(args[:t] + args[t + 2 :])
                 for form in forms:
                     yield name, cmd.program.text, [sub, name] + form
 
