@@ -407,9 +407,16 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     new. Firings are memoised per record: a Create's result depends also on
     the fresh id, a Claim's on the claimed value; a miss fires a copy of the
     record through ``_advance``, as ``run`` fires the record itself, and
-    plugs the hole only to take its shape. Only the fired thread, a Create's
-    child and the fired thread's parent, which may be parked on it, can
-    change readiness, so only they are tested again.
+    plugs the hole only to take its shape. The move keeps also the updated
+    record's readiness (it can fire, it realized, or the producer it now
+    claims) and whether a Create's child can fire. Only the fired thread, a
+    Create's child and the fired thread's parent, which may be parked on it,
+    can change readiness, so a successor's enabled set is its state's with
+    at most three O(1) edits: the move says what became of the fired thread
+    and its child, and one site read says whether the producer it claims
+    has realized or whether its parent is parked on it. An edge to a state
+    already seen costs its key only; a new state costs copies of its
+    state's maps and those edits.
 
     A state's depth in the search is its total step count, which the state
     itself fixes, so two states can be equal only within one level: keys
@@ -442,8 +449,10 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
 
     # A move maps a firing to (the fired record, which pins its id, the
     # updated record, its (level index, shape) and references, the entry
-    # index of the reference a Create added or a Claim removed, and the
-    # Create's child and its entry).
+    # index of the reference a Create added or a Claim removed, the Create's
+    # child and its entry, the updated record's readiness: True if it can
+    # fire, False if it realized, else the producer it now claims, and
+    # whether the child can fire).
     moves: dict = {}
     count = 1
     kept = len(ids)
@@ -452,6 +461,7 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     while frontier:
         next_frontier: list = []
         seen: set[int] = set()  # the next level's keys
+        intern = ids.setdefault
         for threads, fresh, entries, up, enabled in frontier:
             if not enabled:
                 site = threads[root].site
@@ -459,13 +469,13 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                     raise EngineError("stuck non-terminal state during exploration")
                 outcomes.add((site.value.value, threads[root].freq))
                 continue
-            for thread in sorted(enabled):
+            for thread in enabled:
                 thr = threads[thread]
                 site = thr.site
                 claimed = None
-                if isinstance(site, CreateRedex):
+                if site.__class__ is CreateRedex:
                     key: object = (id(thr), fresh)
-                elif isinstance(site, ClaimSite):
+                elif site.__class__ is ClaimSite:
                     claimed = threads[site.target].site.value
                     key = (id(thr), claimed.value)
                 else:
@@ -484,22 +494,26 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                         child_entry = (child.freq.index, _shape(site.body)[0])
                     elif claimed is not None:
                         slot = up[site.target][1]
-                    move = moves[key] = (thr, updated, (updated.freq.index, shape), refs, slot, child, child_entry)
-                _, updated, head, refs, slot, child, child_entry = move
+                    now = updated.site
+                    ready = now.target if now.__class__ is ClaimSite else now.__class__ is not NoRedex
+                    move = moves[key] = (thr, updated, (updated.freq.index, shape), refs, slot, child, child_entry,
+                                         ready, child is not None and child.site.__class__ is not NoRedex)
+                _, updated, head, refs, slot, child, child_entry, ready, child_ready = move
                 entry = entries[thread]
                 if child is not None:
-                    entry = entry[:slot] + (ids.setdefault(child_entry, len(ids) + base),) + entry[slot:]
+                    entry = head + entry[2:slot] + (intern(child_entry, len(ids) + base),) + entry[slot:]
                 elif slot is not None:
-                    entry = entry[:slot] + entry[slot + 1 :]
-                entry = head + entry[2:]
-                node = ids.setdefault(entry, len(ids) + base)
+                    entry = head + entry[2:slot] + entry[slot + 1 :]
+                else:
+                    entry = head + entry[2:]
+                node = intern(entry, len(ids) + base)
                 changed = {thread: entry}
                 fid = thread
                 while fid != root:
                     fid, at = up[fid]
                     entry = entries[fid]
                     entry = entry[:at] + (node,) + entry[at + 1 :]
-                    node = ids.setdefault(entry, len(ids) + base)
+                    node = intern(entry, len(ids) + base)
                     changed[fid] = entry
                 if node in seen:
                     continue
@@ -507,29 +521,31 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                     raise ExplorationLimitError(f"more than {state_limit} states")
                 count += 1
                 seen.add(node)
-                next_threads = threads | {thread: updated}
+                next_threads = threads.copy()
+                next_threads[thread] = updated
                 next_entries = entries | changed
                 next_up = up
-                retest = [thread]
+                next_enabled = enabled.copy()
                 if slot is not None:  # a Create or a Claim moves the references after its slot
                     next_up = up.copy()
                     if child is not None:
                         next_threads[fresh] = child
                         next_entries[fresh] = child_entry
-                        retest.append(fresh)
+                        if child_ready:
+                            next_enabled.add(fresh)
                     else:
                         del next_threads[site.target], next_entries[site.target], next_up[site.target]
                     for at, ref in enumerate(refs, 2):
                         next_up[ref] = (thread, at)
-                if thread != root:
-                    retest.append(up[thread][0])
-                site_of = lambda fid: next_threads[fid].site
-                next_enabled = set(enabled)
-                for fid in retest:
-                    if _ready(next_threads[fid].site, site_of):
-                        next_enabled.add(fid)
-                    else:
-                        next_enabled.discard(fid)
+                if ready is False:  # realized: release the parent if it is parked on this thread
+                    next_enabled.discard(thread)
+                    if thread != root:
+                        parent = up[thread][0]
+                        parked = next_threads[parent].site
+                        if parked.__class__ is ClaimSite and parked.target == thread:
+                            next_enabled.add(parent)
+                elif ready is not True and next_threads[ready].site.__class__ is not NoRedex:
+                    next_enabled.discard(thread)  # it claims a producer that is still running
                 next_frontier.append((next_threads, fresh + (child is not None), next_entries, next_up, next_enabled))
         frontier = next_frontier
         if len(ids) > kept + _INTERN_SLACK:

@@ -495,6 +495,14 @@ def test_run_rejects_a_pick_outside_the_enabled_set():
         (" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)), 1791),
         (" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(7)), 28671),
         ("future " * 64 + "1", 129),
+        # Each readiness case of a fired thread: a parent parked on a child
+        # that realizes, a Create whose child is a literal, a claim on a
+        # producer that is still running, and all three in one program.
+        pytest.param("future (1 + " * 200 + "1" + ")" * 200, 601, id="nest-200"),
+        ("(future 5) + (1 + 2)", 5),
+        ("future (1 + 2 + 3)", 5),
+        ("(future (1 + 2 + 3 + 4)) + future 5 + (6 + 7)", 22),
+        pytest.param("future " * 512 + "1", 1025, id="tower-512"),
     ],
 )
 def test_explore_state_counts_pinned(text, states):
