@@ -35,10 +35,12 @@ from .energy import (
     WAIT_BLOCK,
     WAIT_SPIN,
     CostModel,
+    CostReport,
     SimulationReport,
     _compile,
     _left_sum,
     _price,
+    reprice,
     simulate,
 )
 from .engine import (
@@ -312,18 +314,16 @@ def _trace_record(seq: int, t: float, thread: int, kind: str, rule: str | None, 
     """One trace v1 line; its fields are exactly these, with the level as freq_idx and freq."""
     freq = level.value
     if not (isfinite(t) and isfinite(dur) and isfinite(energy) and isfinite(freq)):
-        record = dict(v=TRACE_VERSION, seq=seq, t=t, thread=thread, kind=kind, rule=rule, freq_idx=level.index,
-                      freq=freq, dur=dur, energy=energy, expr=expr)
-        return _json_dump(record, indent=None)  # raises the OutputError a non-finite number gets
+        raise OutputError("a result is not a finite number (the cost model overflows)")
     return _RECORD_LINE.format(dur, energy, _quote(expr), freq, level.index, _quote(kind),
                                "null" if rule is None else _quote(rule), seq, t, thread)
 
 
-def _json_dump(obj, indent: int | None = 2) -> str:
+def _json_dump(obj) -> str:
     # Infinity and NaN are not JSON; a model whose numbers overflow is reported
     # as an error instead.
     try:
-        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise OutputError(f"a result is not a finite number (the cost model overflows): {exc}") from exc
 
@@ -452,7 +452,7 @@ def _write_semantics_trace(path: str, result: RunResult) -> None:
     _write_lines(path, lines)
 
 
-def _report_json(cfg: RunConfig, report: SimulationReport) -> dict:
+def _report_json(cfg: RunConfig, report: SimulationReport | CostReport) -> dict:
     return {
         "command": "run",
         "mode": "simulate",
@@ -481,7 +481,7 @@ def _report_json(cfg: RunConfig, report: SimulationReport) -> dict:
     }
 
 
-def _print_simulate_table(report: SimulationReport, out) -> None:
+def _print_simulate_table(report: SimulationReport | CostReport, out) -> None:
     print(f"final value    {report.final_value}", file=out)
     print(f"makespan       {_fmt(report.makespan)}", file=out)
     print(f"energy         {_fmt(report.total_energy)}", file=out)
@@ -532,7 +532,8 @@ def cmd_run(cfg: RunConfig, out, err) -> int:
             print(f"rules          {' '.join(e.rule for e in result.events)}", file=out)
         return EXIT_OK
 
-    report = simulate(expr, cfg.ladder, cfg.init_index, strategy, cfg.model)
+    # Only the trace reads the timelines: an untraced run prices the compiled tapes alone, to the same report.
+    report = (simulate if cfg.trace_path else reprice)(expr, cfg.ladder, cfg.init_index, strategy, cfg.model)
     if cfg.trace_path:
         _write_simulate_trace(cfg.trace_path, report)
     if cfg.output_format == "json":

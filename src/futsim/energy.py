@@ -188,36 +188,6 @@ class CostReport(NamedTuple):
     transition_count: int
 
 
-# ``_price``'s heap loop is the one pricing loop: these price a claim, and a
-# (rule, frequency) met for the first time in a run.
-
-def _claim(claimant: FutureId, producer: FutureId, now: float, level: FrequencyLevel, t_realize: dict[FutureId, float],
-           parked: dict[FutureId, tuple[float, FutureId]], records: list[ClaimRecord],
-           model: CostModel) -> tuple[float, float | None] | None:
-    """Park a claim whose producer has not realized, or record and price it.
-
-    A parked claimant returns None; its event waits in ``parked`` until the
-    producer's realize pushes it back. Otherwise the claim's record is
-    appended, and this returns when its rule starts and its wait's energy,
-    None for a claim that did not wait (Case II). A Case I claim spins from
-    its arrival to the realize, at ``level`` or at ``idle_power``, or blocks
-    for one flat context-switch penalty.
-    """
-    ready = t_realize.get(producer)
-    if ready is None:
-        if producer in parked:
-            raise EngineError(f"fv{producer} claimed twice")
-        parked[producer] = (now, claimant)
-        return None
-    wait = max(0.0, ready - now)
-    records.append(ClaimRecord(claimant, producer, now, ready, wait, CASE_I if wait > 0 else CASE_II))
-    if not wait > 0:
-        return now, None
-    if model.wait_policy == WAIT_SPIN:
-        return ready, spin_power(level, model) * wait
-    return ready + model.block_time, model.block_energy
-
-
 def _priced(by_frequency: dict[float, tuple[float, float]], rule: str, level: FrequencyLevel,
             model: CostModel) -> tuple[float, float]:
     """Price a step of ``rule`` at ``level``, the first at its frequency in a run: (duration, energy), kept for the rest.
@@ -353,11 +323,19 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
             child = None
             if rule == RULE_CLAIM:
                 producer = ids[other]
-                claim = _claim(fid, producer, now, level, t_realize, parked, claim_records, model)
-                if claim is None:
+                ready = t_realize.get(producer)
+                if ready is None:  # park the claim until its producer's realize pushes it back
+                    if producer in parked:
+                        raise EngineError(f"fv{producer} claimed twice")
+                    parked[producer] = (now, fid)
                     continue
-                end, energy = claim
-                if energy is not None:
+                wait = max(0.0, ready - now)
+                claim_records.append(ClaimRecord(fid, producer, now, ready, wait, CASE_I if wait > 0 else CASE_II))
+                if wait > 0:  # Case I: spin to the realize, at ``level`` or ``idle_power``, or block once
+                    if model.wait_policy == WAIT_SPIN:
+                        end, energy = ready, spin_power(level, model) * wait
+                    else:
+                        end, energy = ready + model.block_time, model.block_energy
                     spent[fid] += energy
                     if timed:
                         segments[fid].append(Segment(now, end, SEG_WAIT, level, energy, target=producer))

@@ -102,11 +102,11 @@ class AddEvent(NamedTuple):
 ReductionEvent = Union[CreateEvent, ClaimEvent, AddEvent]
 
 
-def _ready(site: RedexSite, site_of: Callable[[FutureId], RedexSite]) -> bool:
-    """The readiness rule: a redex fires at once, a claim once its producer's site is ``NoRedex``, a realized integer."""
+def _ready(site: RedexSite, threads: dict[FutureId, Closure]) -> bool:
+    """The readiness rule: a redex fires at once, a claim once its producer in ``threads`` realized an integer."""
     if isinstance(site, ClaimSite):
         try:
-            return isinstance(site_of(site.target), NoRedex)
+            return isinstance(threads[site.target].site, NoRedex)
         except KeyError:
             raise EngineError(f"fv{site.target} claimed but never produced") from None
     return isinstance(site, (ArithRedex, CreateRedex))
@@ -114,8 +114,8 @@ def _ready(site: RedexSite, site_of: Callable[[FutureId], RedexSite]) -> bool:
 
 def enabled_threads(config: Configuration) -> frozenset[FutureId]:
     """Threads that can take a step right now; realized non-root closures sit idle until claimed."""
-    sites = {c.realizes: c.site for c in config.closures}
-    return frozenset(fid for fid, site in sites.items() if _ready(site, sites.__getitem__))
+    threads = {c.realizes: c for c in config.closures}
+    return frozenset(fid for fid, thr in threads.items() if _ready(thr.site, threads))
 
 
 def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> tuple[Configuration, ReductionEvent]:
@@ -132,9 +132,9 @@ def step(config: Configuration, thread: FutureId, strategy: ScalingStrategy) -> 
     site = fired.site
     claimed = closures.pop(site.target).site.value if isinstance(site, ClaimSite) else None
     closures[thread] = fired = Closure(fired.freq, site, thread)
-    born: dict[FutureId, Closure] = {}
-    _, event = _advance(fired, born, strategy, config.next_fresh, claimed)
-    return Configuration((*born.values(), *closures.values()), config.next_fresh + len(born), config.root), event
+    _, event, child = _advance(fired, strategy, config.next_fresh, claimed)
+    born = () if child is None else (child,)
+    return Configuration((*born, *closures.values()), config.next_fresh + len(born), config.root), event
 
 
 Hole = tuple[Context, Expression]
@@ -171,8 +171,8 @@ def _levels(rule: str, level: FrequencyLevel, strategy: ScalingStrategy) -> tupl
 
     A Create sets its child's level by UP_CREATE, then its own by DOWN; a
     Claim sets its own by UP_CLAIM. So the last level is the thread's after
-    the rule. ``_rule`` and ``energy._price`` call it, and nothing else calls
-    ``strategy.scale``.
+    the rule. ``_advance`` and ``energy._price`` call it, and nothing else
+    calls ``strategy.scale``.
     """
     if rule == RULE_CREATE:
         child_level, clamp_up = strategy.scale(ScaleOp.UP_CREATE, level)
@@ -182,34 +182,25 @@ def _levels(rule: str, level: FrequencyLevel, strategy: ScalingStrategy) -> tupl
     return (new_level,), int(clamped)
 
 
-def _rule(site: RedexSite, level: FrequencyLevel, thread: FutureId, strategy: ScalingStrategy, fresh: FutureId,
-          claimed: Expression | None = None) -> tuple[Hole, RedexSite, FrequencyLevel, ReductionEvent]:
-    """The rule kernel: fire the rule at a thread's redex site, running at ``level``.
+def _advance(thr: Closure, strategy: ScalingStrategy, fresh: FutureId,
+             claimed: Expression | None = None) -> tuple[Hole, ReductionEvent, Closure | None]:
+    """The rule kernel: fire the rule at the thread's redex site, in place, at the thread's level.
 
     ``_fill`` fires its expression half and ``_levels`` its level rules.
-    Returns the filled hole, the thread's new redex site, its level after
-    scaling, and the event. The caller adds a Create's child (at
-    ``event.child_level``, running ``site.body``) and drops a Claim's
-    producer.
+    Returns the filled hole, the event, and a Create's child: ``fresh``,
+    running ``site.body`` at ``event.child_level``; None for the other
+    rules. The caller adds the child and drops a Claim's producer.
     """
-    hole, refocused = _fill(site, thread, fresh, claimed)
+    site, level, thread = thr.site, thr.freq, thr.realizes
+    hole, thr.site = _fill(site, thread, fresh, claimed)
     if site.__class__ is CreateRedex:
-        (child_level, new_level), clamps = _levels(RULE_CREATE, level, strategy)
-        return hole, refocused, new_level, CreateEvent(thread, level, fresh, new_level, child_level, clamps)
+        (child_level, thr.freq), clamps = _levels(RULE_CREATE, level, strategy)
+        event = CreateEvent(thread, level, fresh, thr.freq, child_level, clamps)
+        return hole, event, Closure(child_level, decompose(site.body), fresh)
     if site.__class__ is ClaimSite:
-        (new_level,), clamps = _levels(RULE_CLAIM, level, strategy)
-        return hole, refocused, new_level, ClaimEvent(thread, level, site.target, claimed, new_level, clamps)
-    return hole, refocused, level, AddEvent(thread, level, site.left, site.right, hole[1].value)
-
-
-def _advance(thr: Closure, threads: dict[FutureId, Closure], strategy: ScalingStrategy, fresh: FutureId,
-             claimed: Expression | None = None) -> tuple[Hole, ReductionEvent]:
-    """Fire the thread's rule through the kernel in place; a Create's child joins ``threads`` as ``fresh``."""
-    site = thr.site
-    hole, thr.site, thr.freq, event = _rule(site, thr.freq, thr.realizes, strategy, fresh, claimed)
-    if isinstance(event, CreateEvent):
-        threads[fresh] = Closure(event.child_level, decompose(site.body), fresh)
-    return hole, event
+        (thr.freq,), clamps = _levels(RULE_CLAIM, level, strategy)
+        return hole, ClaimEvent(thread, level, site.target, claimed, thr.freq, clamps), None
+    return hole, AddEvent(thread, level, site.left, site.right, hole[1].value), None
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +300,11 @@ def run(
     if step_limit is None:
         step_limit = 10 * 3 * node_count(expr)
     pick = (policy or NewestFirst()).session()
-    site_of = lambda fid: threads[fid].site  # a producer's site; KeyError once it is claimed
     enabled: set[FutureId] = set()
     parked: dict[FutureId, FutureId] = {}  # producer -> the claimant waiting on it
 
     def retest(thr: Closure) -> None:
-        if _ready(thr.site, site_of):
+        if _ready(thr.site, threads):
             enabled.add(thr.realizes)
         else:
             enabled.discard(thr.realizes)
@@ -332,9 +322,10 @@ def run(
             raise NotEnabledError(f"fv{thread} has no enabled reduction")
         thr = threads[thread]
         claimed = threads.pop(thr.site.target).site.value if isinstance(thr.site, ClaimSite) else None
-        _, event = _advance(thr, threads, strategy, fresh, claimed)
-        if isinstance(event, CreateEvent):
-            retest(threads[fresh])
+        _, event, child = _advance(thr, strategy, fresh, claimed)
+        if child is not None:
+            threads[fresh] = child
+            retest(child)
             fresh += 1
         retest(thr)
         if isinstance(thr.site, NoRedex) and thread in parked:
@@ -483,10 +474,8 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                 move = moves.get(key)
                 if move is None:
                     updated = Closure(thr.freq, site, thread)
-                    born: dict[FutureId, Closure] = {}
-                    hole, _ = _advance(updated, born, strategy, fresh, claimed)
+                    hole, _, child = _advance(updated, strategy, fresh, claimed)
                     shape, refs = _shape(plug(*hole))
-                    child = born.get(fresh)
                     slot = child_entry = None
                     if child is not None:
                         slot = 2 + refs.index(fresh)

@@ -225,6 +225,39 @@ def test_compare_prints_the_kernels_value_when_the_sum_wraps_64_bits(tmp_path):
     assert json.loads(out)["final_value"] == json.loads(run_out)["final_value"] == -(1 << 63)
 
 
+@pytest.mark.parametrize("text, flags, shown", [
+    ("9223372036854775807 + future (1 + -9223372036854775808) + future (9223372036854775807 + 1)", [],
+     "final value    -9223372036854775808"),
+    ("1 + future (2 + 3)", ["--kappa", "1e308", "--ladder", "1,2", "--init", "1", "--strategy", "none"],
+     "energy         inf"),
+], ids=["sum-wraps-64-bits", "energy-overflows"])
+def test_untraced_run_fires_no_rule_and_prints_the_traced_runs_report(tmp_path, monkeypatch, text, flags, shown):
+    """Only the trace reads a run's timelines, so an untraced run compiles the program once and fires no rule, yet
+    prints what the traced run prints, in JSON and as a table. At 1e308 each step's energy is finite, so the trace
+    is written, but the total overflows: the table prints inf, and both JSON runs fail alike."""
+    path = tmp_path / "p.gf"
+    path.write_text(text)
+    counts = Counter()
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(energy, "_fill", counting("rules", energy._fill))
+    monkeypatch.setattr(energy, "_compile", counting("walks", energy._compile))
+    for form in ("json", "table"):
+        counts.clear()
+        untraced = invoke(["run", str(path), "--format", form, *flags])
+        assert (counts["rules"], counts["walks"]) == (0, 1), form
+        counts.clear()
+        traced = invoke(["run", str(path), "--format", form, "--trace", str(tmp_path / f"{form}.jsonl"), *flags])
+        assert counts["rules"] > 0 and counts["walks"] == 1, form
+        assert untraced == traced, form
+    assert untraced[0] == 0 and shown in untraced[1]
+
+
 @pytest.mark.parametrize("text", ["future " * 4096 + "1", " + ".join(["1"] * 6400)], ids=["future-tower", "chain"])
 def test_compare_takes_deep_programs_without_recursion(tmp_path, text):
     path = tmp_path / "deep.gf"

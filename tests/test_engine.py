@@ -131,14 +131,15 @@ def test_step_rejects_blocked_thread():
 def test_fire_rejects_a_claim_without_the_claimed_value():
     site = decompose(FutureRef(2))
     with pytest.raises(NotEnabledError):
-        engine._rule(site, LADDER.level(2), 1, BOTH, 3)
-    hole, _, level, event = engine._rule(site, LADDER.level(2), 1, BOTH, 3, IntLit(7))
-    assert (plug(*hole), level, event.value) == (IntLit(7), LADDER.level(3), IntLit(7))
+        engine._advance(Closure(LADDER.level(2), site, 1), BOTH, 3)
+    thr = Closure(LADDER.level(2), site, 1)
+    hole, event, _ = engine._advance(thr, BOTH, 3, IntLit(7))
+    assert (plug(*hole), thr.freq, event.value) == (IntLit(7), LADDER.level(3), IntLit(7))
 
 
 def test_fire_rejects_a_value():
     with pytest.raises(NotEnabledError):
-        engine._rule(decompose(IntLit(7)), LADDER.level(2), 0, BOTH, 1)
+        engine._advance(Closure(LADDER.level(2), decompose(IntLit(7)), 0), BOTH, 1)
 
 
 def test_run_reproduces_golden_trace():
@@ -414,9 +415,9 @@ def test_run_tests_readiness_only_where_a_step_can_change_it(monkeypatch):
     calls = []
     original = engine._ready
 
-    def counting(site, site_of):
+    def counting(site, threads):
         calls.append(site)
-        return original(site, site_of)
+        return original(site, threads)
 
     monkeypatch.setattr(engine, "_ready", counting)
     result = run(parse("future " * 2000 + "1"), LADDER, 2, BOTH)
@@ -431,9 +432,9 @@ def test_explore_fires_each_move_once_however_many_states_reach_it(monkeypatch):
     fired = []
     original = engine._advance
 
-    def recording(thr, threads, strategy, fresh, claimed=None):
+    def recording(thr, strategy, fresh, claimed=None):
         fired.append(thr)
-        return original(thr, threads, strategy, fresh, claimed)
+        return original(thr, strategy, fresh, claimed)
 
     monkeypatch.setattr(engine, "_advance", recording)
     expr = parse(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(5)))

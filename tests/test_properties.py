@@ -871,32 +871,11 @@ def _assert_repriced(repriced, report, *context):
         assert repr(getattr(repriced, name)) == repr(getattr(report, name)), (name, *context)
 
 
-@pytest.mark.parametrize("model", SMALL_SCOPE_MODELS, ids=lambda m: f"{m.wait_policy}-tau{m.tau}")
-def test_reprice_gives_each_strategys_simulate_on_every_small_program(model):
-    """At the 4-level ladder's second level, so ``both`` and ``child-only`` clamp on nested futures."""
-    strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
-    for expr in SMALL_SCOPE:
-        for strategy in strategies:
-            expected = simulate(expr, LADDER, 2, strategy, model)
-            _assert_repriced(reprice(expr, LADDER, 2, strategy, model), expected, unparse(expr), strategy.name)
-
-
 def _wide_draw(seed):
     """A left-deep sum of 100-150 futures whose bodies are small random programs, some with futures of their own."""
     rng = random.Random(seed)
     terms = [FutureCreate(gen_random_program(rng.randrange(10**6), 4, 2)) for _ in range(rng.randint(100, 150))]
     return functools.reduce(Add, terms)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_reprice_gives_simulate_on_wide_draws_under_every_strategy(seed):
-    expr = _wide_draw(seed)
-    for model in (CostModel(tau=0.05), CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True)):
-        reports = {name: simulate(expr, LADDER, 2, make_strategy(name, LADDER), model) for name in STRATEGIES}
-        assert len(reports["none"].timelines) > 100
-        for target in STRATEGIES:
-            repriced = reprice(expr, LADDER, 2, make_strategy(target, LADDER), model)
-            _assert_repriced(repriced, reports[target], target, model)
 
 
 class _EveryThirdHeld(ScalingStrategy):
@@ -918,16 +897,6 @@ REPRICE_MODELS = [
     CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True, block_time=0.3, block_energy=2.5),
     CostModel(create_cycles=2.0, add_cycles=0.5, claim_cycles=3.0, kappa=1.7, alpha=2.5, tau=0.01, transition_energy=True),
 ]
-
-
-@pytest.mark.parametrize("ladder, init", [(LADDER, 1), (LADDER, 4), (ONE_LEVEL, 1)], ids=["bottom", "top", "one-level"])
-def test_reprice_gives_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
-    """Each run builds its own ``_EveryThirdHeld``, so both count that strategy's calls from 0."""
-    for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
-        for model in REPRICE_MODELS:
-            for factory in REPRICE_FACTORIES:
-                expected = simulate(expr, ladder, init, factory(ladder), model)
-                _assert_repriced(reprice(expr, ladder, init, factory(ladder), model), expected, unparse(expr))
 
 
 def _assert_composed(expected, report, *context):
@@ -992,13 +961,16 @@ def _compared(expr, ladder, init, strategies, models):
 
 
 def test_compiled_tapes_price_to_each_strategys_simulate_on_every_small_program():
-    """Each program's rules fire once, for all 16 (model, strategy) pairs."""
+    """Each program is compiled once for all 16 (model, strategy) pairs, and ``reprice`` prices each pair too; at the
+    4-level ladder's second level, so ``both`` and ``child-only`` clamp on nested futures."""
     strategies = [make_strategy(name, LADDER) for name in STRATEGIES]
     for expr in SMALL_SCOPE:
         source = unparse(expr)
         for model, priced in zip(SMALL_SCOPE_MODELS, _compared(expr, LADDER, 2, strategies, SMALL_SCOPE_MODELS)):
             for strategy, report in zip(strategies, priced):
-                _assert_repriced(report, simulate(expr, LADDER, 2, strategy, model), source, strategy.name, model)
+                expected = simulate(expr, LADDER, 2, strategy, model)
+                _assert_repriced(report, expected, source, strategy.name, model)
+                _assert_repriced(reprice(expr, LADDER, 2, strategy, model), expected, source, strategy.name, model)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1008,18 +980,22 @@ def test_compiled_tapes_price_to_each_strategys_simulate_on_wide_draws(seed):
     models = [CostModel(tau=0.05), CostModel(wait_policy=WAIT_BLOCK, tau=0.05, transition_energy=True)]
     for model, priced in zip(models, _compared(expr, LADDER, 2, strategies, models)):
         for strategy, report in zip(strategies, priced):
-            _assert_repriced(report, simulate(expr, LADDER, 2, strategy, model), strategy.name, model)
+            expected = simulate(expr, LADDER, 2, strategy, model)
+            assert len(expected.timelines) > 100
+            _assert_repriced(report, expected, strategy.name, model)
+            _assert_repriced(reprice(expr, LADDER, 2, strategy, model), expected, strategy.name, model)
 
 
 @pytest.mark.parametrize("ladder, init", [(LADDER, 1), (LADDER, 4), (ONE_LEVEL, 1)], ids=["bottom", "top", "one-level"])
 def test_compiled_tapes_price_to_simulate_at_clamping_inits_and_on_a_one_level_ladder(ladder, init):
-    """Each run builds its own ``_EveryThirdHeld``, so both count that strategy's calls from 0."""
+    """Each run builds its own ``_EveryThirdHeld``, so every run counts that strategy's calls from 0."""
     for expr in [PENDING_LEFT, WIDE_SUM, LEFT_DEEP, *(gen_random_program(seed, 6, 3) for seed in range(12))]:
         value, tapes = _compile(expr)
         for model in REPRICE_MODELS:
             for factory in REPRICE_FACTORIES:
                 expected = simulate(expr, ladder, init, factory(ladder), model)
                 _assert_repriced(_price(value, tapes, ladder, init, factory(ladder), model), expected, unparse(expr))
+                _assert_repriced(reprice(expr, ladder, init, factory(ladder), model), expected, unparse(expr))
 
 
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
