@@ -231,7 +231,8 @@ def test_compare_prints_the_kernels_value_when_the_sum_wraps_64_bits(tmp_path):
     ("1 + future (2 + 3)", ["--kappa", "1e308", "--ladder", "1,2", "--init", "1", "--strategy", "none"],
      "energy         inf"),
 ], ids=["sum-wraps-64-bits", "energy-overflows"])
-def test_untraced_run_fires_no_rule_and_prints_the_traced_runs_report(tmp_path, monkeypatch, text, flags, shown):
+@pytest.mark.parametrize("form", ["json", "table"])
+def test_untraced_run_fires_no_rule_and_prints_the_traced_runs_report(tmp_path, monkeypatch, text, flags, shown, form):
     """Only the trace reads a run's timelines, so an untraced run compiles the program once and fires no rule, yet
     prints what the traced run prints, in JSON and as a table. At 1e308 each step's energy is finite, so the trace
     is written, but the total overflows: the table prints inf, and both JSON runs fail alike."""
@@ -247,15 +248,28 @@ def test_untraced_run_fires_no_rule_and_prints_the_traced_runs_report(tmp_path, 
 
     monkeypatch.setattr(energy, "_fill", counting("rules", energy._fill))
     monkeypatch.setattr(energy, "_compile", counting("walks", energy._compile))
-    for form in ("json", "table"):
-        counts.clear()
-        untraced = invoke(["run", str(path), "--format", form, *flags])
-        assert (counts["rules"], counts["walks"]) == (0, 1), form
-        counts.clear()
-        traced = invoke(["run", str(path), "--format", form, "--trace", str(tmp_path / f"{form}.jsonl"), *flags])
-        assert counts["rules"] > 0 and counts["walks"] == 1, form
-        assert untraced == traced, form
-    assert untraced[0] == 0 and shown in untraced[1]
+    untraced = invoke(["run", str(path), "--format", form, *flags])
+    assert (counts["rules"], counts["walks"]) == (0, 1)
+    counts.clear()
+    traced = invoke(["run", str(path), "--format", form, "--trace", str(tmp_path / "trace.jsonl"), *flags])
+    assert counts["rules"] > 0 and counts["walks"] == 1
+    assert untraced == traced
+    if form == "table":
+        assert untraced[0] == 0 and shown in untraced[1]
+
+
+@pytest.mark.parametrize("name", ["none", "parent-only", "child-only", "both"])
+def test_untraced_run_prints_the_traced_runs_json_under_each_strategy(tmp_path, name):
+    """Nested futures at the 4-level ladder's second level, under blocking waits that pay a penalty and switches that
+    take time, so each strategy's report differs from the others'."""
+    path = tmp_path / "p.gf"
+    path.write_text("(future (1 + future (2 + 3))) + (future (4 + 5) + 6) + future (future (7))")
+    flags = ["--ladder", "1,2,3,4", "--init", "2", "--strategy", name, "--wait", "block", "--tau", "0.05",
+             "--block-penalty", "0.5,2", "--format", "json"]
+    untraced = invoke(["run", str(path), *flags])
+    traced = invoke(["run", str(path), *flags, "--trace", str(tmp_path / "trace.jsonl")])
+    assert untraced[0] == 0, untraced[2]
+    assert json.loads(untraced[1]) == json.loads(traced[1]) and untraced == traced
 
 
 @pytest.mark.parametrize("text", ["future " * 4096 + "1", " + ".join(["1"] * 6400)], ids=["future-tower", "chain"])
