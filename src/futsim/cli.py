@@ -452,7 +452,7 @@ def _write_semantics_trace(path: str, result: RunResult) -> None:
     _write_lines(path, lines)
 
 
-def _report_json(cfg: RunConfig, report: SimulationReport | CostReport) -> dict:
+def _report_json(cfg: RunConfig, report: CostReport) -> dict:
     return {
         "command": "run",
         "mode": "simulate",
@@ -481,7 +481,7 @@ def _report_json(cfg: RunConfig, report: SimulationReport | CostReport) -> dict:
     }
 
 
-def _print_simulate_table(report: SimulationReport | CostReport, out) -> None:
+def _print_simulate_table(report: CostReport, out) -> None:
     print(f"final value    {report.final_value}", file=out)
     print(f"makespan       {_fmt(report.makespan)}", file=out)
     print(f"energy         {_fmt(report.total_energy)}", file=out)

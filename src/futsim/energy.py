@@ -160,8 +160,10 @@ class ClaimRecord(NamedTuple):
     case_tag: str
 
 
-@dataclass
-class SimulationReport:
+@dataclass(frozen=True)
+class CostReport:
+    """What ``reprice`` and ``compare`` give, priced from compiled tapes: the fields every report has."""
+
     final_value: int
     makespan: float
     total_energy: float
@@ -171,21 +173,13 @@ class SimulationReport:
     claim_records: tuple[ClaimRecord, ...]
     clamp_count: int
     transition_count: int
+
+
+@dataclass(frozen=True)
+class SimulationReport(CostReport):
+    """What ``simulate`` gives: a ``CostReport`` plus each thread's timeline."""
+
     timelines: dict[FutureId, ThreadTimeline]
-
-
-class CostReport(NamedTuple):
-    """What ``reprice`` gives, priced from compiled tapes: ``SimulationReport``'s fields, in order, but the timelines."""
-
-    final_value: int
-    makespan: float
-    total_energy: float
-    per_thread_energy: dict[FutureId, float]
-    edp: float
-    ed2p: float
-    claim_records: tuple[ClaimRecord, ...]
-    clamp_count: int
-    transition_count: int
 
 
 def _priced(by_frequency: dict[float, tuple[float, float]], rule: str, level: FrequencyLevel,
@@ -278,7 +272,7 @@ def reprice(
 
 def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadder, init_index: int,
            strategy: ScalingStrategy, model: CostModel | None = None,
-           root: RedexSite | None = None) -> CostReport | SimulationReport:
+           root: RedexSite | None = None) -> CostReport:
     """Price each thread's rule tape on a (time, thread) heap: ``simulate``'s report, bit for bit.
 
     A Create names its child with the heap's next id, the id ``simulate``

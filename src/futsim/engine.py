@@ -292,7 +292,8 @@ def run(
 
     The enabled set is kept event by event: after a step only the fired
     thread, a Create's child and the claimant parked on a thread that just
-    realized can change readiness, so only they are tested again.
+    realized can change readiness. The first two are tested again; the
+    claimant waited on that thread alone, so it is enabled untested.
     """
     root = Closure(start_level(expr, ladder, init_index, strategy), decompose(expr), 0)
     threads = {0: root}  # live threads: a claimed producer leaves
@@ -329,7 +330,7 @@ def run(
             fresh += 1
         retest(thr)
         if isinstance(thr.site, NoRedex) and thread in parked:
-            retest(threads[parked.pop(thread)])
+            enabled.add(parked.pop(thread))
         events.append(event)
         clamps += event.clamps
     if len(threads) != 1 or not isinstance(root.site, NoRedex):

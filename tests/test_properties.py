@@ -808,6 +808,24 @@ def test_run_every_small_program_under_every_policy_reaches_its_sequential_value
         for policy in (NewestFirst(), RoundRobin(), SeededRandom(7)):
             result = run(expr, CLAMP_FREE, 8, strategy, policy)
             assert (result.final_value, result.final_level) == expected, (unparse(expr), policy.name)
+            _assert_each_thread_returns_to_its_start(result.events, expected[1], unparse(expr), policy.name)
+
+
+def _assert_each_thread_returns_to_its_start(events, root_level, *context):
+    """Return to original, per thread: its first event runs at the level it was created at, and its last leaves it there."""
+    start = {0: root_level}  # thread -> the level it was created at
+    first, last = {}, {}  # thread -> the level its first event ran at, and the level its last event left it at
+    for event in events:
+        first.setdefault(event.thread, event.level)
+        if isinstance(event, CreateEvent):
+            start[event.child] = event.child_level
+            last[event.thread] = event.parent_level
+        elif isinstance(event, ClaimEvent):
+            last[event.thread] = event.claimant_level
+        else:
+            last[event.thread] = event.level
+    for thread, level in first.items():
+        assert level == start[thread] == last[thread], (thread, *context)
 
 
 SMALL_SCOPE_MODELS = [CostModel(wait_policy=wait, tau=tau) for wait in (WAIT_SPIN, WAIT_BLOCK) for tau in (0.0, 0.05)]
@@ -861,13 +879,14 @@ def test_energy_identities_hold_on_every_small_program(name):
 
 
 def test_a_cost_report_has_the_fields_of_a_simulation_report_but_the_timelines():
-    assert CostReport._fields + ("timelines",) == tuple(field.name for field in dataclasses.fields(SimulationReport))
+    assert tuple(field.name for field in dataclasses.fields(CostReport)) + ("timelines",) == tuple(
+        field.name for field in dataclasses.fields(SimulationReport))
 
 
 def _assert_repriced(repriced, report, *context):
     """``reprice`` gave ``simulate``'s report in every field the two share, bit for bit."""
     assert type(repriced) is CostReport
-    for name in CostReport._fields:
+    for name in (field.name for field in dataclasses.fields(CostReport)):
         assert repr(getattr(repriced, name)) == repr(getattr(report, name)), (name, *context)
 
 
