@@ -9,6 +9,7 @@ integer literals are optionally signed ASCII decimals that fit in 64 bits
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .calculus import Add, Expression, FutureCreate, FutureRef, IntLit, wrap_int
 
@@ -23,95 +24,105 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-# A match skips blanks and the comments that end a line, then takes a token of
-# the kind its group names. A comment on the last line belongs to ``eof``, so the
-# end of input is at its '#'. ``bad`` is a stray character or an unknown word.
-_TOKEN = re.compile(r"""\s*(?:\#.*\n\s*)*
-    (?:(?P<int>[0-9]+)|(?P<future>future\b)|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))
-    |(?P<eof>(?:\#.*)?\Z)|(?P<bad>\w+|.))""", re.VERBOSE)
+# A match skips blanks and the comments that end a line, then takes one token's
+# text. A token's kind is read off that text: an ASCII digit starts an integer,
+# '+', '-', '(', ')' and "future" are themselves, and the end of input is empty
+# or, when a comment is on the last line, starts at its '#'. Any other text is a
+# stray character or an unknown word.
+_LEX = re.compile(r"""\s*(?:\#.*\n\s*)*([0-9]+|[-+()]|future\b|(?:\#.*)?\Z|\w+|.)""")
+_FIXED = frozenset(("future", "+", "-", "(", ")"))  # texts that are their own kind
 
 
-def _error(source: str, token: tuple[str, str, int], message: str, expected: tuple[str, ...] = ()) -> ParseError:
-    """The ParseError at ``token``, positioned from its offset so that lexing
-    counts no lines; a message ending in "found" goes on to name the token."""
-    kind, text, offset = token
+def _error(source: str, texts: list[str], index: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """The ParseError at token ``index``, found only once parsing has failed.
+
+    A lexical error anywhere wins over the syntax error at ``index``, so the
+    texts are scanned for one first. The source is then lexed again up to the
+    failing token for its offset; a message ending in "found" goes on to name
+    the token.
+    """
+    for i, text in enumerate(texts):
+        if text[:1] in "#":  # the end of input: "" or a comment on the last line
+            break
+        if not ("0" <= text[0] <= "9" or text in _FIXED):
+            index = i
+            if text[0].isalpha() or text[0] == "_":
+                message, expected = f"unknown word {text!r}", ("future", "an integer")
+            else:
+                message, expected = f"unexpected character {text[0]!r}", ()
+            break
+    match = next(islice(_LEX.finditer(source), index, None))
+    text, offset = match[1], match.start(1)
     if message.endswith(", found"):
-        message += " end of input" if kind == "eof" else f" {text!r}"
+        message += " end of input" if text[:1] in "#" else f" {text!r}"
     line_start = source.rfind("\n", 0, offset) + 1
     return ParseError(source.count("\n", 0, line_start) + 1, offset - line_start + 1, message, expected)
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of ``source``, ending in ``eof``. All are
-    lexed before parsing starts, so a lexical error wins over a syntax error."""
-    tokens = []
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        tokens.append((kind, text := match[kind], match.start(kind)))
-        if kind == "bad":
-            if text[0].isalpha() or text[0] == "_":
-                raise _error(source, tokens[-1], f"unknown word {text!r}", ("future", "an integer"))
-            raise _error(source, tokens[-1], f"unexpected character {text[0]!r}")
-        if kind == "eof":
-            return tokens
 
 
 def parse(source: str) -> Expression:
     """Parse a program; raises ParseError with a source position on bad input.
 
     expr ::= operand ('+' operand)*, operand ::= 'future' expr | '(' expr ')'
-    | ['+'|'-'] INT. One loop walks the tokens with an explicit stack of the
-    open ``future`` and ``(`` frames, so nesting depth costs no recursion.
+    | ['+'|'-'] INT. One loop walks the token texts with an explicit stack of
+    the open ``future`` and ``(`` frames, so nesting depth costs no recursion.
     Each frame holds the sum to its left. A ``future`` closes at the first
     token that does not continue its sum, and a ``(`` closes at its ``)``.
+    Equal literal texts share one leaf.
     """
-    tokens = _tokenize(source)
+    texts = _LEX.findall(source)
+    leaves: dict[str, IntLit] = {}  # signed literal text -> its leaf
     frames: list[tuple[str, Expression | None]] = []
     left: Expression | None = None  # the sum so far in the innermost open frame
     pos = 0
     while True:
-        tok = start = tokens[pos]
-        kind = tok[0]
-        if kind == "future" or kind == "lparen":
-            frames.append((kind, left))
-            left = None
-            pos += 1
-            continue
-        sign = -1 if kind == "minus" else 1
-        if kind == "minus" or kind == "plus":
-            pos += 1
-            tok = tokens[pos]
-            if tok[0] != "int":
-                raise _error(source, tok, "sign must precede an integer literal, found", ("an integer",))
-        elif kind != "int":
-            raise _error(source, tok, "expected an expression, found", ("an integer", "'('", "future"))
-        # 2**63 has 19 digits; counting them first keeps int() off literals
-        # too long for it to convert.
-        value = sign * int(tok[1]) if len(tok[1].lstrip("0")) <= 19 else None
-        if value is None or wrap_int(value) != value:
-            raise _error(source, start, "integer literal outside 64 bits (-2**63 to 2**63-1)")
-        operand: Expression = IntLit(value)
+        text = texts[pos]
+        operand: Expression | None = leaves.get(text)
+        if operand is None:
+            if text == "future" or text == "(":
+                frames.append((text, left))
+                left = None
+                pos += 1
+                continue
+            start = pos
+            if text == "-" or text == "+":
+                pos += 1
+                digits = texts[pos]
+                if not "0" <= digits[:1] <= "9":
+                    raise _error(source, texts, pos, "sign must precede an integer literal, found", ("an integer",))
+                text = "-" + digits if text == "-" else digits
+                operand = leaves.get(text)
+            elif "0" <= text[:1] <= "9":
+                digits = text
+            else:
+                raise _error(source, texts, pos, "expected an expression, found", ("an integer", "'('", "future"))
+            if operand is None:
+                # 2**63 has 19 digits; counting them first keeps int() off
+                # literals too long for it to convert.
+                value = int(text) if len(digits.lstrip("0")) <= 19 else None
+                if value is None or wrap_int(value) != value:
+                    raise _error(source, texts, start, "integer literal outside 64 bits (-2**63 to 2**63-1)")
+                operand = leaves[text] = IntLit(value)
         pos += 1
         # Add the operand to the open sum, then close every frame that the
         # next token ends, until a '+' asks for another operand.
         while True:
             left = operand if left is None else Add(left, operand)
-            tok = tokens[pos]
-            if tok[0] == "plus":
+            text = texts[pos]
+            if text == "+":
                 pos += 1
                 break
             if not frames:
-                if tok[0] != "eof":
-                    raise _error(source, tok, "trailing input after expression, found")
+                if text[:1] not in "#":  # neither "" nor "#..." (the end of input)
+                    raise _error(source, texts, pos, "trailing input after expression, found")
                 return left
             kind, outer = frames.pop()
             if kind == "future":
                 operand = FutureCreate(left)
-            elif tok[0] == "rparen":
+            elif text == ")":
                 operand = left
                 pos += 1
             else:
-                raise _error(source, tok, "unclosed parenthesis, found", ("')'",))
+                raise _error(source, texts, pos, "unclosed parenthesis, found", ("')'",))
             left = outer
 
 

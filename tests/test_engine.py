@@ -411,7 +411,9 @@ def test_run_step_limit_zero():
 
 def test_run_tests_readiness_only_where_a_step_can_change_it(monkeypatch):
     # A 2,000-deep tower keeps up to 2,001 threads live; a step re-tests only
-    # the fired thread, a Create's child and a claimant parked on it.
+    # the fired thread and a Create's child, and enables a claimant parked on
+    # a thread that just realized untested: one test per step, one per child
+    # and the root's.
     calls = []
     original = engine._ready
 
@@ -423,7 +425,7 @@ def test_run_tests_readiness_only_where_a_step_can_change_it(monkeypatch):
     result = run(parse("future " * 2000 + "1"), LADDER, 2, BOTH)
     assert result.final_value == 1
     assert result.step_count == 4000
-    assert len(calls) <= 3 * result.step_count
+    assert len(calls) == result.step_count + 2000 + 1
 
 
 def test_explore_fires_each_move_once_however_many_states_reach_it(monkeypatch):

@@ -264,6 +264,23 @@ def test_parse_takes_deep_nests_without_recursion(shape):
     assert unparse(parse(text)) == canonical
 
 
+@pytest.mark.parametrize("last, message", [(")", "trailing input after expression, found ')'"),
+                                           ("%", "unexpected character '%'")])
+@pytest.mark.parametrize("shape", ["chain", "future-nest"])
+def test_an_error_at_the_last_of_many_tokens_has_its_exact_position(shape, last, message):
+    # A failing parse lexes the input again up to the failing token, one pass
+    # however deep the token lies in a sum or a nest.
+    n = DEPTH
+    if shape == "chain":  # 1 +\n1 +\n ... 1 +\n1 )
+        text, line = "1 +\n" * (n - 1) + "1 " + last, n
+    else:  # future\nfuture\n ... future\n1 )
+        text, line = "future\n" * n + "1 " + last, n + 1
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    error = excinfo.value
+    assert (error.line, error.col, error.message, error.expected) == (line, 3, message, ())
+
+
 @pytest.mark.parametrize("shape", ["left-chain", "right-nest", "future-tower", "mixed"])
 def test_parse_inverts_unparse_on_deep_terms(shape):
     n = DEPTH

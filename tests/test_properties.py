@@ -236,6 +236,11 @@ token_strings = st.lists(
 @example("1 + # c")
 @example("x²")
 @example("1 +\r\n %")
+@example("1 +\n)\n%")
+@example("1 +\r\n\r\n %")
+@example("-0 + 0 + +0 + 007 + 7")
+@example("9223372036854775807 + 9223372036854775808")
+@example("- future")
 def test_parse_agrees_with_the_recursive_parser(source):
     assert _parse_outcome(parse, source) == _parse_outcome(_recursive_parse, source)
 
