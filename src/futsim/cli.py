@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import re
+import struct
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -26,7 +27,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, NoReturn
 
-from .calculus import Add, Context, Expression, FutureCreate, IntLit, _HoleLeftCell, _HoleRightCell
+from .calculus import EMPTY_CONTEXT, Add, Context, Expression, FutureCreate, IntLit, _HoleLeftCell, _HoleRightCell
 from .energy import (
     CASE_I,
     CASE_II,
@@ -300,23 +301,55 @@ def _snippet(text: str) -> str:
     return text[: EXPR_SNIPPET_CHARS - 3] + "..."
 
 
-# A trace v1 line: the record's keys in sorted order, as ``json.dumps(record,
-# sort_keys=True)`` writes them, with every number a ``repr`` and every string
-# JSON-quoted.
-_RECORD_LINE = (
-    '{{"dur": {!r}, "energy": {!r}, "expr": {}, "freq": {!r}, "freq_idx": {!r}, "kind": {}, "rule": {}, '
-    '"seq": {!r}, "t": {!r}, "thread": {!r}, "v": ' + str(TRACE_VERSION) + '}}'
-)
+_NOT_FINITE = "a result is not a finite number (the cost model overflows)"
+_BITS = struct.Struct("dd").pack  # two floats' bytes: unlike the floats, those of 0.0 and -0.0 differ
+
+
+def _record_text(kind: str, rule: str | None, level: FrequencyLevel, dur: float, energy: float) -> tuple[str, str]:
+    """A trace v1 line's fixed text: its keys before ``expr``'s value, and those after it up to ``seq``'s value.
+
+    A line holds the record's keys in sorted order, as ``json.dumps(record,
+    sort_keys=True)`` writes them, with every number a ``repr`` and every
+    string JSON-quoted.
+    """
+    freq = level.value
+    if not (isfinite(dur) and isfinite(energy) and isfinite(freq)):
+        raise OutputError(_NOT_FINITE)
+    return (f'{{"dur": {dur!r}, "energy": {energy!r}, "expr": ',
+            f', "freq": {freq!r}, "freq_idx": {level.index!r}, "kind": {_quote(kind)}, '
+            f'"rule": {"null" if rule is None else _quote(rule)}, "seq": ')
+
+
+def _trace_lines() -> Callable[[int, float, int, str, str | None, FrequencyLevel, float, float, str], str]:
+    """A function giving the trace v1 lines of one write, which formats each distinct fixed text once.
+
+    It takes ``_trace_record``'s arguments. A line is its fixed text
+    (``_record_text``) around ``expr``, then ``seq``, ``t`` and ``thread``.
+    The fixed text is kept per (kind, rule, level, dur, energy): the level
+    by identity, since a frozen dataclass hashes in Python and the levels a
+    writer reads live through its write, and the two floats by their bytes,
+    since ``0.0 == -0.0`` and a wait under ``--block-penalty 0.1,-0.0``
+    spends -0.0.
+    """
+    texts: dict[tuple, tuple[str, str]] = {}
+
+    def line(seq: int, t: float, thread: int, kind: str, rule: str | None, level: FrequencyLevel, dur: float,
+             energy: float, expr: str) -> str:
+        key = (kind, rule, id(level), _BITS(dur, energy))
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _record_text(kind, rule, level, dur, energy)
+        if not isfinite(t):
+            raise OutputError(_NOT_FINITE)
+        return f'{text[0]}{_quote(expr)}{text[1]}{seq}, "t": {t!r}, "thread": {thread}, "v": {TRACE_VERSION}}}'
+
+    return line
 
 
 def _trace_record(seq: int, t: float, thread: int, kind: str, rule: str | None, level: FrequencyLevel,
                   dur: float, energy: float, expr: str) -> str:
     """One trace v1 line; its fields are exactly these, with the level as freq_idx and freq."""
-    freq = level.value
-    if not (isfinite(t) and isfinite(dur) and isfinite(energy) and isfinite(freq)):
-        raise OutputError("a result is not a finite number (the cost model overflows)")
-    return _RECORD_LINE.format(dur, energy, _quote(expr), freq, level.index, _quote(kind),
-                               "null" if rule is None else _quote(rule), seq, t, thread)
+    return _trace_lines()(seq, t, thread, kind, rule, level, dur, energy, expr)
 
 
 def _json_dump(obj) -> str:
@@ -325,12 +358,12 @@ def _json_dump(obj) -> str:
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise OutputError(f"a result is not a finite number (the cost model overflows): {exc}") from exc
+        raise OutputError(f"{_NOT_FINITE}: {exc}") from exc
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
     try:
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        Path(path).write_text("\n".join(lines + [""]), encoding="utf-8")
     except OSError as exc:
         raise OutputError(f"cannot write trace {path}: {exc}") from exc
 
@@ -348,12 +381,14 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
     (then more tokens follow it). Every operand is rendered with the
     snippet's limit, and the running before and after strings are cut one
     character past it, which keeps enough to cut the snippet. They are
-    memoised per context cell, once as an outer frame and once as the
-    innermost one: a cell keeps the outer cells it was built on (see
-    ``calculus.Context``), and the holes of a report share them, so no
-    frame is rendered more than twice per write. Each frame is read from its
-    cell's class and operand, so none is built. A ``HoleRight``'s operand
-    is rendered sum by sum down its left spine, and each sum's text is
+    memoised per outer cell: a cell keeps the outer cells it was built on
+    (see ``calculus.Context``), and the holes of a report share them, so no
+    outer frame is rendered twice per write. The innermost frame is
+    rendered per hole, from operand texts memoised per object: each operand
+    is rendered once per write, by one ``unparse`` of it (or of its body,
+    for a future that more tokens follow). Each frame is read from its
+    cell's class and operand, so none is built. A ``HoleRight``'s operand is
+    rendered sum by sum down its left spine, and each sum's text is
     memoised too, since a climb that builds ``L + x`` keeps ``L`` as the
     next frame's left operand.
     """
@@ -362,18 +397,26 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
     # atom, at least one character, so the whole is longer than the limit
     # and is cut with "..." from its first characters, as the uncut text is.
     limit, cut = EXPR_SNIPPET_CHARS, EXPR_SNIPPET_CHARS + 1
-    outer: dict[int, tuple[str, str]] = {}  # id(cell) -> running (before, after) through its frame
-    inner: dict[int, tuple[str, str]] = {}  # the same, where the cell's frame is innermost
+    # id(outer cell) -> running (before, after) through its frame; every empty context is ``EMPTY_CONTEXT``
+    outer: dict[int, tuple[str, str]] = {id(EMPTY_CONTEXT): ("", "")}
     sums: dict[int, str] = {}  # id(sum on a left spine) -> its text, cut
+    texts: dict[int, str] = {}  # id(operand) -> its text
+    fenced: dict[int, str] = {}  # id(future operand) -> its text where more tokens follow it
 
     def operand(expr: Expression, followed: bool) -> str:
-        if expr.__class__ is IntLit:
-            return str(expr.value)
-        if expr.__class__ is Add:
-            return "(" + unparse(expr, limit) + ")"
-        if followed and expr.__class__ is FutureCreate:
-            return "(future " + unparse(expr.body, limit) + ")"
-        return unparse(expr, limit)
+        memo = fenced if followed and expr.__class__ is FutureCreate else texts
+        text = memo.get(id(expr))
+        if text is None:
+            if expr.__class__ is IntLit:
+                text = str(expr.value)
+            elif expr.__class__ is Add:
+                text = "(" + unparse(expr, limit) + ")"
+            elif memo is fenced:
+                text = "(future " + unparse(expr.body, limit) + ")"
+            else:
+                text = unparse(expr, limit)
+            memo[id(expr)] = text
+        return text
 
     def left_text(expr: Expression) -> str:
         spine = []
@@ -387,32 +430,34 @@ def _hole_snippets() -> Callable[[Context, Expression], str]:
             sums[id(node)] = text
         return text
 
-    def extend(cell: Context, before: str, after: str, innermost: bool) -> tuple[str, str]:
-        if len(before) >= cut:  # the snippet is already decided
-            return before, after
-        if cell.__class__ is _HoleRightCell:
-            if innermost:
-                return (before + left_text(cell.operand) + " + ")[:cut], after
-            return (before + left_text(cell.operand) + " + (")[:cut], (")" + after)[:cut]
-        followed = cell.outer.__class__ is _HoleLeftCell  # the empty context is neither kind of cell
-        return before, (" + " + operand(cell.operand, followed) + after)[:cut]
+    def through(cell: Context) -> tuple[str, str]:
+        """The running texts through an outer cell's frame, memoised on it and on the cells outside it."""
+        spine = []
+        while id(cell) not in outer:
+            spine.append(cell)
+            cell = cell.outer
+        before, after = outer[id(cell)]
+        for cell in reversed(spine):
+            if len(before) < cut:  # else the snippet is already decided
+                if cell.__class__ is _HoleRightCell:
+                    before, after = (before + left_text(cell.operand) + " + (")[:cut], (")" + after)[:cut]
+                else:  # the empty context is neither kind of cell
+                    after = (" + " + operand(cell.operand, cell.outer.__class__ is _HoleLeftCell) + after)[:cut]
+            outer[id(cell)] = before, after
+        return before, after
 
     def snippet(context: Context, filler: Expression) -> str:
-        atom = str(filler.value) if filler.__class__ is IntLit else f"fv{filler.fid}"
-        if not context:
-            return _snippet(atom)
-        entry = inner.get(id(context))
-        if entry is None:
-            spine = []
+        text = str(filler.value) if filler.__class__ is IntLit else f"fv{filler.fid}"
+        if context.depth:
             cell = context.outer
-            while cell.depth and id(cell) not in outer:
-                spine.append(cell)
-                cell = cell.outer
-            before, after = outer[id(cell)] if cell.depth else ("", "")
-            for cell in reversed(spine):
-                before, after = outer[id(cell)] = extend(cell, before, after, False)
-            entry = inner[id(context)] = extend(context, before, after, True)
-        return _snippet(entry[0] + atom + entry[1])
+            before, after = outer.get(id(cell)) or through(cell)
+            if len(before) < cut:  # the innermost frame, around the atom
+                if context.__class__ is _HoleRightCell:
+                    before += left_text(context.operand) + " + "
+                else:
+                    after = " + " + operand(context.operand, cell.__class__ is _HoleLeftCell) + after
+            text = before + text + after
+        return text if len(text) <= limit else text[: limit - 3] + "..."
 
     return snippet
 
@@ -424,15 +469,17 @@ def _write_simulate_trace(path: str, report: SimulationReport) -> None:
             rows.append((seg.start, fid, offset, seg))
     rows.sort()  # (fid, offset) is unique, so segments are never compared
     snippet = _hole_snippets()
+    line = _trace_lines()
     lines = []
-    for seq, (_, fid, _, seg) in enumerate(rows):
-        if seg.kind == SEG_COMPUTE and seg.hole is not None:
+    for seq, (start, fid, _, seg) in enumerate(rows):
+        kind = seg.kind
+        if kind == SEG_COMPUTE and seg.hole is not None:
             expr = snippet(*seg.hole)
-        elif seg.kind == SEG_WAIT:
+        elif kind == SEG_WAIT:
             expr = f"fv{seg.target}"
         else:
             expr = ""
-        lines.append(_trace_record(seq, seg.start, fid, seg.kind, seg.rule, seg.level, seg.duration, seg.energy, expr))
+        lines.append(line(seq, start, fid, kind, seg.rule, seg.level, seg.end - start, seg.energy, expr))
     _write_lines(path, lines)
 
 
@@ -445,8 +492,9 @@ def _describe_event(event) -> str:
 
 
 def _write_semantics_trace(path: str, result: RunResult) -> None:
+    line = _trace_lines()
     lines = [
-        _trace_record(seq, seq, event.thread, SEG_COMPUTE, event.rule, event.level, 0.0, 0.0, _snippet(_describe_event(event)))
+        line(seq, seq, event.thread, SEG_COMPUTE, event.rule, event.level, 0.0, 0.0, _snippet(_describe_event(event)))
         for seq, event in enumerate(result.events)
     ]
     _write_lines(path, lines)

@@ -23,7 +23,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .calculus import Add, Context, Expression, FutureCreate, FutureId, IntLit, RedexSite, decompose, plug, wrap_int
 from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError, _fill, _levels, ladder_start
@@ -162,12 +163,17 @@ class ClaimRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class CostReport:
-    """What ``reprice`` and ``compare`` give, priced from compiled tapes: the fields every report has."""
+    """What ``reprice`` and ``compare`` give, priced from compiled tapes: the fields every report has.
+
+    Its mappings are read-only views (``types.MappingProxyType``) of dicts
+    that only ``_price`` held, so a caller cannot change a report through
+    them.
+    """
 
     final_value: int
     makespan: float
     total_energy: float
-    per_thread_energy: dict[FutureId, float]
+    per_thread_energy: Mapping[FutureId, float]
     edp: float
     ed2p: float
     claim_records: tuple[ClaimRecord, ...]
@@ -179,7 +185,7 @@ class CostReport:
 class SimulationReport(CostReport):
     """What ``simulate`` gives: a ``CostReport`` plus each thread's timeline."""
 
-    timelines: dict[FutureId, ThreadTimeline]
+    timelines: Mapping[FutureId, ThreadTimeline]
 
 
 def _priced(by_frequency: dict[float, tuple[float, float]], rule: str, level: FrequencyLevel,
@@ -383,9 +389,9 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     if parked:
         raise EngineError("simulation ended with parked claimants")
     makespan, total = t_realize[0], _left_sum(spent)  # the makespan is the root's realize
-    costs = (makespan, total, dict(enumerate(spent)), total * makespan, total * makespan * makespan,
+    costs = (makespan, total, MappingProxyType(dict(enumerate(spent))), total * makespan, total * makespan * makespan,
              tuple(claim_records), clamp_count, transition_count)
     if not timed:
         return CostReport(final_value, *costs)
-    timelines = {fid: ThreadTimeline(tuple(own)) for fid, own in enumerate(segments)}
+    timelines = MappingProxyType({fid: ThreadTimeline(tuple(own)) for fid, own in enumerate(segments)})
     return SimulationReport(sites[0].value.value, *costs, timelines)

@@ -1,13 +1,17 @@
-"""The records a run builds per step: field order, defaults, repr, immutability, hashing and derived values."""
+"""The records a run builds per step: field order, defaults, repr, immutability, hashing and derived values;
+and the reports that hold them: immutability."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from futsim.calculus import Add, HoleLeft, IntLit
-from futsim.energy import ClaimRecord, Segment
+from futsim.energy import ClaimRecord, Segment, _compile, _price, reprice, simulate
 from futsim.engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, AddEvent, ClaimEvent, CreateEvent
-from futsim.scaling import FrequencyLadder
+from futsim.parser import parse
+from futsim.scaling import FrequencyLadder, make_strategy
 
 LADDER = FrequencyLadder((1.0, 2.0, 3.0))
 lv = LADDER.level
@@ -76,3 +80,28 @@ def test_event_rule_clamps_and_scaled():
     assert (ADD.rule, ADD.clamps, ADD.scaled) == (RULE_ADD, 0, ())
     assert (CREATE.rule, CREATE.clamps, CREATE.scaled) == (RULE_CREATE, 0, (lv(3), lv(1)))  # child first
     assert (CLAIM.rule, CLAIM.clamps, CLAIM.scaled) == (RULE_CLAIM, 1, (lv(2),))
+
+
+# The three ways a report is priced: ``simulate``, ``reprice``, and compare's ``_price`` on tapes compiled once.
+PRICERS = {
+    "simulate": lambda expr, strategy: simulate(expr, LADDER, 2, strategy),
+    "reprice": lambda expr, strategy: reprice(expr, LADDER, 2, strategy),
+    "compare": lambda expr, strategy: _price(*_compile(expr), LADDER, 2, strategy),
+}
+
+
+@pytest.mark.parametrize("pricer", PRICERS)
+def test_a_report_is_frozen_through_its_mappings_too(pricer):
+    report = PRICERS[pricer](parse("1 + future (2 + 3)"), make_strategy("both", LADDER))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.per_thread_energy = {}
+    mappings = [report.per_thread_energy] + ([report.timelines] if pricer == "simulate" else [])
+    for mapping in mappings:
+        before = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[0] = 99.0
+        with pytest.raises(TypeError):
+            mapping[7] = 99.0
+        with pytest.raises(TypeError):
+            del mapping[0]
+        assert dict(mapping) == before and set(before) == {0, 1}

@@ -1,9 +1,10 @@
-"""The JSONL trace writer: each compute record's ``expr`` against the
-per-record render it replaced, the renders it makes, and each line against
-``json.dumps`` of its record."""
+"""The JSONL trace writers: each compute record's ``expr`` against the
+per-record render it replaced, the renders it makes, each line against
+``json.dumps`` of its record, and the time-scale relation on whole traces."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -19,10 +20,11 @@ from hypothesis import strategies as st  # noqa: E402
 import futsim.cli as cli  # noqa: E402
 from futsim.calculus import Add, FutureCreate, IntLit  # noqa: E402
 from futsim.calculus import Context, FutureRef, HoleLeft, HoleRight  # noqa: E402
-from futsim.cli import OutputError, _trace_record, _write_simulate_trace, main  # noqa: E402
-from futsim.cli import _snippet  # noqa: E402
-from futsim.energy import SEG_COMPUTE, SEG_TRANSITION, SEG_WAIT, CostModel, simulate  # noqa: E402
-from futsim.engine import RULE_ADD, RULE_CLAIM, RULE_CREATE  # noqa: E402
+from futsim.cli import POLICIES, OutputError, _trace_record, _write_simulate_trace, main  # noqa: E402
+from futsim.cli import _snippet, _write_semantics_trace  # noqa: E402
+from futsim.energy import SEG_COMPUTE, SEG_TRANSITION, SEG_WAIT, WAIT_BLOCK, WAIT_SPIN, CostModel  # noqa: E402
+from futsim.energy import Segment, SimulationReport, ThreadTimeline, simulate  # noqa: E402
+from futsim.engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, run  # noqa: E402
 from futsim.parser import parse, unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, FrequencyLevel, make_strategy  # noqa: E402
 from oracles import gen_random_program, trace_snippet, unparse_in_context  # noqa: E402
@@ -37,11 +39,18 @@ trees = st.recursive(int64, lambda sub: st.one_of(st.builds(Add, sub, sub), st.b
 programs = st.one_of(st.integers(min_value=0, max_value=10**6).map(lambda s: gen_random_program(s, 7, 3)), trees)
 
 
-def _written(report) -> list[dict]:
+def _lines(write, source) -> list[str]:
+    """The lines ``write`` puts in a trace file for ``source``, a report or a run result; each ends in a newline."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
-        _write_simulate_trace(str(path), report)
-        return [json.loads(line) for line in path.read_text().splitlines()]
+        write(str(path), source)
+        text = path.read_text()
+    assert text.endswith("\n") or text == ""
+    return text.splitlines()
+
+
+def _written(report) -> list[dict]:
+    return [json.loads(line) for line in _lines(_write_simulate_trace, report)]
 
 
 def _check_against_oracle(report) -> int:
@@ -194,3 +203,141 @@ def test_overflowing_trace_exits_3_naming_finite(tmp_path):
     assert main(["run", str(program), "--kappa", "1e308", "--trace", str(trace)], out=out, err=err) == 3
     assert err.getvalue().startswith("error: ") and "finite" in err.getvalue()
     assert out.getvalue() == "" and not trace.exists()
+
+
+# ---------------------------------------------------------------------------
+# The writers' lines, byte for byte
+# ---------------------------------------------------------------------------
+
+def _record(seq, t, thread, kind, rule, level, dur, energy, expr) -> str:
+    record = dict(v=1, seq=seq, t=t, thread=thread, kind=kind, rule=rule, freq_idx=level.index, freq=level.value,
+                  dur=dur, energy=energy, expr=expr)
+    return json.dumps(record, sort_keys=True, allow_nan=False)
+
+
+def _simulate_lines(report) -> list[str]:
+    """A simulate trace, record by record from the report's segments, in (start, thread, offset) order."""
+    rows = sorted((((seg.start, fid, offset), seg) for fid, timeline in report.timelines.items()
+                   for offset, seg in enumerate(timeline.segments)), key=lambda row: row[0])
+    lines = []
+    for seq, ((start, fid, _), seg) in enumerate(rows):
+        if seg.kind == SEG_COMPUTE:
+            expr = trace_snippet(*seg.hole)
+        else:
+            expr = f"fv{seg.target}" if seg.kind == SEG_WAIT else ""
+        lines.append(_record(seq, start, fid, seg.kind, seg.rule, seg.level, seg.end - start, seg.energy, expr))
+    return lines
+
+
+def _semantics_lines(result) -> list[str]:
+    """A semantics trace, record by record from the run's events: step ``seq`` at time ``seq``, taking no time."""
+    lines = []
+    for seq, event in enumerate(result.events):
+        if event.rule == RULE_CREATE:
+            text = f"spawn fv{event.child}"
+        elif event.rule == RULE_CLAIM:
+            text = f"claim fv{event.claimed} = {_snippet(unparse(event.value))}"
+        else:
+            text = f"{event.left} + {event.right} = {event.total}"
+        lines.append(_record(seq, seq, event.thread, SEG_COMPUTE, event.rule, event.level, 0.0, 0.0, _snippet(text)))
+    return lines
+
+
+WRITER_MODELS = [CostModel(wait_policy=wait, tau=tau, transition_energy=charged)
+                 for wait in (WAIT_SPIN, WAIT_BLOCK) for tau in TAUS for charged in (False, True)]
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(programs)
+@example(parse("(1 + 2 + future 3) + 4"))
+@example(parse("(future (1 + future 2)) + (3 + future (4 + 5))"))  # waits, under both policies
+def test_simulate_trace_lines_are_json_dumps_of_their_segments(expr):
+    for name in STRATEGIES:
+        for model in WRITER_MODELS:
+            report = simulate(expr, LADDER, 2, make_strategy(name, LADDER), model)
+            assert _lines(_write_simulate_trace, report) == _simulate_lines(report), (name, model)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(programs, st.integers(min_value=0, max_value=2**32))
+@example(parse("(future (1 + future 2)) + (3 + future (4 + 5))"), 0)
+def test_semantics_trace_lines_are_json_dumps_of_their_events(expr, seed):
+    for policy in POLICIES:
+        result = run(expr, LADDER, 2, make_strategy("both", LADDER), POLICIES[policy](seed))
+        assert _lines(_write_semantics_trace, result) == _semantics_lines(result), policy
+
+
+def _hand_built(*segments) -> SimulationReport:
+    """A report whose one thread has ``segments``; the writer reads nothing else of it."""
+    return SimulationReport(0, 0.0, 0.0, {0: 0.0}, 0.0, 0.0, (), 0, 0, {0: ThreadTimeline(segments)})
+
+
+def test_records_that_differ_only_in_the_sign_of_a_zero_keep_their_signs():
+    # ``--block-penalty 0.1,-0.0`` and ``--spin-power idle:-0.0`` give waits
+    # that spend -0.0, beside records that spend 0.0; 0.0 == -0.0 as floats.
+    level = LADDER.level(2)
+    report = _hand_built(
+        Segment(0.0, 0.0, SEG_TRANSITION, level, 0.0),
+        Segment(0.0, -0.0, SEG_TRANSITION, level, 0.0),  # the same but a duration of -0.0
+        Segment(0.0, 1.0, SEG_WAIT, level, 0.0, target=1),
+        Segment(1.0, 2.0, SEG_WAIT, level, -0.0, target=1),  # the same wait but the energy's sign
+    )
+    lines = _lines(_write_simulate_trace, report)
+    assert lines == _simulate_lines(report)
+    assert ['"dur": 0.0,' in lines[0], '"dur": -0.0,' in lines[1]] == [True, True]
+    assert ['"energy": 0.0,' in lines[2], '"energy": -0.0,' in lines[3]] == [True, True]
+
+
+@pytest.mark.parametrize("late", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_late_record_at_a_non_finite_time_is_an_output_error_and_writes_no_file(late, tmp_path):
+    level = LADDER.level(2)
+    report = _hand_built(*(Segment(float(k), k + 1.0, SEG_WAIT, level, 1.0, target=1) for k in range(5)),
+                         Segment(late, late, SEG_WAIT, level, 1.0, target=1))
+    trace = tmp_path / "t.jsonl"
+    with pytest.raises(OutputError, match="a result is not a finite number"):
+        _write_simulate_trace(str(trace), report)
+    assert not trace.exists()
+
+
+# ---------------------------------------------------------------------------
+# The time-scale relation, on traces
+# ---------------------------------------------------------------------------
+
+def _slowed(model: CostModel) -> CostModel:
+    """``model`` with every cycle count, tau and the block penalty's time and energy doubled."""
+    return dataclasses.replace(model, **{name: 2 * getattr(model, name) for name in (
+        "create_cycles", "add_cycles", "claim_cycles", "tau", "block_time", "block_energy")})
+
+
+# Doubling is exact in binary floating point away from overflow and
+# subnormals, so these small cycle counts, powers and penalties, over the
+# short runs of small programs on a ladder of 1-4, keep every relation bit
+# for bit.
+scaled_models = st.builds(
+    CostModel,
+    create_cycles=st.sampled_from((0.5, 1.0, 3.0)),
+    add_cycles=st.sampled_from((0.25, 1.0, 1.5)),
+    claim_cycles=st.sampled_from((0.5, 1.0, 2.0)),
+    kappa=st.sampled_from((1.0, 1.7)),
+    alpha=st.sampled_from((2.0, 3.0)),
+    tau=st.sampled_from(TAUS),
+    wait_policy=st.sampled_from((WAIT_SPIN, WAIT_BLOCK)),
+    idle_power=st.sampled_from((None, 0.5)),
+    block_time=st.sampled_from((0.1, 0.3)),
+    block_energy=st.sampled_from((1.0, 2.5)),
+    transition_energy=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(programs, st.sampled_from(STRATEGIES), scaled_models)
+@example(parse("(future (1 + future 2)) + (3 + future (4 + 5))"), "both",
+         CostModel(tau=0.05, transition_energy=True, wait_policy=WAIT_BLOCK))
+def test_doubling_cycles_tau_and_the_block_penalty_doubles_each_trace_time_and_energy(expr, name, model):
+    base = _written(simulate(expr, LADDER, 2, make_strategy(name, LADDER), model))
+    slowed = _written(simulate(expr, LADDER, 2, make_strategy(name, LADDER), _slowed(model)))
+    assert len(slowed) == len(base)
+    for record, twice in zip(base, slowed):
+        for key in ("t", "dur", "energy"):
+            assert repr(twice.pop(key)) == repr(2 * record.pop(key)), key  # bit for bit, signed zeros too
+        assert twice == record  # seq, thread, kind, rule, freq_idx, freq and expr
