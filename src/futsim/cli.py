@@ -39,7 +39,6 @@ from .energy import (
     CostReport,
     SimulationReport,
     _compile,
-    _left_sum,
     _price,
     reprice,
     simulate,
@@ -602,13 +601,19 @@ def cmd_compare(cfg: RunConfig, out, err) -> int:
     reports = [_price(final_value, tapes, cfg.ladder, cfg.init_index, s, cfg.model) for s in strategies]
     rows = []
     for name, report in zip(cfg.strategies, reports):
+        # One pass over the claims. The waits are added left to right from the int 0, so the total is the same on
+        # every Python (see ``energy._left_sum``) and a program with no claims prints ``"total_wait": 0``.
+        total_wait, cases = 0, {CASE_I: 0, CASE_II: 0}
+        for record in report.claim_records:
+            total_wait += record.wait
+            cases[record.case_tag] += 1
         rows.append(
             {
                 "strategy": name,
                 "final_value": report.final_value,
-                "total_wait": _left_sum(r.wait for r in report.claim_records),
-                "case_i": sum(1 for r in report.claim_records if r.case_tag == CASE_I),
-                "case_ii": sum(1 for r in report.claim_records if r.case_tag == CASE_II),
+                "total_wait": total_wait,
+                "case_i": cases[CASE_I],
+                "case_ii": cases[CASE_II],
                 "energy": report.total_energy,
                 "makespan": report.makespan,
                 "edp": report.edp,

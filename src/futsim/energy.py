@@ -11,6 +11,13 @@ the waiting thread's level, or at ``idle_power`` if set) or blocking (flat
 penalty); realized producers terminate and accrue nothing afterward. Event
 order is fully determined by virtual time, ties broken by thread id.
 
+``compare`` prices one program several times, so the loop's cost per
+event is what a caller waits for. It reads its cost model once per run,
+hands each visit's thread back to the heap and takes the next event in
+one ``heappushpop``, and builds its records without a named tuple's
+Python ``__new__``; ``scale`` is called exactly as often, and in the same
+order, as the rules say.
+
 ``compare`` and ``reprice`` price compiled tapes and fire no kernel.
 ``simulate`` runs the same loop and fires the kernel's expression half
 (``engine._fill``) alongside each step, only to fill the holes of its
@@ -20,9 +27,9 @@ kernel.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush, heappushpop
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -222,6 +229,9 @@ def simulate(
 
 
 _ADD_STEP = (RULE_ADD, None)
+# Builds a named tuple from a tuple of all its fields: its class's own
+# ``__new__`` binds its arguments in Python first, at twice the cost.
+_new_tuple = tuple.__new__
 
 
 def _compile(expr: Expression) -> tuple[int, dict[FutureId, list[tuple[str, FutureId | None]]]]:
@@ -285,6 +295,13 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     gives it, and levels come from ``_levels`` in the kernel's order. An Add
     changes no level, so a heap visit also runs the Adds after its rule at
     one looked-up price: only Creates, Claims and realizes pop the heap.
+    The event being run is held outside the heap, the root's start first,
+    and the visit ends with one ``heappushpop`` that gives back the thread's
+    next event unless an earlier one waits. A realize hands its parked
+    claimant to the same call, which returns it at once, since it arrived
+    no later than the realize and so before every event on the heap. A
+    claim waits (Case I) exactly when ``ready > now``, and then
+    ``ready - now`` is positive, since floats underflow gradually.
     Without ``root`` the result is a ``CostReport``, and no segment or
     expression is built. With ``root``, the program's redex site, the
     kernel's expression half (``_fill``) fires each step alongside to fill
@@ -292,6 +309,7 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     whose value is the root's realized site's.
     """
     model = model or CostModel()
+    spin, tau, switch_energy = model.wait_policy == WAIT_SPIN, model.tau, model.transition_energy  # read once
     levels = [ladder_start(ladder, init_index, strategy)]  # thread -> its level
     tape_of = [tapes[0]]  # thread -> the tape it replays
     at = [0]  # thread -> its next rule on the tape
@@ -301,24 +319,30 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     sites: list[RedexSite] = [root]  # thread -> its redex site, when timed
     segments: list[list[Segment]] = [[]]  # thread -> its segments, when timed
     t_realize: dict[FutureId, float] = {}  # realized threads only
-    heap: list[tuple[float, FutureId]] = [(0.0, 0)]  # (time, thread): the root starts at 0
+    heap: list[tuple[float, FutureId]] = []  # (time, thread): every pending event but the one being run
     parked: dict[FutureId, tuple[float, FutureId]] = {}  # producer -> its claimant's event
     claim_records: list[ClaimRecord] = []
     # rule -> frequency -> (duration, energy): two lookups, and no key tuple to build
     prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
+    add_prices = prices[RULE_ADD]
     clamp_count = transition_count = 0
 
-    while heap:
-        now, fid = heapq.heappop(heap)
+    now, fid = 0.0, 0  # the root's start, the first event
+    while True:
         tape, i = tape_of[fid], at[fid]
-        if i == len(tape):
+        steps = len(tape)
+        if i == steps:
             t_realize[fid] = now
-            if fid in parked:  # the claimant arrived no later than this event, the least, so it pops next
-                heapq.heappush(heap, parked.pop(fid))
+            if fid in parked:  # the claimant arrived no later than this event, the least, so it comes straight back
+                now, fid = heappushpop(heap, parked.pop(fid))
+            elif heap:
+                now, fid = heappop(heap)
+            else:
+                break
             continue
 
         rule, other = tape[i]
-        level, end = levels[fid], now
+        level, end, own = levels[fid], now, spent[fid]
         if rule != RULE_ADD:  # a Create or a Claim; a thread may start with Adds
             child = None
             if rule == RULE_CLAIM:
@@ -328,40 +352,47 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
                     if producer in parked:
                         raise EngineError(f"fv{producer} claimed twice")
                     parked[producer] = (now, fid)
+                    if not heap:
+                        break
+                    now, fid = heappop(heap)
                     continue
-                wait = max(0.0, ready - now)
-                claim_records.append(ClaimRecord(fid, producer, now, ready, wait, CASE_I if wait > 0 else CASE_II))
-                if wait > 0:  # Case I: spin to the realize, at ``level`` or ``idle_power``, or block once
-                    if model.wait_policy == WAIT_SPIN:
+                if ready > now:  # Case I: spin to the realize, at ``level`` or ``idle_power``, or block once
+                    wait = ready - now
+                    claim_records.append(_new_tuple(ClaimRecord, (fid, producer, now, ready, wait, CASE_I)))
+                    if spin:
                         end, energy = ready, spin_power(level, model) * wait
                     else:
                         end, energy = ready + model.block_time, model.block_energy
-                    spent[fid] += energy
+                    own += energy
                     if timed:
-                        segments[fid].append(Segment(now, end, SEG_WAIT, level, energy, target=producer))
+                        segments[fid].append(_new_tuple(Segment, (now, end, SEG_WAIT, level, energy, None, producer,
+                                                                   None)))
+                else:
+                    claim_records.append(_new_tuple(ClaimRecord, (fid, producer, now, ready, 0.0, CASE_II)))
             else:
                 ids[other] = child = len(tape_of)
             i += 1
             by_frequency = prices[rule]
             duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
-            spent[fid] += energy
+            own += energy
             start, end = end, end + duration  # a segment's start is its predecessor's end, one float for both
             if timed:
                 site = sites[fid]
                 claimed = sites[producer].value if rule == RULE_CLAIM else None
                 hole, sites[fid] = _fill(site, fid, child, claimed)
-                segments[fid].append(Segment(start, end, SEG_COMPUTE, level, energy, rule, None, hole))
+                segments[fid].append(_new_tuple(Segment, (start, end, SEG_COMPUTE, level, energy, rule, None, hole)))
             scaled, clamps = _levels(rule, level, strategy)
             clamp_count += clamps
             for new_level in scaled:  # each new level is a switch, which takes tau when tau > 0
                 if new_level.index != level.index:
                     transition_count += 1
-                    if model.tau > 0:  # and costs kappa * f_new**alpha * tau with ``transition_energy``
-                        energy = dynamic_power(new_level, model) * model.tau if model.transition_energy else 0.0
-                        spent[fid] += energy
-                        start, end = end, end + model.tau
+                    if tau > 0:  # and costs kappa * f_new**alpha * tau with ``transition_energy``
+                        energy = dynamic_power(new_level, model) * tau if switch_energy else 0.0
+                        own += energy
+                        start, end = end, end + tau
                         if timed:
-                            segments[fid].append(Segment(start, end, SEG_TRANSITION, new_level, energy))
+                            segments[fid].append(_new_tuple(Segment, (start, end, SEG_TRANSITION, new_level, energy,
+                                                                       None, None, None)))
             levels[fid] = level = scaled[-1]
             if child is not None:
                 tape_of.append(tapes[other])
@@ -371,18 +402,18 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
                 if timed:
                     sites.append(decompose(site.body))
                     segments.append([])
-                heapq.heappush(heap, (end, child))
-        by_frequency = prices[RULE_ADD]
-        duration, energy = by_frequency.get(level.value) or _priced(by_frequency, RULE_ADD, level, model)
-        while i < len(tape) and tape[i][0] == RULE_ADD:
+                heappush(heap, (end, child))
+        duration, energy = add_prices.get(level.value) or _priced(add_prices, RULE_ADD, level, model)
+        while i < steps and tape[i][0] == RULE_ADD:
             start, end = end, end + duration
             if timed:
                 hole, sites[fid] = _fill(sites[fid], fid, None)
-                segments[fid].append(Segment(start, end, SEG_COMPUTE, level, energy, RULE_ADD, None, hole))
-            spent[fid] += energy
+                segments[fid].append(_new_tuple(Segment, (start, end, SEG_COMPUTE, level, energy, RULE_ADD, None,
+                                                           hole)))
+            own += energy
             i += 1
-        at[fid] = i
-        heapq.heappush(heap, (end, fid))
+        at[fid], spent[fid] = i, own
+        now, fid = heappushpop(heap, (end, fid))  # the next event: this thread's, unless one is earlier
 
     if 0 not in t_realize:
         raise EngineError("simulation stalled before the root realized a value")

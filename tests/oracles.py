@@ -17,6 +17,7 @@ for the simulator.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -323,34 +324,57 @@ def compositional_cost(expr: Expression, ladder: FrequencyLadder, init_index: in
     every claimed producer has realized.
 
     Threads are numbered as the simulator's heap numbers them: in order of
-    their Creates' start times, ties broken by the creator's number. Energy
+    their Creates' start times, ties broken by the creator's number. A
+    thread runs all its Creates before its first Claim, so no parked claim
+    delays a Create, and the heap pops Creates in that order. When steps
+    take no time (cycles of 5e-324 at a level of 2 or more), a creator may
+    itself be created at the instant it creates, so an instant's Creates
+    are numbered one at a time, each the least among those whose creator
+    has its number. Energy
     is added in that order, each thread's in its timeline's order, so the
-    sums match bit for bit. A claim is priced when both the claimant's
-    arrival and the producer's realize have happened, so the records come in
-    order of the later of the two (time, thread) keys. The walk calls the
-    scaling operators in its own order, so a strategy must be stateless.
+    sums match bit for bit.
+
+    Claim records come in the order the heap pops their claims. A visit is
+    a thread's start, Create, Claim or realize, keyed (time, number). The
+    heap pops a visit at its key, unless that key is no later than the
+    latest visit it waits for: the thread's previous visit (or its
+    creator's Create) and, for a Claim, the producer's realize. Such a
+    visit (a parked claim released by a later realize, or a step of no
+    time) pops right after the one it waited for. The heap pops a start
+    and a first Create or Claim with no Add between as one event, which
+    moves no visit past another. The walk calls the scaling operators in
+    its own order, so a strategy must be stateless.
     """
     def power(level):
         return model.kappa * level.value**model.alpha
 
     threads = [[decompose(expr), 0.0, ladder.level(init_index), []]]  # walk order -> [site, clock, level, energies]
     realized = {}  # walk order -> (time, value)
-    creates, claims = [], []  # (start, creator, child); (claimant, producer, arrival, realize, wait, case)
+    creates, claims = [], []  # (start, creator, child); (claimant, producer, arrival, realize, wait, case, visit)
+    visits = [(0.0, 0, ())]  # (time, walk order, the visits it comes after): a start, Create, Claim or realize
+    current = [0]  # walk order -> its latest visit
+
+    def visit(me, now, *after):
+        visits.append((now, me, (current[me], *after)))
+        current[me] = len(visits) - 1
+
     clamps = switches = 0
     stack = [0]
     while stack:
         me = stack[-1]
         site, now, level, spent = threads[me]
         if isinstance(site, NoRedex):
+            visit(me, now)
             realized[me] = (now, site.value)
             stack.pop()
             continue
         if isinstance(site, ArithRedex):
             cycles, filler, new_levels = model.add_cycles, IntLit(wrap_int(site.left + site.right)), ()
         elif isinstance(site, ClaimSite):
+            visit(me, now, current[site.target])
             ready, filler = realized[site.target]
             wait = max(0.0, ready - now)
-            claims.append((me, site.target, now, ready, wait, "CaseI" if wait > 0 else "CaseII"))
+            claims.append((me, site.target, now, ready, wait, "CaseI" if wait > 0 else "CaseII", current[me]))
             if wait > 0 and model.wait_policy == "spin":
                 spent.append((power(level) if model.idle_power is None else model.idle_power) * wait)
                 now = ready
@@ -361,6 +385,7 @@ def compositional_cost(expr: Expression, ladder: FrequencyLadder, init_index: in
             cycles, new_levels = model.claim_cycles, (new_level,)
             clamps += clamped
         else:
+            visit(me, now)
             child = len(threads)
             creates.append((now, me, child))
             child_level, clamped_up = strategy.scale(ScaleOp.UP_CREATE, level)
@@ -379,12 +404,17 @@ def compositional_cost(expr: Expression, ladder: FrequencyLadder, init_index: in
         threads[me] = [decompose(plug(site.context, filler)), end, new_levels[-1] if new_levels else level, spent]
         if isinstance(site, CreateRedex):
             threads.append([decompose(site.body), end, child_level, []])
+            current.append(len(visits))
+            visits.append((end, child, (current[me],)))
             stack.append(child)
 
     number = {0: 0}
     for _, group in itertools.groupby(sorted(creates, key=itemgetter(0)), key=itemgetter(0)):
-        for _, creator, child in sorted(group, key=lambda create: number[create[1]]):  # a creator was created earlier
-            number[child] = len(number)
+        pending = list(group)
+        while pending:  # a creator numbered in this instant gets a number above every creator numbered so far
+            first = min((create for create in pending if create[1] in number), key=lambda create: number[create[1]])
+            pending.remove(first)
+            number[first[2]] = len(number)
     per_thread = {}
     for me in sorted(number, key=number.get):
         per_thread[number[me]] = 0
@@ -394,8 +424,12 @@ def compositional_cost(expr: Expression, ladder: FrequencyLadder, init_index: in
     for energy in per_thread.values():
         total += energy
     makespan, value = realized[0]
-    records = [(number[c], number[p], *rest) for c, p, *rest in claims]
-    records.sort(key=lambda r: max((r[2], r[0]), (r[3], r[1])))
+    popped = []  # visit -> (time, number, turns since the heap last popped in order): the heap's pop order
+    for time, me, after in visits:
+        latest = max((popped[v] for v in after), default=(-math.inf, -1, 0))
+        key = (time, number[me])
+        popped.append((*key, 0) if key > latest[:2] else (*latest[:2], latest[2] + 1))
+    records = [(number[c], number[p], *rest) for c, p, *rest, turn in sorted(claims, key=lambda c: popped[c[-1]])]
     return {"final_value": value.value, "makespan": makespan, "total_energy": total, "per_thread_energy": per_thread,
             "edp": total * makespan, "ed2p": total * makespan * makespan, "claim_records": tuple(records),
             "clamp_count": clamps, "transition_count": switches}

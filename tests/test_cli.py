@@ -14,7 +14,7 @@ import futsim.cli as cli
 import futsim.energy as energy
 from futsim.calculus import Add, IntLit
 from futsim.cli import main
-from futsim.energy import SEG_COMPUTE, CostModel, simulate
+from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, CostModel, reprice, simulate
 from futsim.parser import parse
 from futsim.scaling import (
     DEFAULT_INIT_INDEX,
@@ -150,6 +150,27 @@ def test_compare_without_futures_gives_identical_rows(tmp_path):
     rows = json.loads(out)["rows"]
     stripped = [{k: v for k, v in row.items() if k != "strategy"} for row in rows]
     assert stripped[0] == stripped[1] == stripped[2]
+
+
+def test_compare_rows_add_the_waits_left_to_right_and_count_each_case(tmp_path):
+    """A row's wait is its strategy's claim waits added in record order from the int 0, so a program with no
+    claims prints ``"total_wait": 0``; its case counts are its records' Case I and Case II tags."""
+    path = tmp_path / "p.gf"
+    names, model = ("none", "both", "child-only"), CostModel(tau=0.05)
+    for text in ("7", "(future (1 + 2 + 3 + 4 + 5 + 6)) + (future 7) + 8"):  # no claim; one of each case
+        path.write_text(text)
+        code, out, err = invoke(["compare", str(path), "--strategies", ",".join(names), "--tau", "0.05",
+                                 "--format", "json"])
+        assert code == 0, err
+        for row, name in zip(json.loads(out)["rows"], names, strict=True):
+            strategy = make_strategy(name, DEFAULT_LADDER)
+            records = reprice(parse(text), DEFAULT_LADDER, DEFAULT_INIT_INDEX, strategy, model).claim_records
+            wait = 0
+            for record in records:
+                wait += record.wait
+            cases = Counter(record.case_tag for record in records)
+            assert repr(row["total_wait"]) == repr(wait), (text, name)
+            assert (row["case_i"], row["case_ii"]) == (cases[CASE_I], cases[CASE_II]), (text, name)
 
 
 def test_compare_single_strategy_is_usage_error(small_file):

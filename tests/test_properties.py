@@ -2,7 +2,9 @@
 decompose and gen_random_program against the recursive walkers they replaced,
 refocused sites against decompose, a simulator and a run that never plug
 against the public step, the rule work of run against simulate, the simulator's energy
-identities, reprice against a fresh simulate under every strategy, trace
+identities, reprice against a fresh simulate under every strategy and the
+compositional oracle on steps that take no time, a pinned hash of the
+scaling calls a stateful strategy sees, trace
 snippets against the whole rendered expression, explore's structural state
 keys against the renaming key they replaced, and explore's Merkle keys
 against the flat-key search they replaced, on samples and on every program of
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -1021,6 +1024,55 @@ def test_compiled_tapes_price_to_simulate_at_clamping_inits_and_on_a_one_level_l
                 expected = simulate(expr, ladder, init, factory(ladder), model)
                 _assert_repriced(_price(value, tapes, ladder, init, factory(ladder), model), expected, unparse(expr))
                 _assert_repriced(reprice(expr, ladder, init, factory(ladder), model), expected, unparse(expr))
+
+
+class _Recording(_EveryThirdHeld):
+    """``_EveryThirdHeld`` that logs (operator name, level index) for every ``scale`` call, in call order."""
+
+    def __init__(self, ladder):
+        super().__init__(ladder)
+        self.log = []
+
+    def scale(self, op, level):
+        self.log.append((op.name, level.index))
+        return super().scale(op, level)
+
+
+def test_the_heap_calls_a_stateful_strategy_in_a_pinned_order():
+    """``reprice``, ``simulate`` and compare's ``_price`` share one heap loop, and the oracle needs a stateless
+    strategy, so nothing else pins the order of ``scale`` calls: a hash of every call and every claim record,
+    over wide draws under spin and block, tau 0 and 0.05."""
+    digest = hashlib.sha256()
+    for seed in range(2):
+        expr = _wide_draw(seed)
+        value, tapes = _compile(expr)
+        for model in [CostModel(wait_policy=wait, tau=tau) for wait in (WAIT_SPIN, WAIT_BLOCK) for tau in (0.0, 0.05)]:
+            for price in (functools.partial(reprice, expr), functools.partial(simulate, expr),
+                          functools.partial(_price, value, tapes)):
+                strategy = _Recording(LADDER)
+                report = price(LADDER, 2, strategy, model)
+                digest.update(repr((strategy.log, report.claim_records)).encode())
+    assert digest.hexdigest() == "588e27555f02238f27c7183df4e8c1ac00e3b51b8d2ae6f39a629bdac6fd2081"
+
+
+ZERO_TIME = [CostModel(create_cycles=5e-324, add_cycles=5e-324, claim_cycles=5e-324, wait_policy=wait, tau=tau)
+             for wait in (WAIT_SPIN, WAIT_BLOCK) for tau in (0.0, 0.05)]
+
+
+@pytest.mark.parametrize("model", ZERO_TIME, ids=lambda m: f"{m.wait_policy}-tau{m.tau}")
+def test_steps_that_take_no_time_price_as_the_compositional_oracle_does(model):
+    """Cycles of 5e-324 take no time at levels of 2 or more, so Creates, claims and realizes share instants and
+    parked claimants are released at their arrival: ``reprice`` = ``simulate`` = the oracle, bit for bit."""
+    ties = 0
+    for seed in range(40):
+        expr = gen_random_program(seed, 6, 3)
+        for name, init in itertools.product(STRATEGIES, (1, 2, 4)):
+            report = simulate(expr, LADDER, init, make_strategy(name, LADDER), model)
+            _assert_repriced(reprice(expr, LADDER, init, make_strategy(name, LADDER), model), report, seed, name)
+            expected = compositional_cost(expr, LADDER, init, make_strategy(name, LADDER), model)
+            _assert_composed(expected, report, seed, name, init)
+            ties += any(record.t_arrive == record.t_realize for record in report.claim_records)
+    assert ties > 100
 
 
 def _recursive_gen_random_program(seed, max_depth, max_future_nesting):
