@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .calculus import (
+    EMPTY_CONTEXT,
     Add,
     ArithRedex,
     ClaimSite,
@@ -15,11 +16,13 @@ from .calculus import (
     Context,
     CreateRedex,
     Expression,
+    FutureCreate,
     FutureId,
     FutureRef,
     IntLit,
     NoRedex,
     RedexSite,
+    _HoleRightCell,
     _INT_MAX,
     _INT_MIN,
     _refocus,
@@ -27,7 +30,8 @@ from .calculus import (
     decompose,
     initial_configuration,
     node_count,
-    plug,
+    plug,  # no driver calls it; kept as ``engine.plug``, which the benchmark patches to count calls
+    subterms,
     wrap_int,
 )
 from .scaling import FrequencyLadder, FrequencyLevel, ScaleOp, ScalingStrategy
@@ -356,31 +360,105 @@ def run(
 # Exhaustive interleaving exploration
 # ---------------------------------------------------------------------------
 
-def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
-    """The expression's shape, with every future reference blanked, and the blanked ids in order.
+class _SiteIds:
+    """Interned integers that name expressions, context cells and redex sites up to renaming future ids.
 
-    The shape is a prefix code: ``+`` (Add), ``f`` (FutureCreate), ``_``
-    (FutureRef) and ``<int>,`` (IntLit), so equal shapes mean equal
-    expressions up to the referenced ids. As a string it hashes once.
+    An object's number is interned from its class and the numbers of its
+    parts: an expression's from its children's, a cell's from its operand's
+    and its outer cell's, and a site's from its context's innermost cell and
+    its focus. Every integer is kept and every future reference blanked, so
+    two sites get equal numbers exactly when their expressions are equal up
+    to the referenced ids. A claim-phase Add site gets the plain site's
+    number, since an expression has one site.
+
+    An expression's or a cell's number is memoised on the object, keyed by
+    its ``id``; the memo pins the object, so that id is never reused. Cells
+    are shared by every site built on them, so numbering a site costs only
+    the cells pushed since its outer cells were numbered, and a subterm is
+    numbered once, bottom up. ``refs[n]`` counts the future references of
+    expression ``n``, and for cell ``n`` those left of its hole, which is
+    the slot where a Create at that cell puts its child's reference.
     """
-    parts: list[str] = []
-    refs: list[FutureId] = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Add):
-            parts.append("+")
-            stack.append(e.right)
-            stack.append(e.left)
-        elif isinstance(e, IntLit):
-            parts.append(f"{e.value},")
-        elif isinstance(e, FutureRef):
-            parts.append("_")
-            refs.append(e.fid)
-        else:
-            parts.append("f")
-            stack.append(e.body)
-    return "".join(parts), tuple(refs)
+
+    __slots__ = ("ids", "refs", "memo", "pinned")
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {(Context,): 0}  # key -> number; 0 is the empty context
+        self.refs: list[int] = [0]
+        self.memo: dict[int, int] = {id(EMPTY_CONTEXT): 0}
+        self.pinned: list[Expression | Context] = [EMPTY_CONTEXT]
+
+    def _intern(self, key: tuple, refs: int) -> int:
+        n = self.ids.get(key)
+        if n is None:
+            n = self.ids[key] = len(self.refs)
+            self.refs.append(refs)
+        return n
+
+    def expr(self, expr: Expression) -> int:
+        """The expression's number; each subterm not yet numbered is numbered after its children."""
+        memo = self.memo
+        if id(expr) in memo:
+            return memo[id(expr)]
+        refs = self.refs
+        stack = [expr]
+        while stack:
+            e = stack[-1]
+            if id(e) in memo:  # a shared literal, pushed twice
+                stack.pop()
+                continue
+            kind = e.__class__
+            if kind is Add:
+                left, right = memo.get(id(e.left)), memo.get(id(e.right))
+                if left is None or right is None:
+                    stack += [part for part, n in ((e.right, right), (e.left, left)) if n is None]
+                    continue
+                n = self._intern((Add, left, right), refs[left] + refs[right])
+            elif kind is FutureCreate:
+                body = memo.get(id(e.body))
+                if body is None:
+                    stack.append(e.body)
+                    continue
+                n = self._intern((FutureCreate, body), refs[body])
+            elif kind is IntLit:
+                n = self._intern((IntLit, e.value), 0)
+            else:
+                n = self._intern((FutureRef,), 1)
+            stack.pop()
+            memo[id(e)] = n
+            self.pinned.append(e)
+        return memo[id(expr)]
+
+    def cell(self, cell: Context) -> int:
+        """The number of a context's innermost cell; the cells out to the first numbered one are numbered on the way."""
+        memo = self.memo
+        n = memo.get(id(cell))
+        if n is not None:
+            return n
+        path = []
+        while n is None:
+            path.append(cell)
+            cell = cell.outer
+            n = memo.get(id(cell))
+        refs = self.refs
+        for cell in reversed(path):
+            operand = self.expr(cell.operand)
+            left = refs[n] + refs[operand] if cell.__class__ is _HoleRightCell else refs[n]
+            n = memo[id(cell)] = self._intern((cell.__class__, operand, n), left)
+            self.pinned.append(cell)
+        return n
+
+    def site(self, site: RedexSite) -> int:
+        """The site's number: its innermost cell's and its focus's, a claimed reference blanked."""
+        kind = site.__class__
+        if kind is NoRedex:
+            return self._intern((NoRedex, site.value.value), 0)
+        cell = self.cell(site.context)
+        if kind is CreateRedex:
+            return self._intern((CreateRedex, cell, self.expr(site.body)), 0)
+        if kind is ClaimSite:
+            return self._intern((ClaimSite, cell), 0)
+        return self._intern((ArithRedex, cell, site.left, site.right), 0)
 
 
 # Explore drops the interned key entries that no frontier state holds once
@@ -389,33 +467,40 @@ _INTERN_SLACK = 1 << 16
 
 
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
-    """Breadth-first search over every interleaving from ``config``; a state's key is one interned integer.
+    """Breadth-first search over every interleaving from ``config``; a state's key is the root's entry.
 
     A state is each thread's record, ``{fid: Closure}``, and the next fresh
     id; the first state holds the configuration's own records, walked once
     breadth first from the root, which must reach every closure. A thread's
-    entry is (level index, shape, *its children's nodes in reference order),
-    and its node is the entry's number in an intern table, so two threads
-    have equal nodes exactly when their subtrees are equal up to renaming
-    future ids (a Merkle key). The state key is the root's node. A
-    state carries also each thread's entry, each non-root thread's parent and
-    the index of its node in the parent's entry, and its enabled set. A rule
-    changes only the fired thread's subtree, so the successor's key is the
-    fired thread's new entry re-interned up its path to the root, O(depth of
-    the reference tree), and the successor is built only when that key is
-    new. Firings are memoised per record: a Create's result depends also on
-    the fresh id, a Claim's on the claimed value; a miss fires a copy of the
+    entry is (level index, its site's number, *its children's nodes in
+    reference order), where ``_SiteIds`` numbers the site, and a non-root
+    thread's node is its entry's number in an intern table. So two threads
+    have equal entries exactly when their subtrees are equal up to renaming
+    future ids (a Merkle key), and the state key is the root's entry, which
+    no thread holds. A state carries also each thread's entry, each non-root
+    thread's parent and the index of its node in the parent's entry, and
+    its enabled set. A rule changes only the fired thread's subtree, so the
+    successor's key is the fired thread's new entry re-interned up its path
+    to the root, O(depth of the reference tree), and the successor is built
+    only when that key is new.
+
+    Firings are memoised per record: a Create's result depends also on the
+    fresh id, a Claim's on the claimed value. A miss fires a copy of the
     record through ``_advance``, as ``run`` fires the record itself, and
-    plugs the hole only to take its shape. The move keeps also the updated
-    record's readiness (it can fire, it realized, or the producer it now
-    claims) and whether a Create's child can fire. Only the fired thread, a
-    Create's child and the fired thread's parent, which may be parked on it,
-    can change readiness, so a successor's enabled set is its state's with
-    at most three O(1) edits: the move says what became of the fired thread
-    and its child, and one site read says whether the producer it claims
-    has realized or whether its parent is parked on it. An edge to a state
-    already seen costs its key only; a new state costs copies of its
-    state's maps and those edits.
+    numbers the updated record's site, which costs the cells the rule
+    pushed; no expression is plugged or walked. The updated record's
+    references are its record's, with a Create's child's inserted at the
+    slot its cell counts, or a Claim's producer's removed. The move keeps
+    also the updated record's readiness (it can fire, it realized, or the
+    producer it now claims) and whether a Create's child can fire. Only the
+    fired thread, a Create's child and the fired thread's parent, which may
+    be parked on it, can change readiness, so a successor's enabled set is
+    its state's with at most three O(1) edits: the move says what became of
+    the fired thread and its child, and one site read says whether the
+    producer it claims has realized or whether its parent is parked on it.
+    An edge to a state already seen costs its key only; a new state costs
+    copies of its state's maps and those edits, and shares its state's
+    enabled set when no edit applies.
 
     A state's depth in the search is its total step count, which the state
     itself fixes, so two states can be equal only within one level: keys
@@ -427,31 +512,34 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
         raise ExplorationLimitError(f"more than {state_limit} states")
     root = config.root
     threads = {c.realizes: c for c in config.closures}
-    shapes: dict[FutureId, tuple[str, tuple[FutureId, ...]]] = {}
+    sites = _SiteIds()
+    refs_of: dict[int, tuple[FutureId, ...]] = {}  # id(record) -> its references in order; moves pin the records
     up: dict[FutureId, tuple[FutureId, int]] = {}
     order = [root]
     for fid in order:  # breadth first, so a thread comes before its children
-        shapes[fid] = _shape(threads[fid].expr)
-        for at, ref in enumerate(shapes[fid][1], 2):
+        thr = threads[fid]
+        refs_of[id(thr)] = refs = tuple(e.fid for e in subterms(thr.expr) if e.__class__ is FutureRef)
+        for at, ref in enumerate(refs, 2):
             up[ref] = (fid, at)
             order.append(ref)
     if len(order) != len(threads):
         raise EngineError("configuration has closures unreachable from the root")
-    ids: dict[tuple, int] = {}  # entry -> node
+    ids: dict[tuple, int] = {}  # non-root entry -> node
     base = 0  # nodes numbered so far, less len(ids)
     entries: dict[FutureId, tuple] = {}
     nodes: dict[FutureId, int] = {}
     for fid in reversed(order):
-        shape, refs = shapes[fid]
-        entries[fid] = entry = (threads[fid].freq.index, shape, *(nodes[ref] for ref in refs))
-        nodes[fid] = ids.setdefault(entry, len(ids) + base)
+        thr = threads[fid]
+        entries[fid] = entry = (thr.freq.index, sites.site(thr.site), *(nodes[ref] for ref in refs_of[id(thr)]))
+        if fid != root:
+            nodes[fid] = ids.setdefault(entry, len(ids) + base)
 
     # A move maps a firing to (the fired record, which pins its id, the
-    # updated record, its (level index, shape) and references, the entry
-    # index of the reference a Create added or a Claim removed, the Create's
-    # child and its entry, the updated record's readiness: True if it can
-    # fire, False if it realized, else the producer it now claims, and
-    # whether the child can fire).
+    # updated record, its (level index, site number) and references, the
+    # entry index of the reference a Create added or a Claim removed, the
+    # Create's child and its entry, the updated record's readiness: True if
+    # it can fire, False if it realized, else the producer it now claims,
+    # and whether the child can fire).
     moves: dict = {}
     count = 1
     kept = len(ids)
@@ -459,7 +547,7 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     outcomes: set[tuple[int, FrequencyLevel]] = set()
     while frontier:
         next_frontier: list = []
-        seen: set[int] = set()  # the next level's keys
+        seen: set[tuple] = set()  # the next level's keys
         intern = ids.setdefault
         for threads, fresh, entries, up, enabled in frontier:
             if not enabled:
@@ -482,19 +570,24 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                 move = moves.get(key)
                 if move is None:
                     updated = Closure(thr.freq, site, thread)
-                    hole, _, child = _advance(updated, strategy, fresh, claimed)
-                    shape, refs = _shape(plug(*hole))
+                    _, _, child = _advance(updated, strategy, fresh, claimed)
+                    refs = refs_of[id(thr)]
                     slot = child_entry = None
                     if child is not None:
-                        slot = 2 + refs.index(fresh)
+                        at = sites.refs[sites.cell(site.context)]  # the references left of the hole
+                        slot = 2 + at
+                        refs = (*refs[:at], fresh, *refs[at:])
                         # A future's body is program text, so the child references nothing.
-                        child_entry = (child.freq.index, _shape(site.body)[0])
+                        child_entry = (child.freq.index, sites.site(child.site))
+                        refs_of[id(child)] = ()
                     elif claimed is not None:
                         slot = up[site.target][1]
+                        refs = refs[: slot - 2] + refs[slot - 1 :]
+                    refs_of[id(updated)] = refs
                     now = updated.site
                     ready = now.target if now.__class__ is ClaimSite else now.__class__ is not NoRedex
-                    move = moves[key] = (thr, updated, (updated.freq.index, shape), refs, slot, child, child_entry,
-                                         ready, child is not None and child.site.__class__ is not NoRedex)
+                    move = moves[key] = (thr, updated, (updated.freq.index, sites.site(now)), refs, slot, child,
+                                         child_entry, ready, child is not None and child.site.__class__ is not NoRedex)
                 _, updated, head, refs, slot, child, child_entry, ready, child_ready = move
                 entry = entries[thread]
                 if child is not None:
@@ -503,53 +596,56 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                     entry = head + entry[2:slot] + entry[slot + 1 :]
                 else:
                     entry = head + entry[2:]
-                node = intern(entry, len(ids) + base)
                 changed = {thread: entry}
                 fid = thread
                 while fid != root:
-                    fid, at = up[fid]
-                    entry = entries[fid]
-                    entry = entry[:at] + (node,) + entry[at + 1 :]
                     node = intern(entry, len(ids) + base)
-                    changed[fid] = entry
-                if node in seen:
+                    fid, at = up[fid]
+                    entry = [*entries[fid]]  # a list edit builds half the tuples a slice edit does
+                    entry[at] = node
+                    changed[fid] = entry = tuple(entry)
+                if entry in seen:
                     continue
                 if count >= state_limit:
                     raise ExplorationLimitError(f"more than {state_limit} states")
                 count += 1
-                seen.add(node)
+                seen.add(entry)
                 next_threads = threads.copy()
                 next_threads[thread] = updated
                 next_entries = entries | changed
                 next_up = up
-                next_enabled = enabled.copy()
                 if slot is not None:  # a Create or a Claim moves the references after its slot
                     next_up = up.copy()
                     if child is not None:
                         next_threads[fresh] = child
                         next_entries[fresh] = child_entry
-                        if child_ready:
-                            next_enabled.add(fresh)
                     else:
                         del next_threads[site.target], next_entries[site.target], next_up[site.target]
                     for at, ref in enumerate(refs, 2):
                         next_up[ref] = (thread, at)
-                if ready is False:  # realized: release the parent if it is parked on this thread
-                    next_enabled.discard(thread)
-                    if thread != root:
-                        parent = up[thread][0]
-                        parked = next_threads[parent].site
-                        if parked.__class__ is ClaimSite and parked.target == thread:
-                            next_enabled.add(parent)
-                elif ready is not True and next_threads[ready].site.__class__ is not NoRedex:
-                    next_enabled.discard(thread)  # it claims a producer that is still running
+                next_enabled = enabled  # states share an enabled set that no edit changes
+                if ready is not True or child_ready:
+                    next_enabled = enabled.copy()
+                    if child_ready:
+                        next_enabled.add(fresh)
+                    if ready is False:  # realized: release the parent if it is parked on this thread
+                        next_enabled.discard(thread)
+                        if thread != root:
+                            parent = up[thread][0]
+                            parked = next_threads[parent].site
+                            if parked.__class__ is ClaimSite and parked.target == thread:
+                                next_enabled.add(parent)
+                    elif ready is not True and next_threads[ready].site.__class__ is not NoRedex:
+                        next_enabled.discard(thread)  # it claims a producer that is still running
                 next_frontier.append((next_threads, fresh + (child is not None), next_entries, next_up, next_enabled))
         frontier = next_frontier
         if len(ids) > kept + _INTERN_SLACK:
             # Keys are compared within a level only, so an entry no frontier
             # state holds may be dropped: if it recurs, it gets a new node. A
-            # state holds every thread's entry, so a held entry's children stay.
-            held = {entry: ids[entry] for _, _, entries, _, _ in frontier for entry in entries.values()}
+            # state holds every thread's entry, so a held entry's children
+            # stay. The root's entry is a state key and was never interned.
+            held = {entry: ids[entry] for _, _, entries, _, _ in frontier
+                    for fid, entry in entries.items() if fid != root}
             base += len(ids) - len(held)
             ids, kept = held, len(held)
     return outcomes, count

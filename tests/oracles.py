@@ -45,7 +45,7 @@ from futsim.calculus import (
     wrap_int,
 )
 from futsim.cli import EXPR_SNIPPET_CHARS, _snippet
-from futsim.engine import EngineError, _shape
+from futsim.engine import EngineError
 from futsim.parser import ParseError, _atomic
 from futsim.scaling import FrequencyLadder, ScaleOp
 
@@ -70,6 +70,33 @@ def closure_for(config, fid):
         if c.realizes == fid:
             return c
     raise KeyError(f"no closure realizes fv{fid}")
+
+
+def _shape(expr: Expression) -> tuple[str, tuple[FutureId, ...]]:
+    """The expression's shape, with every future reference blanked, and the blanked ids in order.
+
+    The shape is a prefix code: ``+`` (Add), ``f`` (FutureCreate), ``_``
+    (FutureRef) and ``<int>,`` (IntLit), so equal shapes mean equal
+    expressions up to the referenced ids. As a string it hashes once.
+    """
+    parts: list[str] = []
+    refs: list[FutureId] = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Add):
+            parts.append("+")
+            stack.append(e.right)
+            stack.append(e.left)
+        elif isinstance(e, IntLit):
+            parts.append(f"{e.value},")
+        elif isinstance(e, FutureRef):
+            parts.append("_")
+            refs.append(e.fid)
+        else:
+            parts.append("f")
+            stack.append(e.body)
+    return "".join(parts), tuple(refs)
 
 
 def canonical_key(config, shapes=None):

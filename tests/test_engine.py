@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 import futsim.calculus as calculus
@@ -506,6 +508,7 @@ def test_run_rejects_a_pick_outside_the_enabled_set():
         ("future (1 + 2 + 3)", 5),
         ("(future (1 + 2 + 3 + 4)) + future 5 + (6 + 7)", 22),
         pytest.param("future " * 512 + "1", 1025, id="tower-512"),
+        pytest.param(" + ".join(["1"] * 1500), 1500, id="chain-1500"),
     ],
 )
 def test_explore_state_counts_pinned(text, states):
@@ -514,6 +517,27 @@ def test_explore_state_counts_pinned(text, states):
         outcomes, count = explore_with_stats(expr, LADDER, 2, make_strategy(name, LADDER))
         assert count == states
         assert {value for value, _ in outcomes} == {eval_sequential(expr)}
+
+
+# Explore drops the interned entries no frontier state holds once more than
+# ``_INTERN_SLACK`` pile up, which of the cases above only tower-512 reaches,
+# once; at 0 it sweeps after every level. The root's entry is a state key and
+# is never interned, so the sweep must skip it.
+@pytest.mark.parametrize(
+    "text, states",
+    [
+        pytest.param("future " * 64 + "1", 129, id="tower-64"),
+        pytest.param("future (1 + " * 50 + "1" + ")" * 50, 151, id="nest-50"),
+        pytest.param(" + ".join(["1"] * 200), 200, id="chain-200"),
+        pytest.param(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(4)), 447, id="par-4"),
+    ],
+)
+def test_explore_state_counts_hold_when_every_level_sweeps(text, states):
+    expr = parse(text)
+    found = explore_with_stats(expr, LADDER, 2, BOTH)
+    assert found[1] == states
+    with mock.patch.object(engine, "_INTERN_SLACK", 0):
+        assert explore_with_stats(expr, LADDER, 2, BOTH) == found
 
 
 # The thread of each event under each scheduler, recorded before contexts

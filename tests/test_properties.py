@@ -95,6 +95,7 @@ from futsim.scaling import FrequencyLadder, ScalingStrategy, make_strategy  # no
 import oracles  # noqa: E402
 from oracles import (  # noqa: E402
     Token,
+    _shape,
     _tokenize,
     canonical_key,
     closure_for,
@@ -677,6 +678,45 @@ def test_structural_keys_are_equal_exactly_when_renaming_keys_are(program, sched
             assert key == canonical_key(config)
             assert by_oracle.setdefault(oracle, key) == key
             assert by_key.setdefault(key, oracle) == oracle
+
+
+def _assert_thread_keys_exact(configs, sites):
+    """Explore's thread key, (level index, site number), is equal for two records exactly when
+    their levels and shapes are; at a Create, its cell counts the references left of the hole."""
+    by_shape, by_key = {}, {}
+    for config in configs:
+        for closure in config.closures:
+            site = closure.site
+            key = (closure.freq.index, sites.site(site))
+            shape = (closure.freq.index, _shape(closure.expr)[0])
+            assert by_shape.setdefault(shape, key) == key
+            assert by_key.setdefault(key, shape) == shape
+            if site.__class__ is CreateRedex:
+                refs = _shape(plug(site.context, FutureRef(-1)))[1]
+                assert sites.refs[sites.cell(site.context)] == refs.index(-1)
+
+
+@SETTINGS
+@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=10**6))
+def test_explore_thread_keys_are_equal_exactly_when_shapes_are(programs, seed):
+    sites = engine._SiteIds()  # one table across programs, so sites of different programs meet
+    _assert_thread_keys_exact((config for program in programs for name in STRATEGIES
+                               for config in _random_schedule(gen_random_program(program, 6, 3), name, seed)), sites)
+
+
+def test_explore_thread_keys_on_deep_programs_and_a_claim_phase_add():
+    texts = (" + ".join(["1"] * 40), "future (1 + " * 15 + "1" + ")" * 15, "future " * 20 + "1",
+             "(future 1) + 2", "1 + 2")
+    sites = engine._SiteIds()
+    configs = [config for text in texts for name in STRATEGIES for config in _random_schedule(parse(text), name, 0)]
+    _assert_thread_keys_exact(configs, sites)
+    # After its claim, ``(future 1) + 2`` is ``1 + 2`` with its Add found in the claim phase: one site, one number.
+    plain = decompose(parse("1 + 2"))
+    phased = [closure.site for config in configs for closure in config.closures
+              if getattr(closure.site, "_claim_phase", False)]
+    assert plain in phased
+    assert {sites.site(site) for site in phased if site == plain} == {sites.site(plain)}
 
 
 def _flat_key_explore(config, strategy, state_limit):
