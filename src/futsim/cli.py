@@ -40,6 +40,7 @@ from .energy import (
     SimulationReport,
     _compile,
     _price,
+    _schedule,
     reprice,
     simulate,
 )
@@ -552,9 +553,17 @@ def cmd_run(cfg: RunConfig, out, err) -> int:
     expr = _load_program(cfg.program)
     strategy = make_strategy(cfg.strategy, cfg.ladder)
     if cfg.mode == "semantics":
-        result = run(expr, cfg.ladder, cfg.init_index, strategy, POLICIES[cfg.policy](cfg.seed), cfg.step_limit)
+        # Only the trace reads the kernel's events: an untraced run replays the compiled tapes under the same
+        # scheduler, to the same value, rules, final level and clamps.
+        policy = POLICIES[cfg.policy](cfg.seed)
         if cfg.trace_path:
+            result = run(expr, cfg.ladder, cfg.init_index, strategy, policy, cfg.step_limit)
             _write_semantics_trace(cfg.trace_path, result)
+            value, rules, level, clamps = (result.final_value, [e.rule for e in result.events], result.final_level,
+                                           result.clamp_count)
+        else:
+            value, rules, level, clamps = _schedule(*_compile(expr), cfg.ladder, cfg.init_index, strategy, policy,
+                                                    cfg.step_limit)
         if cfg.output_format == "json":
             payload = {
                 "command": "run",
@@ -563,20 +572,20 @@ def cmd_run(cfg: RunConfig, out, err) -> int:
                 "policy": cfg.policy,
                 "ladder": list(cfg.ladder.levels),
                 "init": cfg.init_index,
-                "final_value": result.final_value,
-                "steps": result.step_count,
-                "final_freq_idx": result.final_level.index,
-                "final_freq": result.final_level.value,
-                "clamp_events": result.clamp_count,
-                "rules": [e.rule for e in result.events],
+                "final_value": value,
+                "steps": len(rules),
+                "final_freq_idx": level.index,
+                "final_freq": level.value,
+                "clamp_events": clamps,
+                "rules": rules,
             }
             print(_json_dump(payload), file=out)
         else:
-            print(f"final value    {result.final_value}", file=out)
-            print(f"steps          {result.step_count}", file=out)
-            print(f"final level    fq_{result.final_level.index} ({_fmt(result.final_level.value)})", file=out)
-            print(f"clamp events   {result.clamp_count}", file=out)
-            print(f"rules          {' '.join(e.rule for e in result.events)}", file=out)
+            print(f"final value    {value}", file=out)
+            print(f"steps          {len(rules)}", file=out)
+            print(f"final level    fq_{level.index} ({_fmt(level.value)})", file=out)
+            print(f"clamp events   {clamps}", file=out)
+            print(f"rules          {' '.join(rules)}", file=out)
         return EXIT_OK
 
     # Only the trace reads the timelines: an untraced run prices the compiled tapes alone, to the same report.

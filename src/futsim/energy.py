@@ -18,11 +18,12 @@ one ``heappushpop``, and builds its records without a named tuple's
 Python ``__new__``; ``scale`` is called exactly as often, and in the same
 order, as the rules say.
 
-``compare`` and ``reprice`` price compiled tapes and fire no kernel.
-``simulate`` runs the same loop and fires the kernel's expression half
-(``engine._fill``) alongside each step, only to fill the holes of its
-timelines. ``engine``'s ``run``, ``step`` and ``explore`` fire the whole
-kernel.
+``compare`` and ``reprice`` price compiled tapes and fire no kernel, and
+``_schedule`` replays them under a semantics-mode scheduler, as an untraced
+``futsim run --mode semantics`` does. ``simulate`` runs the same heap loop
+and fires the kernel's expression half (``engine._fill``) alongside each
+step, only to fill the holes of its timelines. ``engine``'s ``run``,
+``step`` and ``explore`` fire the whole kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +35,19 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .calculus import Add, Context, Expression, FutureCreate, FutureId, IntLit, RedexSite, decompose, plug, wrap_int
-from .engine import RULE_ADD, RULE_CLAIM, RULE_CREATE, EngineError, _fill, _levels, ladder_start
+from .engine import (
+    RULE_ADD,
+    RULE_CLAIM,
+    RULE_CREATE,
+    DivergenceError,
+    EngineError,
+    NewestFirst,
+    NotEnabledError,
+    SchedulerPolicy,
+    _fill,
+    _levels,
+    ladder_start,
+)
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
 
 WAIT_SPIN = "spin"
@@ -269,6 +282,85 @@ def _compile(expr: Expression) -> tuple[int, dict[FutureId, list[tuple[str, Futu
         else:
             raise ValueError("programs must not contain future references")
     return wrap_int(total), {fid: first + rest for fid, (first, rest) in enumerate(zip(early, late))}
+
+
+def _tape_nodes(tapes: dict[FutureId, list]) -> int:
+    """The program's node count, read off its tapes: ``calculus.node_count`` with no walk.
+
+    A tape holds an Add per Add node and a Create and a Claim per future,
+    and a program has one literal more than it has Adds.
+    """
+    creates = len(tapes) - 1
+    adds = sum(map(len, tapes.values())) - 2 * creates
+    return 2 * adds + 1 + creates
+
+
+def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadder, init_index: int,
+              strategy: ScalingStrategy, policy: SchedulerPolicy | None = None,
+              step_limit: int | None = None) -> tuple[int, list[str], FrequencyLevel, int]:
+    """Replay compiled tapes as ``engine.run`` fires them: (final value, rules, the root's final level, clamps).
+
+    Each step checks the limit, asks the policy's session to pick from the
+    enabled threads, and advances the picked thread one tape entry; a
+    Create or a Claim sets levels by ``_levels``, as ``_advance`` does, so
+    ``scale`` is called as ``run`` calls it. A Create's child gets the next
+    fresh id, as in ``run``. A thread whose next entry claims a producer
+    that has not realized parks on it; a thread at the end of its tape has
+    realized and releases the claimant parked on it, and a child whose tape
+    is empty realizes at birth. No tape starts with a Claim, since a
+    thread's Claims follow its Creates. The default limit is ``run``'s, 30
+    steps per program node.
+    """
+    if step_limit is None:
+        step_limit = 30 * _tape_nodes(tapes)
+    pick = (policy or NewestFirst()).session()
+    levels = [ladder_start(ladder, init_index, strategy)]  # thread -> its level
+    tape_of = [tapes[0]]  # thread -> its tape
+    at = [0]  # thread -> its next entry; a thread has realized once it has run its whole tape
+    ids = {0: 0}  # the tapes' thread id -> this run's
+    enabled = {0} if tapes[0] else set()
+    view = None  # ``enabled`` as the frozenset the picker takes, built again only after ``enabled`` changes
+    parked: dict[FutureId, FutureId] = {}  # producer -> the claimant waiting on it
+    rules: list[str] = []
+    clamps = 0
+    while enabled:
+        if len(rules) >= step_limit:
+            raise DivergenceError(f"exceeded {step_limit} steps")
+        if view is None:
+            view = frozenset(enabled)
+        thread = pick(view)
+        if thread not in enabled:
+            raise NotEnabledError(f"fv{thread} has no enabled reduction")
+        tape, i = tape_of[thread], at[thread]
+        rule, other = tape[i]
+        rules.append(rule)
+        if rule != RULE_ADD:
+            scaled, n = _levels(rule, levels[thread], strategy)
+            clamps += n
+            levels[thread] = scaled[-1]
+            if rule == RULE_CREATE:
+                ids[other] = child = len(tape_of)
+                tape_of.append(tapes[other])
+                at.append(0)
+                levels.append(scaled[0])
+                if tapes[other]:
+                    enabled.add(child)
+                    view = None
+        at[thread] = i = i + 1
+        if i == len(tape):  # realized
+            enabled.discard(thread)
+            if thread in parked:
+                enabled.add(parked.pop(thread))
+            view = None
+        elif tape[i][0] == RULE_CLAIM:
+            producer = ids[tape[i][1]]
+            if at[producer] < len(tape_of[producer]):
+                enabled.discard(thread)
+                parked[producer] = thread
+                view = None
+    if at[0] < len(tape_of[0]):
+        raise EngineError("no enabled thread in a non-terminal configuration")
+    return final_value, rules, levels[0], clamps
 
 
 def reprice(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import futsim.calculus as calculus
 import futsim.cli as cli
 import futsim.energy as energy
+import futsim.engine as engine
 from futsim.calculus import Add, IntLit
 from futsim.cli import main
 from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, CostModel, reprice, simulate
@@ -291,6 +294,79 @@ def test_untraced_run_prints_the_traced_runs_json_under_each_strategy(tmp_path, 
     traced = invoke(["run", str(path), *flags, "--trace", str(tmp_path / "trace.jsonl")])
     assert untraced[0] == 0, untraced[2]
     assert json.loads(untraced[1]) == json.loads(traced[1]) and untraced == traced
+
+
+def _bench_corpus():
+    """The benchmark's corpus module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up while its class is built
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_sem_programs():
+    """Each program that a benchmark workload runs in semantics mode, for seed 1."""
+    corpus = _bench_corpus()
+    return [cmd.program for workload in corpus.WORKLOADS for cmd in corpus.commands(workload, 1)
+            if cmd.kind == "run-sem"]
+
+
+POLICY_FLAGS = {"newest-first": [], "round-robin": ["--policy", "round-robin"],
+                "random": ["--policy", "random", "--seed", "3"]}
+
+
+def _counting_kernel(monkeypatch):
+    """Count the calls of the rule kernel (``engine._advance``) and of redex search (``calculus._search``)."""
+    counts = Counter()
+    for module, name in ((engine, "_advance"), (calculus, "_search")):
+        def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("form", [["--format", "json"], []], ids=["json", "table"])
+def test_untraced_semantics_runs_fire_no_kernel_and_print_the_traced_runs_output(tmp_path, monkeypatch, form):
+    """On every program a benchmark workload runs in semantics mode, under each policy: an untraced run replays the
+    compiled tapes, with no rule fired and no redex searched, and prints what the traced run, which fires the kernel,
+    prints."""
+    counts = _counting_kernel(monkeypatch)
+    programs = _run_sem_programs()
+    assert len(programs) == 19
+    for program in programs:
+        path = tmp_path / f"{program.name}.gf"
+        path.write_text(program.text)
+        for name, flags in POLICY_FLAGS.items():
+            argv = ["run", str(path), "--mode", "semantics", *flags, *form]
+            counts.clear()
+            untraced = invoke(argv)
+            assert counts == Counter(), (program.name, name)
+            traced = invoke([*argv, "--trace", str(tmp_path / "trace.jsonl")])
+            assert counts["_advance"] > 0 and counts["_search"] > 0
+            assert untraced[0] == 0, untraced[2]
+            assert untraced == traced, (program.name, name)
+
+
+@pytest.mark.parametrize("text", ["future " * 100_000 + "1", "future (1 + " * 100_000 + "1" + ")" * 100_000],
+                         ids=["future-tower", "future-nest"])
+def test_untraced_semantics_runs_take_deep_programs_and_print_the_traced_runs_output(tmp_path, text):
+    """100,000 nested futures, each claimed by its parent: the untraced JSON is the traced run's, byte for byte, and
+    the untraced table shows the same run. Both forms print one (value, rules, level, clamps) shape, and the corpus
+    test above compares the table bytes under each policy, so the deep programs are traced in JSON only."""
+    path = tmp_path / "deep.gf"
+    path.write_text(text)
+    argv = ["run", str(path), "--mode", "semantics"]
+    traced = invoke([*argv, "--format", "json", "--trace", str(tmp_path / "trace.jsonl")])
+    assert traced[0] == 0, traced[2]
+    assert invoke([*argv, "--format", "json"]) == traced
+    report = json.loads(traced[1])
+    level = f"fq_{report['final_freq_idx']} ({cli._fmt(report['final_freq'])})"
+    assert invoke(argv) == (0, f"final value    {report['final_value']}\nsteps          {report['steps']}\n"
+                               f"final level    {level}\nclamp events   {report['clamp_events']}\n"
+                               f"rules          {' '.join(report['rules'])}\n", "")
 
 
 @pytest.mark.parametrize("text", ["future " * 4096 + "1", " + ".join(["1"] * 6400)], ids=["future-tower", "chain"])

@@ -4,7 +4,7 @@ refocused sites against decompose, a simulator and a run that never plug
 against the public step, the rule work of run against simulate, the simulator's energy
 identities, reprice against a fresh simulate under every strategy and the
 compositional oracle on steps that take no time, a pinned hash of the
-scaling calls a stateful strategy sees, trace
+scaling calls a stateful strategy sees, the tape scheduler against run, trace
 snippets against the whole rendered expression, explore's structural state
 keys against the renaming key they replaced, and explore's Merkle keys
 against the flat-key search they replaced, on samples and on every program of
@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -54,11 +55,12 @@ from futsim.calculus import (  # noqa: E402
     decompose,
     eval_sequential,
     initial_configuration,
+    node_count,
     plug,
     subterms,
     wrap_int,
 )
-from futsim.cli import _snippet, _write_simulate_trace  # noqa: E402
+from futsim.cli import _snippet, _write_simulate_trace, main  # noqa: E402
 from futsim.energy import (  # noqa: E402
     CASE_I,
     CASE_II,
@@ -71,6 +73,8 @@ from futsim.energy import (  # noqa: E402
     SimulationReport,
     _compile,
     _price,
+    _schedule,
+    _tape_nodes,
     reprice,
     simulate,
 )
@@ -79,6 +83,7 @@ from futsim.engine import (  # noqa: E402
     RULE_CREATE,
     ClaimEvent,
     CreateEvent,
+    DivergenceError,
     EngineError,
     ExplorationLimitError,
     NewestFirst,
@@ -91,7 +96,7 @@ from futsim.engine import (  # noqa: E402
     step,
 )
 from futsim.parser import ParseError, parse, unparse  # noqa: E402
-from futsim.scaling import FrequencyLadder, ScalingStrategy, make_strategy  # noqa: E402
+from futsim.scaling import DEFAULT_LADDER, FrequencyLadder, ScalingStrategy, make_strategy  # noqa: E402
 import oracles  # noqa: E402
 from oracles import (  # noqa: E402
     Token,
@@ -1093,6 +1098,85 @@ def test_the_heap_calls_a_stateful_strategy_in_a_pinned_order():
                 report = price(LADDER, 2, strategy, model)
                 digest.update(repr((strategy.log, report.claim_records)).encode())
     assert digest.hexdigest() == "588e27555f02238f27c7183df4e8c1ac00e3b51b8d2ae6f39a629bdac6fd2081"
+
+
+SCHEDULE_POLICIES = (NewestFirst, RoundRobin, functools.partial(SeededRandom, 7))
+SCHEDULE_LADDERS = ((CLAMP_FREE, 8), (DEFAULT_LADDER, 2))
+
+
+def _scheduled_and_run(expr, ladder, init, strategies, policy):
+    """The tape scheduler's result and ``run``'s in its shape, (value, rules, final level, clamps), and ``run``'s step
+    count; ``strategies`` gives the scheduler's strategy and then ``run``'s."""
+    tapes, kernel = strategies
+    result = run(expr, ladder, init, kernel, policy())
+    expected = (result.final_value, [e.rule for e in result.events], result.final_level, result.clamp_count)
+    return _schedule(*_compile(expr), ladder, init, tapes, policy()), expected, result.step_count
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_the_tape_scheduler_gives_runs_result_on_every_small_program(name):
+    """Every program of at most 8 nodes over 0 and 1 and of at most 6 over the 64-bit extremes, under each policy, at
+    level 8 of 16, where no operator clamps, and at the default ladder's second level, where many do."""
+    for ladder, init in SCHEDULE_LADDERS:
+        strategy = make_strategy(name, ladder)
+        for expr in SMALL_SCOPE + WRAP_SCOPE:
+            for policy in SCHEDULE_POLICIES:
+                got, expected, steps = _scheduled_and_run(expr, ladder, init, (strategy, strategy), policy)
+                assert got == expected and len(got[1]) == steps, (unparse(expr), policy().name, init)
+
+
+def test_the_tape_scheduler_calls_scale_as_run_does():
+    """A fresh ``_Recording`` per run, whose every third call holds the level, so a call out of order changes the
+    levels too: each path logs the same operators at the same levels, in the same order."""
+    for ladder, init in SCHEDULE_LADDERS:
+        for expr in SMALL_SCOPE + WRAP_SCOPE:
+            for policy in SCHEDULE_POLICIES:
+                strategies = (_Recording(ladder), _Recording(ladder))
+                got, expected, _ = _scheduled_and_run(expr, ladder, init, strategies, policy)
+                assert got == expected and strategies[0].log == strategies[1].log, (unparse(expr), policy().name)
+
+
+def test_the_tape_schedulers_step_limit_is_runs():
+    """A limit one short of a run's steps stops both paths with the same error, and a limit of its steps does not;
+    the default limit is 30 steps per program node, as ``run``'s, with the node count read off the tapes."""
+    strategy = make_strategy("both", LADDER)
+    for expr in SMALL_SCOPE + WRAP_SCOPE + [gen_random_program(seed, 7, 4) for seed in range(50)]:
+        compiled = _compile(expr)
+        assert _tape_nodes(compiled[1]) == node_count(expr), unparse(expr)
+        steps = len(_schedule(*compiled, LADDER, 2, strategy, RoundRobin(), None)[1])
+        assert len(_schedule(*compiled, LADDER, 2, strategy, RoundRobin(), steps)[1]) == steps
+        if steps == 0:
+            continue
+        errors = []
+        for path in (functools.partial(_schedule, *compiled), functools.partial(run, expr)):
+            with pytest.raises(DivergenceError) as caught:
+                path(LADDER, 2, strategy, RoundRobin(), steps - 1)
+            errors.append(str(caught.value))
+        assert errors == [f"exceeded {steps - 1} steps"] * 2, unparse(expr)
+    with mock.patch.object(energy, "_tape_nodes", lambda tapes: 1):  # a limit of 30 steps, which 31 Adds exceed
+        with pytest.raises(DivergenceError, match="^exceeded 30 steps$"):
+            _schedule(*_compile(parse(" + ".join(["1"] * 32))), LADDER, 2, strategy)
+
+
+@pytest.mark.parametrize("text", ["1 + future (2 + 3)", "(future (1 + future 2)) + (future (3 + 4) + 5)",
+                                  "future (future (1 + 2) + future 3) + (4 + future 5)"])
+def test_a_step_limit_one_short_stops_the_traced_and_the_untraced_run_alike(tmp_path, text):
+    """Through ``futsim run --mode semantics`` under each policy: the traced run fires the kernel and the untraced
+    one replays the tapes, and both exit 7 with one ``error:`` line at a limit one short of the run's steps, and
+    both exit 0 at its steps."""
+    path = tmp_path / "p.gf"
+    path.write_text(text)
+    for policy in ("newest-first", "round-robin", "random"):
+        argv = ["run", str(path), "--mode", "semantics", "--policy", policy, "--format", "json"]
+        outputs = []
+        for trace in ([], ["--trace", str(tmp_path / "trace.jsonl")]):
+            out, err = io.StringIO(), io.StringIO()
+            assert main([*argv, *trace], out, err) == 0, err.getvalue()
+            steps = json.loads(out.getvalue())["steps"]
+            out, err = io.StringIO(), io.StringIO()
+            code = main([*argv, *trace, "--step-limit", str(steps - 1)], out, err)
+            outputs.append((steps, code, out.getvalue(), err.getvalue()))
+        assert outputs[0] == outputs[1] == (steps, 7, "", f"error: exceeded {steps - 1} steps\n"), policy
 
 
 ZERO_TIME = [CostModel(create_cycles=5e-324, add_cycles=5e-324, claim_cycles=5e-324, wait_policy=wait, tau=tau)

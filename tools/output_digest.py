@@ -3,8 +3,8 @@
 Runs each command of ``bench/corpus.py`` (all three workloads) for the given
 seeds through ``futsim.cli.main`` in process, imported from ``--src``. Each
 command runs twice, with ``--format json`` and in table form, and both
-forms of a ``run`` write a ``--trace`` file. Each ``run`` also runs once in
-JSON with no ``--trace``, so untraced output is covered too. Each
+forms of a ``run`` write a ``--trace`` file. Each ``run`` also runs once
+more in each form with no ``--trace``, so untraced output is covered too. Each
 ``compare`` command also runs, in both forms, with the cost-model flags of
 ``COST_FLAGS`` appended, since the corpus itself sets none of them. The
 digest covers each invocation's exit code, standard output, standard error
@@ -59,8 +59,9 @@ def invocations(seeds: list[int]):
                 if sub == "compare":
                     forms += [form + COST_FLAGS for form in forms]
                 if sub == "run":
-                    t = args.index("--trace")
-                    forms.append(args[:t] + args[t + 2 :])
+                    for form in list(forms):
+                        t = form.index("--trace")
+                        forms.append(form[:t] + form[t + 2 :])
                 for form in forms:
                     yield name, cmd.program.text, [sub, name] + form
 
