@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import os
 import re
@@ -689,6 +690,10 @@ def _error(err, message, code: int) -> int:
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    # A command's containers are freed by reference counts, so collector
+    # passes inside it find nothing; pause it, and leave the caller's state.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = _dispatch(argv, out, err)
         if out is sys.stdout:
@@ -698,6 +703,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if out is sys.stdout:
             _to_devnull(out)  # the buffered rest would fail again in the final flush
         return _error(err, f"cannot write the output: {exc}", EXIT_CONFIG)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _unrecognized(command: str, words: list[str]) -> str:

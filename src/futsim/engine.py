@@ -469,8 +469,8 @@ _INTERN_SLACK = 1 << 16
 def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int) -> tuple[set[tuple[int, FrequencyLevel]], int]:
     """Breadth-first search over every interleaving from ``config``; a state's key is the root's entry.
 
-    A state is each thread's record, ``{fid: Closure}``, and the next fresh
-    id; the first state holds the configuration's own records, walked once
+    A state is each thread's record, ``{fid: Closure}``, with no fresh id;
+    the first state holds the configuration's own records, walked once
     breadth first from the root, which must reach every closure. A thread's
     entry is (level index, its site's number, *its children's nodes in
     reference order), where ``_SiteIds`` numbers the site, and a non-root
@@ -484,19 +484,22 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     to the root, O(depth of the reference tree), and the successor is built
     only when that key is new.
 
-    Firings are memoised per record: a Create's result depends also on the
-    fresh id, a Claim's on the claimed value. A miss fires a copy of the
-    record through ``_advance``, as ``run`` fires the record itself, and
-    numbers the updated record's site, which costs the cells the rule
-    pushed; no expression is plugged or walked. The updated record's
-    references are its record's, with a Create's child's inserted at the
-    slot its cell counts, or a Claim's producer's removed. The move keeps
-    also the updated record's readiness (it can fire, it realized, or the
-    producer it now claims) and whether a Create's child can fire. Only the
-    fired thread, a Create's child and the fired thread's parent, which may
-    be parked on it, can change readiness, so a successor's enabled set is
-    its state's with at most three O(1) edits: the move says what became of
-    the fired thread and its child, and one site read says whether the
+    Firings are memoised per record, a Claim's also per claimed value. A
+    Create's move keeps its child, named once from a count that starts at
+    the configuration's next fresh id, and every state that fires the record
+    shares it: firing replaces a record, so no record fires twice on one
+    path and no state holds an id twice, and keys blank references, so the
+    id changes no key. A miss fires a copy of the record through
+    ``_advance``, and numbers the updated record's site, which costs the
+    cells the rule pushed; no expression is plugged or walked. The updated
+    record's references are its record's, with a Create's child's inserted
+    at the slot its cell counts, or a Claim's producer's removed. The move
+    keeps also the updated record's readiness (it can fire, it realized, or
+    the producer it now claims) and whether a Create's child can fire. Only
+    the fired thread, a Create's child and the fired thread's parent, which
+    may be parked on it, can change readiness, so a successor's enabled set
+    is its state's with at most three O(1) edits: the move says what became
+    of the fired thread and its child, and one site read says whether the
     producer it claims has realized or whether its parent is parked on it.
     An edge to a state already seen costs its key only; a new state costs
     copies of its state's maps and those edits, and shares its state's
@@ -541,15 +544,15 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
     # it can fire, False if it realized, else the producer it now claims,
     # and whether the child can fire).
     moves: dict = {}
-    count = 1
+    count, fresh = 1, config.next_fresh  # fresh: the id of the next child a move names
     kept = len(ids)
-    frontier = [(threads, config.next_fresh, entries, up, set(enabled_threads(config)))]
+    frontier = [(threads, entries, up, set(enabled_threads(config)))]
     outcomes: set[tuple[int, FrequencyLevel]] = set()
     while frontier:
         next_frontier: list = []
         seen: set[tuple] = set()  # the next level's keys
         intern = ids.setdefault
-        for threads, fresh, entries, up, enabled in frontier:
+        for threads, entries, up, enabled in frontier:
             if not enabled:
                 site = threads[root].site
                 if len(threads) != 1 or not isinstance(site, NoRedex):
@@ -559,14 +562,10 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
             for thread in enabled:
                 thr = threads[thread]
                 site = thr.site
-                claimed = None
-                if site.__class__ is CreateRedex:
-                    key: object = (id(thr), fresh)
-                elif site.__class__ is ClaimSite:
+                claimed, key = None, id(thr)
+                if site.__class__ is ClaimSite:
                     claimed = threads[site.target].site.value
-                    key = (id(thr), claimed.value)
-                else:
-                    key = id(thr)
+                    key = (key, claimed.value)
                 move = moves.get(key)
                 if move is None:
                     updated = Closure(thr.freq, site, thread)
@@ -577,6 +576,7 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                         at = sites.refs[sites.cell(site.context)]  # the references left of the hole
                         slot = 2 + at
                         refs = (*refs[:at], fresh, *refs[at:])
+                        fresh += 1
                         # A future's body is program text, so the child references nothing.
                         child_entry = (child.freq.index, sites.site(child.site))
                         refs_of[id(child)] = ()
@@ -617,8 +617,8 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                 if slot is not None:  # a Create or a Claim moves the references after its slot
                     next_up = up.copy()
                     if child is not None:
-                        next_threads[fresh] = child
-                        next_entries[fresh] = child_entry
+                        next_threads[child.realizes] = child
+                        next_entries[child.realizes] = child_entry
                     else:
                         del next_threads[site.target], next_entries[site.target], next_up[site.target]
                     for at, ref in enumerate(refs, 2):
@@ -627,7 +627,7 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                 if ready is not True or child_ready:
                     next_enabled = enabled.copy()
                     if child_ready:
-                        next_enabled.add(fresh)
+                        next_enabled.add(child.realizes)
                     if ready is False:  # realized: release the parent if it is parked on this thread
                         next_enabled.discard(thread)
                         if thread != root:
@@ -637,14 +637,14 @@ def _explore(config: Configuration, strategy: ScalingStrategy, state_limit: int)
                                 next_enabled.add(parent)
                     elif ready is not True and next_threads[ready].site.__class__ is not NoRedex:
                         next_enabled.discard(thread)  # it claims a producer that is still running
-                next_frontier.append((next_threads, fresh + (child is not None), next_entries, next_up, next_enabled))
+                next_frontier.append((next_threads, next_entries, next_up, next_enabled))
         frontier = next_frontier
         if len(ids) > kept + _INTERN_SLACK:
             # Keys are compared within a level only, so an entry no frontier
             # state holds may be dropped: if it recurs, it gets a new node. A
             # state holds every thread's entry, so a held entry's children
             # stay. The root's entry is a state key and was never interned.
-            held = {entry: ids[entry] for _, _, entries, _, _ in frontier
+            held = {entry: ids[entry] for _, entries, _, _ in frontier
                     for fid, entry in entries.items() if fid != root}
             base += len(ids) - len(held)
             ids, kept = held, len(held)

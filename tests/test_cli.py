@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib.util
 import io
 import json
@@ -15,7 +16,7 @@ import futsim.calculus as calculus
 import futsim.cli as cli
 import futsim.energy as energy
 import futsim.engine as engine
-from futsim.calculus import Add, IntLit
+from futsim.calculus import Add, FutureCreate, IntLit, subterms
 from futsim.cli import main
 from futsim.energy import CASE_I, CASE_II, SEG_COMPUTE, CostModel, reprice, simulate
 from futsim.parser import parse
@@ -367,6 +368,73 @@ def test_untraced_semantics_runs_take_deep_programs_and_print_the_traced_runs_ou
     assert invoke(argv) == (0, f"final value    {report['final_value']}\nsteps          {report['steps']}\n"
                                f"final level    {level}\nclamp events   {report['clamp_events']}\n"
                                f"rules          {' '.join(report['rules'])}\n", "")
+
+
+@pytest.mark.parametrize("name", ["none", "both", "parent-only", "child-only"])
+def test_explore_fires_each_rule_of_a_program_once(monkeypatch, name):
+    """On every program of the benchmark's explore workload (seed 1), explore fires the rule kernel once per rule a
+    run of the program fires, ``adds + 2 × creates``: a record's firing is memoised with its child's id, so a record
+    that many interleavings reach fires once, and so do its child's records."""
+    counts = _counting_kernel(monkeypatch)
+    programs = _bench_corpus().explore_small_corpus(1)
+    assert len(programs) == 55
+    strategy = make_strategy(name, DEFAULT_LADDER)
+    for program in programs:
+        expr = parse(program.text)
+        kinds = Counter(e.__class__ for e in subterms(expr))
+        counts.clear()
+        engine.explore_with_stats(expr, DEFAULT_LADDER, DEFAULT_INIT_INDEX, strategy)
+        assert counts["_advance"] == kinds[Add] + 2 * kinds[FutureCreate], program.name
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("code", [0, 2, 3, 5, 6, 7])
+def test_main_pauses_the_collector_and_leaves_it_as_it_found_it(golden_file, tmp_path, monkeypatch, code, enabled):
+    argv = {0: ["run", golden_file], 2: ["run", str(tmp_path / "missing.gf")], 3: ["run", golden_file, "--init", "9"],
+            5: ["explore", golden_file], 6: ["explore", golden_file, "--state-limit", "2"],
+            7: ["run", golden_file, "--mode", "semantics", "--step-limit", "2"]}[code]
+    if code == 5:  # no program has two outcomes
+        level = DEFAULT_LADDER.level(1)
+        monkeypatch.setattr(cli, "explore_with_stats", lambda *a, **k: ({(1, level), (2, level)}, 10))
+    during = []
+    dispatch = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: during.append(gc.isenabled()) or dispatch(*args))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert invoke(argv)[0] == code
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (during, after) == ([False], enabled)
+
+
+def _unreachable_after(argv):
+    """The exit code of ``argv`` run with the collector off, and the unreachable objects it left behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = invoke(argv)[0]
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("form", [["--format", "json"], []], ids=["json", "table"])
+@pytest.mark.parametrize("command", [["run", "--trace"], ["run", "--mode", "semantics"], ["explore"]],
+                         ids=["traced-run", "semantics-run", "explore"])
+def test_commands_leave_no_cycles_that_grow_with_the_program(tmp_path, command, form):
+    """``main`` runs with the collector paused, so only reference counts free what a command builds: a command on a
+    program twice as large leaves as many unreachable objects (the JSON encoder leaves a fixed few), and a cyclic
+    structure per term, thread or state would fail here before it could grow memory while the collector is off."""
+    left = []
+    for n in (10, 50, 100):  # the first run warms the caches a command fills once per process
+        path = tmp_path / f"nest{n}.gf"
+        path.write_text("future (1 + " * n + " + ".join(["1"] * n) + ")" * n)
+        argv = [command[0], str(path), *form, *command[1:]]
+        if command[-1] == "--trace":
+            argv.append(str(tmp_path / "trace.jsonl"))
+        left.append(_unreachable_after(argv))
+    assert left[1] == left[2] and left[1][0] == 0
 
 
 @pytest.mark.parametrize("text", ["future " * 4096 + "1", " + ".join(["1"] * 6400)], ids=["future-tower", "chain"])

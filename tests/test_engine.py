@@ -530,6 +530,10 @@ def test_explore_state_counts_pinned(text, states):
         pytest.param("future (1 + " * 50 + "1" + ")" * 50, 151, id="nest-50"),
         pytest.param(" + ".join(["1"] * 200), 200, id="chain-200"),
         pytest.param(" + ".join(f"(future ({i}+{i}+{i}+{i}))" for i in range(4)), 447, id="par-4"),
+        # A sweep that numbered new entries from a stale base would give a new
+        # entry the node a held entry keeps, and two states here would meet.
+        pytest.param("future ((future ((((1) + (2)) + (future (1))) + (future (1))))"
+                     " + (future (future ((2) + (1)))))", 49, id="stale-base"),
     ],
 )
 def test_explore_state_counts_hold_when_every_level_sweeps(text, states):

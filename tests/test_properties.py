@@ -7,8 +7,9 @@ compositional oracle on steps that take no time, a pinned hash of the
 scaling calls a stateful strategy sees, the tape scheduler against run, trace
 snippets against the whole rendered expression, explore's structural state
 keys against the renaming key they replaced, and explore's Merkle keys
-against the flat-key search they replaced, on samples and on every program of
-at most 8 nodes over the literals 0 and 1; and every path's value against the
+against the flat-key search they replaced, on samples, on programs whose
+children create grandchildren and on every program of at most 8 nodes over
+the literals 0 and 1; and every path's value against the
 sequential oracle on every program of at most 6 nodes over the 64-bit extremes,
 whose sums wrap."""
 
@@ -774,6 +775,48 @@ def test_merkle_explore_agrees_with_the_flat_key_explore(seed, name):
         _explore_and_oracle(expr, name, LADDER, 2, count - 1)
     with mock.patch.object(engine, "_INTERN_SLACK", 0):  # drop unheld key entries after every level
         assert _explore_and_oracle(expr, name, LADDER, 2)[0] == found
+
+
+def _future_nesting(expr):
+    """How deep futures nest in ``expr``: 2 or more where a child creates a grandchild."""
+    deepest, todo = 0, [(expr, 0)]
+    while todo:
+        e, depth = todo.pop()
+        if e.__class__ is FutureCreate:
+            depth += 1
+            todo.append((e.body, depth))
+        elif e.__class__ is Add:
+            todo += [(e.left, depth), (e.right, depth)]
+        deepest = max(deepest, depth)
+    return deepest
+
+
+_PAR_3 = " + ".join(f"(future ({i}+{i}+{i}))" for i in range(3))
+
+
+# Programs whose children create grandchildren, where explore's child ids,
+# one per Create record in the order the search first fires them, differ
+# from the order of creation along a path. Counts and outcomes (value, level
+# index) under ``both`` are the ones a search that named each child by its
+# path's next fresh id found.
+@pytest.mark.parametrize(
+    "expr, states, value, level",
+    [
+        pytest.param(parse("1 + future (" * 10 + _PAR_3 + ")" * 10), 87, 19, 2, id="nest-10-of-par-3"),
+        *(pytest.param(parse(" + ".join("(" + "future (1 + " * depth + str(i) + ")" * depth + ")" for i in range(3))),
+                       states, value, 4, id=f"par-3-of-nest-{depth}")
+          for depth, states, value in ((3, 667, 12), (4, 1609, 15))),
+        *(pytest.param(gen_random_program(seed, 6, 3), states, value, level, id=f"draw-{seed}")
+          for seed, states, value, level in ((0, 61, -7, 3), (3, 276, -8, 4), (4, 36, -33, 3), (5, 15, 10, 2),
+                                             (9, 50, 3, 3), (11, 200, -7, 4), (12, 54, 1, 4), (13, 377, -7, 4))),
+    ],
+)
+def test_explore_of_programs_whose_children_create_grandchildren_is_the_flat_key_explores(expr, states, value, level):
+    assert _future_nesting(expr) >= 2
+    found, flat = _explore_and_oracle(expr, "both", LADDER, 2)
+    assert found == flat == ({(value, LADDER.level(level))}, states)
+    with mock.patch.object(engine, "_INTERN_SLACK", 0):  # drop unheld key entries after every level
+        assert _explore(initial_configuration(expr, LADDER.level(2)), make_strategy("both", LADDER), states) == found
 
 
 def _programs_by_size(largest, literals):
