@@ -52,6 +52,19 @@ class FutureRef:
 
 Expression = Union[IntLit, Add, FutureCreate, FutureRef]
 
+# Hot builds skip the Python-level constructors: a frozen dataclass's
+# ``__init__`` runs one ``object.__setattr__`` per field in Python, and a
+# named tuple's ``__new__`` binds its arguments in Python before it calls
+# ``tuple.__new__``. ``object.__new__`` and the slot descriptors' ``__set__``
+# build the same node, and ``tuple.__new__`` of a class and a tuple of all its
+# fields the same tuple, with no Python frame.
+_new_object = object.__new__
+_set_left = Add.left.__set__
+_set_right = Add.right.__set__
+_set_value = IntLit.value.__set__
+_set_body = FutureCreate.body.__set__
+_new_tuple = tuple.__new__
+
 
 def subterms(expr: Expression) -> Iterator[Expression]:
     """Every subterm of expr, expr first, in left-to-right pre-order.
@@ -282,7 +295,8 @@ def _search(context: Context, focus: Expression, claims: bool, climbing: bool) -
     site holds the innermost cell; no frame is built. So a step does
     O(1) context work outside the subtree it descends into, and every cell
     keeps the outer cells it was built on; the trace writer memoises its
-    text per cell on that.
+    text per cell on that. Sites and the sums a climb rebuilds are built
+    with no Python-level constructor (see ``_new_object``).
     """
     while True:
         while climbing and context.depth:
@@ -293,25 +307,26 @@ def _search(context: Context, focus: Expression, claims: bool, climbing: bool) -
                 left, right = context.operand, focus
             context = context.outer
             if left.__class__ is IntLit and right.__class__ is IntLit:
-                if claims:
-                    return _ClaimPhaseArithRedex(context, left.value, right.value)
-                return ArithRedex(context, left.value, right.value)
+                return _new_tuple(_ClaimPhaseArithRedex if claims else ArithRedex,
+                                  (context, left.value, right.value))
             if hole_left and right.__class__ is not IntLit:
                 context = _HoleRightCell(left, context)
                 focus, climbing = right, False
             else:
-                focus = Add(left, right)
+                focus = _new_object(Add)
+                _set_left(focus, left)
+                _set_right(focus, right)
         if climbing:  # at the root: ``focus`` is the whole expression
             if claims:
-                return NoRedex(focus)
+                return _new_tuple(NoRedex, (focus,))
             claims = True
         while focus.__class__ is Add:
             context = _HoleLeftCell(focus.right, context)
             focus = focus.left
         if focus.__class__ is FutureCreate:
-            return CreateRedex(context, focus.body)
+            return _new_tuple(CreateRedex, (context, focus.body))
         if claims and focus.__class__ is FutureRef:
-            return ClaimSite(context, focus.fid)
+            return _new_tuple(ClaimSite, (context, focus.fid))
         climbing = True
 
 

@@ -353,9 +353,58 @@ def _trace_record(seq: int, t: float, thread: int, kind: str, rule: str | None, 
     return _trace_lines()(seq, t, thread, kind, rule, level, dur, energy, expr)
 
 
+def _json_text(obj, newline: str) -> str:
+    """The text ``_json_dump`` gives for ``obj``, whose own line starts with ``newline``'s indent.
+
+    ``newline`` is a line break followed by that indent. It takes exactly
+    the classes a report holds: dicts with str keys, lists, tuples, str,
+    int, finite float, bool and None. Anything else raises TypeError or
+    ValueError, and so does a list whose first item is a str but some other
+    item is not.
+    """
+    cls = obj.__class__
+    if cls is str:
+        return _quote(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is float:
+        if not isfinite(obj):
+            raise ValueError(obj)
+        return float.__repr__(obj)
+    if cls is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_quote(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = map(_quote, obj) if obj[0].__class__ is str else [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"{cls.__name__} is left to json.dumps")
+
+
 def _json_dump(obj) -> str:
-    # Infinity and NaN are not JSON; a model whose numbers overflow is reported
-    # as an error instead.
+    """A report as ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` writes it.
+
+    ``_json_text`` writes what a report holds; ``json.dumps`` writes
+    anything else, or says why it cannot. With ``indent``, ``json.dumps``
+    runs a pure-Python encoder whose nested closures leave a reference
+    cycle per call. Infinity and NaN are not JSON: a model whose numbers
+    overflow is reported as an error instead.
+    """
+    try:
+        return _json_text(obj, "\n")
+    except (TypeError, ValueError, RecursionError):
+        pass
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:

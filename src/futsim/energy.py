@@ -34,7 +34,19 @@ from heapq import heappop, heappush, heappushpop
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .calculus import Add, Context, Expression, FutureCreate, FutureId, IntLit, RedexSite, decompose, plug, wrap_int
+from .calculus import (
+    Add,
+    Context,
+    Expression,
+    FutureCreate,
+    FutureId,
+    IntLit,
+    RedexSite,
+    _new_tuple,
+    decompose,
+    plug,
+    wrap_int,
+)
 from .engine import (
     RULE_ADD,
     RULE_CLAIM,
@@ -242,9 +254,6 @@ def simulate(
 
 
 _ADD_STEP = (RULE_ADD, None)
-# Builds a named tuple from a tuple of all its fields: its class's own
-# ``__new__`` binds its arguments in Python first, at twice the cost.
-_new_tuple = tuple.__new__
 
 
 def _compile(expr: Expression) -> tuple[int, dict[FutureId, list[tuple[str, FutureId | None]]]]:

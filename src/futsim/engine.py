@@ -25,7 +25,9 @@ from .calculus import (
     _HoleRightCell,
     _INT_MAX,
     _INT_MIN,
+    _new_object,
     _refocus,
+    _set_value,
     contains_future_ref,
     decompose,
     initial_configuration,
@@ -158,7 +160,8 @@ def _fill(site: RedexSite, thread: FutureId, fresh: FutureId | None,
         total = site.left + site.right
         if not _INT_MIN <= total <= _INT_MAX:  # wrap only on overflow: in range, wrapping gives the sum
             total = wrap_int(total)
-        filler: Expression = IntLit(total)
+        filler: Expression = _new_object(IntLit)  # ``IntLit(total)`` with no Python frame
+        _set_value(filler, total)
     elif isinstance(site, CreateRedex):
         filler = FutureRef(fresh)
     elif isinstance(site, ClaimSite):

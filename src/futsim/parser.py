@@ -11,7 +11,18 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .calculus import Add, Expression, FutureCreate, FutureRef, IntLit, wrap_int
+from .calculus import (
+    Add,
+    Expression,
+    FutureCreate,
+    FutureRef,
+    IntLit,
+    _new_object,
+    _set_body,
+    _set_left,
+    _set_right,
+    wrap_int,
+)
 
 
 class ParseError(Exception):
@@ -31,6 +42,27 @@ class ParseError(Exception):
 # stray character or an unknown word.
 _LEX = re.compile(r"""\s*(?:\#.*\n\s*)*([0-9]+|[-+()]|future\b|(?:\#.*)?\Z|\w+|.)""")
 _FIXED = frozenset(("future", "+", "-", "(", ")"))  # texts that are their own kind
+
+
+def _tokens(source: str) -> list[str]:
+    """The token texts of ``source``: ``_LEX.findall(source)``, read by splitting when that gives the same list.
+
+    Spacing out ``+ - ( )`` and splitting on whitespace gives ``_LEX``'s
+    tokens whenever each piece is an ASCII digit run or one of ``_FIXED``:
+    ``str.split`` and the regex whitespace class split on the same
+    characters, and no such piece can lex as two tokens. The end of input is
+    then the empty text, twice after trailing blanks, as ``_LEX`` matches
+    it. Any other source is lexed by ``_LEX``, which stays the definition of
+    a token: a comment's ``#`` fails the piece test, and so does every error.
+    """
+    texts = source.replace("(", " ( ").replace(")", " ) ").replace("+", " + ").replace("-", " - ").split()
+    for text in set(texts):
+        if text not in _FIXED and not (text.isdigit() and text.isascii()):
+            return _LEX.findall(source)
+    texts.append("")
+    if source[-1:].isspace():  # ``_LEX`` ends blanks at the end with one more empty match
+        texts.append("")
+    return texts
 
 
 def _error(source: str, texts: list[str], index: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
@@ -67,9 +99,10 @@ def parse(source: str) -> Expression:
     the open ``future`` and ``(`` frames, so nesting depth costs no recursion.
     Each frame holds the sum to its left. A ``future`` closes at the first
     token that does not continue its sum, and a ``(`` closes at its ``)``.
-    Equal literal texts share one leaf.
+    Equal literal texts share one leaf, and each sum and future is built
+    with no Python-level constructor (see ``calculus._new_object``).
     """
-    texts = _LEX.findall(source)
+    texts = _tokens(source)
     leaves: dict[str, IntLit] = {}  # signed literal text -> its leaf
     frames: list[tuple[str, Expression | None]] = []
     left: Expression | None = None  # the sum so far in the innermost open frame
@@ -106,7 +139,13 @@ def parse(source: str) -> Expression:
         # Add the operand to the open sum, then close every frame that the
         # next token ends, until a '+' asks for another operand.
         while True:
-            left = operand if left is None else Add(left, operand)
+            if left is None:
+                left = operand
+            else:
+                node = _new_object(Add)
+                _set_left(node, left)
+                _set_right(node, operand)
+                left = node
             text = texts[pos]
             if text == "+":
                 pos += 1
@@ -117,7 +156,8 @@ def parse(source: str) -> Expression:
                 return left
             kind, outer = frames.pop()
             if kind == "future":
-                operand = FutureCreate(left)
+                operand = _new_object(FutureCreate)
+                _set_body(operand, left)
             elif text == ")":
                 operand = left
                 pos += 1

@@ -11,6 +11,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import futsim.calculus as calculus
 import futsim.cli as cli
@@ -23,9 +25,11 @@ from futsim.parser import parse
 from futsim.scaling import (
     DEFAULT_INIT_INDEX,
     DEFAULT_LADDER,
+    STRATEGY_FACTORIES,
     FrequencyLadder,
     ScalingStrategy,
     make_strategy,
+    register_strategy,
     strategy_both,
 )
 
@@ -784,3 +788,76 @@ def test_consecutive_main_calls_print_what_fresh_processes_print(sum_file, monke
         fresh = subprocess.run([sys.executable, "-m", "futsim.cli", *argv], capture_output=True, text=True, env=env,
                                timeout=120)
         assert invoke(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+# Report-shaped values: the numbers at the edges of float and int64 printing,
+# strings with non-ASCII and control characters, and nested containers,
+# empty ones among them.
+EDGE_NUMBERS = (-0.0, 0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7, 2**63, -2**63, 2**63 - 1, -(2**63 - 1))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(EDGE_NUMBERS), st.text(), st.sampled_from(("é", "\x00\x1f\x7f", "\u2028", "\ud800")))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner), st.lists(st.text(), max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[{}]], "d": ()})
+@example(["add", 1])
+@example({"1": -0.0, "10": 5e-324, "2": [2**63, -(2**63), 2**63 - 1]})
+def test_the_json_encoder_writes_what_json_dumps_writes(value):
+    assert cli._json_dump(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize("value", [float("inf"), [1.0, float("nan")], {"edp": -float("inf")}, {1: 2.0}, {"a": {1, 2}}],
+                         ids=["inf", "nan-in-list", "-inf-in-dict", "int-key", "set"])
+def test_the_json_encoder_leaves_what_it_does_not_write_to_json_dumps(value):
+    """A non-finite number keeps its ``OutputError`` text, and an int key or a set is written or refused as
+    ``json.dumps`` writes or refuses it."""
+    try:
+        want = _reference_json(value)
+    except ValueError as exc:
+        with pytest.raises(cli.OutputError) as excinfo:
+            cli._json_dump(value)
+        assert str(excinfo.value) == f"{cli._NOT_FINITE}: {exc}"
+        return
+    except TypeError as exc:
+        with pytest.raises(TypeError) as excinfo:
+            cli._json_dump(value)
+        assert str(excinfo.value) == str(exc)
+        return
+    assert cli._json_dump(value) == want
+
+
+def test_a_strategy_named_in_non_ascii_prints_the_json_json_dumps_prints(small_file):
+    register_strategy("größer", strategy_both)
+    try:
+        for argv in (["run", small_file, "--strategy", "größer"], ["run", small_file, "--strategy", "größer", "--mode",
+                     "semantics"], ["compare", small_file, "--strategies", "none,größer"],
+                     ["explore", small_file, "--strategy", "größer"]):
+            code, out, err = invoke(argv + ["--format", "json"])
+            assert code == 0, err
+            assert out == _reference_json(json.loads(out)) + "\n" and "gr\\u00f6\\u00dfer" in out
+    finally:
+        del STRATEGY_FACTORIES["größer"]
+
+
+@pytest.mark.parametrize("argv", [["run", "--trace"], ["run"], ["run", "--mode", "semantics"],
+                                  ["compare", "--strategies", "none,both,parent-only,child-only"], ["explore"]],
+                         ids=["traced-run", "run", "semantics-run", "compare", "explore"])
+def test_json_commands_leave_no_cycles(small_file, tmp_path, argv):
+    """The JSON encoder builds no closures, so a JSON command leaves nothing for the collector (``json.dumps`` with
+    ``indent`` leaves a 33-object cycle per call)."""
+    argv = [argv[0], small_file, "--format", "json", *argv[1:]]
+    if argv[-1] == "--trace":
+        argv.append(str(tmp_path / "trace.jsonl"))
+    _unreachable_after(argv)  # the first run warms the caches a command fills once per process
+    assert _unreachable_after(argv) == (0, 0)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 from itertools import zip_longest
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import futsim.parser as parser
 
 from futsim.calculus import (
     Add,
@@ -17,6 +22,7 @@ from futsim.calculus import (
 )
 from futsim.parser import ParseError, parse, unparse
 from oracles import gen_random_program, unparse_in_context
+from test_cli import _bench_corpus
 
 
 def test_plus_left_associative():
@@ -295,3 +301,54 @@ def test_parse_inverts_unparse_on_deep_terms(shape):
         else:  # future (0 + future (1 + ... future (n-1 + n)))
             expr = FutureCreate(Add(IntLit(k), expr))
     assert _same_tree(parse(unparse(expr)), expr)
+
+
+# Pieces from the seam between the split lexer and ``_LEX``: ASCII digits and
+# the fixed tokens, which the split takes; digits that are not ASCII ("１" is
+# a decimal, "²" and "٣" digits), word characters, "#", NUL and "." which it
+# leaves to ``_LEX``; and whitespace, ASCII and not, that both split on.
+SEAM = ("0", "1", "7", "１", "²", "٣", "a", "é", "_", "future", "+", "-", "(", ")",
+        " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2009", "\u3000", "#", "\x00", ".")
+seam_sources = st.lists(st.sampled_from(SEAM), max_size=24).map("".join)
+SEAM_EXAMPLES = ("12future", "future1", "future(1)", "1\xa0+\u30002", "1 + １", "1１", "", "1 # c", "#c\n1")
+
+
+def _outcome(source):
+    """The tree ``parse`` gives, or its error's fields."""
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return (exc.line, exc.col, exc.message, exc.expected)
+
+
+def _with_examples(test):
+    for source in SEAM_EXAMPLES:
+        test = example(source)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(seam_sources)
+@_with_examples
+def test_the_split_lexer_gives_the_regex_tokens(source):
+    assert parser._tokens(source) == parser._LEX.findall(source)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(seam_sources)
+@_with_examples
+def test_parse_is_the_parse_of_the_regex_tokens(source):
+    with mock.patch.object(parser, "_tokens", parser._LEX.findall):
+        want = _outcome(source)
+    assert _outcome(source) == want
+
+
+def test_the_bench_corpora_are_lexed_by_splitting_and_comments_by_the_regex(monkeypatch):
+    corpus = _bench_corpus()
+    texts = {cmd.program.text for workload in corpus.WORKLOADS for cmd in corpus.commands(workload, 1)}
+    lexer = mock.Mock(wraps=parser._LEX)
+    monkeypatch.setattr(parser, "_LEX", lexer)
+    for text in texts:
+        parse(text)
+    assert lexer.findall.call_count == 0
+    assert parse("1 + # c\n2") == Add(IntLit(1), IntLit(2)) and lexer.findall.call_count == 1

@@ -12,53 +12,32 @@ ladder and starting level, as ``futsim explore`` calls it:
 
 Then it prints one SHA-256 over every program's (states, sorted outcomes), so
 two trees timed one after the other can be checked for the same results.
+``--against OTHER`` times ``--src`` and ``OTHER`` in alternating fresh
+interpreters and prints each row's median per tree and the rounds each
+won (see ``tools/timing.py``).
 
     python3 tools/explore_times.py --src src --seed 1 --repeat 3
+    python3 tools/explore_times.py --src src --against ../parent/src --rounds 10
 
 Standard library only; ``bench/corpus.py`` is imported and not changed.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
-import time
 from pathlib import Path
+
+import timing
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def import_futsim(src: Path):
-    sys.path.insert(0, str(src))
-    import futsim.engine as engine
-
-    if Path(engine.__file__).resolve().parent.parent != src:
-        raise ImportError(f"futsim imported from {engine.__file__}, not from {src}")
-    return engine
-
-
-def best(repeat: int, work) -> tuple[float, list]:
-    """The least process time of ``repeat`` calls of ``work``, in seconds, and the first call's result."""
-    times, first = [], None
-    for _ in range(repeat):
-        start = time.process_time()
-        result = work()
-        times.append(time.process_time() - start)
-        if first is None:
-            first = result
-    return min(times), first
-
-
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, required=True, help="directory that holds the futsim package")
-    ap.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
-    ap.add_argument("--repeat", type=int, default=3, help="rounds per row; the least is printed (default 3)")
-    args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-    engine = import_futsim(args.src.resolve())
+    args = timing.arguments(__doc__.splitlines()[0], repeat=3)
+    if args.against:
+        return timing.against(__file__, args)
+    engine = timing.import_futsim(args.src, "engine")
     from futsim.parser import parse
     from futsim.scaling import DEFAULT_INIT_INDEX, DEFAULT_LADDER, make_strategy
 
@@ -85,7 +64,7 @@ def main() -> int:
     digest = hashlib.sha256()
     hashed = small_s = 0
     for row, (label, exprs) in enumerate(sets.items()):
-        seconds, results = best(args.repeat, lambda: explore(exprs))
+        seconds, results = timing.best(args.repeat, lambda: explore(exprs))
         print(f"{label:<16} {seconds * 1e3:10.2f} ms  states {sum(states for _, states in results)}")
         for outcomes, states in results:
             digest.update(repr((states, sorted((value, level.index) for value, level in outcomes))).encode())

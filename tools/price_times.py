@@ -18,40 +18,22 @@ hole enters the hash as its context's depth and its atom, since the
 
     python3 tools/price_times.py --src src --seed 1 --repeat 7
 
+``--against OTHER`` times two trees in alternating fresh interpreters (see
+``tools/timing.py``).
+
 Standard library only; ``bench/corpus.py`` is imported and not changed.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
-import time
 from pathlib import Path
+
+import timing
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WAITS = ("spin", "block")
-
-
-def import_futsim(src: Path):
-    sys.path.insert(0, str(src))
-    import futsim.energy as energy
-
-    if Path(energy.__file__).resolve().parent.parent != src:
-        raise ImportError(f"futsim imported from {energy.__file__}, not from {src}")
-    return energy
-
-
-def best(repeat: int, work) -> tuple[float, list]:
-    """The least process time of ``repeat`` calls of ``work``, in seconds, and the first call's result."""
-    times, first = [], None
-    for _ in range(repeat):
-        start = time.process_time()
-        result = work()
-        times.append(time.process_time() - start)
-        if first is None:
-            first = result
-    return min(times), first
 
 
 def hashed(report) -> str:
@@ -67,14 +49,10 @@ def hashed(report) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, required=True, help="directory that holds the futsim package")
-    ap.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
-    ap.add_argument("--repeat", type=int, default=7, help="rounds per layer; the least is printed (default 7)")
-    args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-    energy = import_futsim(args.src.resolve())
+    args = timing.arguments(__doc__.splitlines()[0], repeat=7)
+    if args.against:
+        return timing.against(__file__, args)
+    energy = timing.import_futsim(args.src, "energy")
     from futsim.parser import parse
     from futsim.scaling import DEFAULT_INIT_INDEX, DEFAULT_LADDER, make_strategy
 
@@ -92,13 +70,13 @@ def main() -> int:
                 for (value, tapes), (_, model) in zip(compiled, commands) for name in corpus.STRATEGIES]
 
     rows = []
-    compile_s, compiled = best(args.repeat, lambda: [energy._compile(expr) for expr, _ in commands])
+    compile_s, compiled = timing.best(args.repeat, lambda: [energy._compile(expr) for expr, _ in commands])
     rows.append((f"_compile x{len(commands)}", compile_s, []))
-    rows.append((f"_price x{len(commands) * len(corpus.STRATEGIES)}", *best(args.repeat, lambda: price(compiled))))
+    rows.append((f"_price x{len(commands) * len(corpus.STRATEGIES)}", *timing.best(args.repeat, lambda: price(compiled))))
     for name, expr in deep.items():
         for fn in (energy.reprice, energy.simulate):
             rows.append((f"{fn.__name__} {name}",
-                         *best(args.repeat, lambda: [fn(expr, ladder, init, make_strategy("both", ladder))])))
+                         *timing.best(args.repeat, lambda: [fn(expr, ladder, init, make_strategy("both", ladder))])))
     digest = hashlib.sha256()
     for label, seconds, reports in rows:
         print(f"{label:<26} {seconds * 1e3:9.2f} ms")
