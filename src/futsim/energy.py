@@ -15,8 +15,10 @@ order is fully determined by virtual time, ties broken by thread id.
 event is what a caller waits for. It reads its cost model once per run,
 hands each visit's thread back to the heap and takes the next event in
 one ``heappushpop``, and builds its records without a named tuple's
-Python ``__new__``; ``scale`` is called exactly as often, and in the same
-order, as the rules say.
+Python ``__new__``. A run tables what a Create or a Claim does at each
+level, so a strategy that keeps ``ScalingStrategy.scale`` is asked once
+per (rule, level) per run; an override may keep state, so it is called
+on every Create and Claim, in the kernel's order.
 
 ``compare`` and ``reprice`` price compiled tapes and fire no kernel, and
 ``_schedule`` replays them under a semantics-mode scheduler, as an untraced
@@ -311,14 +313,15 @@ def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLa
 
     Each step checks the limit, asks the policy's session to pick from the
     enabled threads, and advances the picked thread one tape entry; a
-    Create or a Claim sets levels by ``_levels``, as ``_advance`` does, so
-    ``scale`` is called as ``run`` calls it. A Create's child gets the next
-    fresh id, as in ``run``. A thread whose next entry claims a producer
-    that has not realized parks on it; a thread at the end of its tape has
-    realized and releases the claimant parked on it, and a child whose tape
-    is empty realizes at birth. No tape starts with a Claim, since a
-    thread's Claims follow its Creates. The default limit is ``run``'s, 30
-    steps per program node.
+    Create or a Claim sets levels by ``_levels``, as ``_advance`` does,
+    whose answer a run keeps per (rule, level index) unless ``scale`` is
+    overridden, and an override is called as ``run`` calls it. A Create's
+    child gets the next fresh id, as in ``run``. A thread whose next entry
+    claims a producer that has not realized parks on it; a thread at the
+    end of its tape has realized and releases the claimant parked on it,
+    and a child whose tape is empty realizes at birth. No tape starts with
+    a Claim, since a thread's Claims follow its Creates. The default limit
+    is ``run``'s, 30 steps per program node.
     """
     if step_limit is None:
         step_limit = 30 * _tape_nodes(tapes)
@@ -332,6 +335,8 @@ def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLa
     parked: dict[FutureId, FutureId] = {}  # producer -> the claimant waiting on it
     rules: list[str] = []
     clamps = 0
+    keep = strategy.__class__.scale is ScalingStrategy.scale  # then ``scale`` answers by (operator, level) alone
+    table = {RULE_CREATE: {}, RULE_CLAIM: {}}  # rule -> level index -> ``_levels``'s answer
     while enabled:
         if len(rules) >= step_limit:
             raise DivergenceError(f"exceeded {step_limit} steps")
@@ -344,7 +349,13 @@ def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLa
         rule, other = tape[i]
         rules.append(rule)
         if rule != RULE_ADD:
-            scaled, n = _levels(rule, levels[thread], strategy)
+            level, row = levels[thread], table[rule]
+            entry = row.get(level.index)
+            if entry is None:  # the rule's first visit at this level, or every visit under an overridden ``scale``
+                entry = _levels(rule, level, strategy)
+                if keep:
+                    row[level.index] = entry
+            scaled, n = entry
             clamps += n
             levels[thread] = scaled[-1]
             if rule == RULE_CREATE:
@@ -393,9 +404,11 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     """Price each thread's rule tape on a (time, thread) heap: ``simulate``'s report, bit for bit.
 
     A Create names its child with the heap's next id, the id ``simulate``
-    gives it, and levels come from ``_levels`` in the kernel's order. An Add
-    changes no level, so a heap visit also runs the Adds after its rule at
-    one looked-up price: only Creates, Claims and realizes pop the heap.
+    gives it, and levels come from ``_levels`` in the kernel's order, kept
+    with the step's price per (rule, level index) unless ``scale`` is
+    overridden. An Add changes no level, so a heap visit also runs the Adds
+    after its rule at one looked-up price: only Creates, Claims and
+    realizes pop the heap.
     The event being run is held outside the heap, the root's start first,
     and the visit ends with one ``heappushpop`` that gives back the thread's
     next event unless an earlier one waits. A realize hands its parked
@@ -426,6 +439,8 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     # rule -> frequency -> (duration, energy): two lookups, and no key tuple to build
     prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
     add_prices = prices[RULE_ADD]
+    keep = strategy.__class__.scale is ScalingStrategy.scale  # then ``scale`` answers by (operator, level) alone
+    table = {RULE_CREATE: {}, RULE_CLAIM: {}}  # rule -> level index -> (duration, energy, levels set, clamps)
     clamp_count = transition_count = 0
 
     now, fid = 0.0, 0  # the root's start, the first event
@@ -473,8 +488,16 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
             else:
                 ids[other] = child = len(tape_of)
             i += 1
-            by_frequency = prices[rule]
-            duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
+            row = table[rule]
+            entry = row.get(level.index)
+            if entry is None:  # the rule's first visit at this level, or every visit under an overridden ``scale``
+                by_frequency = prices[rule]
+                duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
+                scaled, clamps = _levels(rule, level, strategy)
+                if keep:
+                    row[level.index] = duration, energy, scaled, clamps
+            else:
+                duration, energy, scaled, clamps = entry
             own += energy
             start, end = end, end + duration  # a segment's start is its predecessor's end, one float for both
             if timed:
@@ -482,7 +505,6 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
                 claimed = sites[producer].value if rule == RULE_CLAIM else None
                 hole, sites[fid] = _fill(site, fid, child, claimed)
                 segments[fid].append(_new_tuple(Segment, (start, end, SEG_COMPUTE, level, energy, rule, None, hole)))
-            scaled, clamps = _levels(rule, level, strategy)
             clamp_count += clamps
             for new_level in scaled:  # each new level is a switch, which takes tau when tau > 0
                 if new_level.index != level.index:

@@ -183,10 +183,12 @@ def _levels(rule: str, level: FrequencyLevel, strategy: ScalingStrategy) -> tupl
 
     A Create sets its child's level by UP_CREATE, then its own by DOWN; a
     Claim sets its own by UP_CLAIM. So the last level is the thread's after
-    the rule. ``_advance`` and ``energy._price`` call it, and nothing else
-    calls ``strategy.scale``. It runs once per Create or Claim of every run,
-    so the operators are module constants and a Create's two clamp flags
-    are added as they come (``True + False == 1``).
+    the rule. ``_advance``, ``energy._price`` and ``energy._schedule`` call
+    it, and nothing else calls ``strategy.scale``; the last two keep its
+    answer per (rule, level index) for a run unless ``scale`` is overridden.
+    It runs once per Create or Claim of a run at most, so the operators are
+    module constants and a Create's two clamp flags are added as they come
+    (``True + False == 1``).
     """
     if rule == RULE_CREATE:
         child_level, clamp_up = strategy.scale(_UP_CREATE, level)

@@ -6,7 +6,10 @@ Imports futsim from ``--src`` and times, best of ``--repeat`` rounds of
 - ``_compile``: the tapes of each wide-futures ``compare`` command of
   ``bench/corpus.py`` (10 programs, spin and block: 20 compiles);
 - ``_price``: those tapes under the four strategies at tau 0.05, as
-  ``compare`` prices them (80 pricings);
+  ``compare`` prices them (80 pricings), and once more under ``both``
+  through a subclass whose ``scale`` calls ``super().scale``: the path a
+  custom strategy takes, where no level is looked up from the run's table
+  (20 pricings);
 - ``reprice`` and ``simulate``: a 6,400-term chain ``1 + 1 + ...``,
   ``future``^4096 ``1`` and a 2,000-deep ``future (1 + ...)`` nest, under
   ``both`` with the default ladder and cost model.
@@ -54,7 +57,7 @@ def main() -> int:
         return timing.against(__file__, args)
     energy = timing.import_futsim(args.src, "energy")
     from futsim.parser import parse
-    from futsim.scaling import DEFAULT_INIT_INDEX, DEFAULT_LADDER, make_strategy
+    from futsim.scaling import DEFAULT_INIT_INDEX, DEFAULT_LADDER, ScalingStrategy, make_strategy
 
     sys.path.insert(0, str(BENCH))
     import corpus
@@ -65,14 +68,27 @@ def main() -> int:
     deep = {"chain 6400": parse(" + ".join(["1"] * 6400)), "future^4096 1": parse("future " * 4096 + "1"),
             "nest 2000": parse("future (1 + " * 2000 + "1" + ")" * 2000)}
 
+    class Overriding(ScalingStrategy):
+        """A built-in strategy's steps behind an overridden ``scale``."""
+
+        def scale(self, op, level):
+            return super().scale(op, level)
+
     def price(compiled):
         return [energy._price(value, tapes, ladder, init, make_strategy(name, ladder), model)
                 for (value, tapes), (_, model) in zip(compiled, commands) for name in corpus.STRATEGIES]
+
+    def price_overriding(compiled):
+        return [energy._price(value, tapes, ladder, init,
+                              Overriding("both", ladder, *make_strategy("both", ladder)._steps.values()), model)
+                for (value, tapes), (_, model) in zip(compiled, commands)]
 
     rows = []
     compile_s, compiled = timing.best(args.repeat, lambda: [energy._compile(expr) for expr, _ in commands])
     rows.append((f"_compile x{len(commands)}", compile_s, []))
     rows.append((f"_price x{len(commands) * len(corpus.STRATEGIES)}", *timing.best(args.repeat, lambda: price(compiled))))
+    rows.append((f"_price x{len(commands)} overriding scale", *timing.best(args.repeat,
+                                                                         lambda: price_overriding(compiled))))
     for name, expr in deep.items():
         for fn in (energy.reprice, energy.simulate):
             rows.append((f"{fn.__name__} {name}",
