@@ -16,9 +16,9 @@ event is what a caller waits for. It reads its cost model once per run,
 hands each visit's thread back to the heap and takes the next event in
 one ``heappushpop``, and builds its records without a named tuple's
 Python ``__new__``. A run tables what a Create or a Claim does at each
-level, so a strategy that keeps ``ScalingStrategy.scale`` is asked once
-per (rule, level) per run; an override may keep state, so it is called
-on every Create and Claim, in the kernel's order.
+level, asking ``ScalingStrategy.scale`` once per (rule, level); an
+override, in a subclass or on the instance, may keep state, so it is
+called on every Create and Claim, in the kernel's order.
 
 ``compare`` and ``reprice`` price compiled tapes and fire no kernel, and
 ``_schedule`` replays them under a semantics-mode scheduler, as an untraced
@@ -60,6 +60,7 @@ from .engine import (
     SchedulerPolicy,
     _fill,
     _levels,
+    _reusable,
     ladder_start,
 )
 from .scaling import FrequencyLadder, FrequencyLevel, ScalingStrategy
@@ -313,15 +314,14 @@ def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLa
 
     Each step checks the limit, asks the policy's session to pick from the
     enabled threads, and advances the picked thread one tape entry; a
-    Create or a Claim sets levels by ``_levels``, as ``_advance`` does,
-    whose answer a run keeps per (rule, level index) unless ``scale`` is
-    overridden, and an override is called as ``run`` calls it. A Create's
-    child gets the next fresh id, as in ``run``. A thread whose next entry
-    claims a producer that has not realized parks on it; a thread at the
-    end of its tape has realized and releases the claimant parked on it,
-    and a child whose tape is empty realizes at birth. No tape starts with
-    a Claim, since a thread's Claims follow its Creates. The default limit
-    is ``run``'s, 30 steps per program node.
+    Create or a Claim sets levels by ``_levels``, as ``_advance`` does, kept
+    per (rule, level index) if ``_reusable``, so an override is called as
+    ``run`` calls it. A Create's child gets the next fresh id, as in ``run``.
+    A thread whose next entry claims a producer that has not realized parks
+    on it; a thread at the end of its tape has realized and releases the
+    claimant parked on it, and a child whose tape is empty realizes at
+    birth. No tape starts with a Claim, since a thread's Claims follow its
+    Creates. The default limit is ``run``'s, 30 steps per program node.
     """
     if step_limit is None:
         step_limit = 30 * _tape_nodes(tapes)
@@ -335,8 +335,7 @@ def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLa
     parked: dict[FutureId, FutureId] = {}  # producer -> the claimant waiting on it
     rules: list[str] = []
     clamps = 0
-    keep = strategy.__class__.scale is ScalingStrategy.scale  # then ``scale`` answers by (operator, level) alone
-    table = {RULE_CREATE: {}, RULE_CLAIM: {}}  # rule -> level index -> ``_levels``'s answer
+    keep, table = _reusable(strategy), {RULE_CREATE: {}, RULE_CLAIM: {}}  # rule -> level index -> ``_levels``'s answer
     while enabled:
         if len(rules) >= step_limit:
             raise DivergenceError(f"exceeded {step_limit} steps")
@@ -351,7 +350,7 @@ def _schedule(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLa
         if rule != RULE_ADD:
             level, row = levels[thread], table[rule]
             entry = row.get(level.index)
-            if entry is None:  # the rule's first visit at this level, or every visit under an overridden ``scale``
+            if entry is None:  # the rule's first visit at this level, or every visit unless ``keep``
                 entry = _levels(rule, level, strategy)
                 if keep:
                     row[level.index] = entry
@@ -405,10 +404,9 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
 
     A Create names its child with the heap's next id, the id ``simulate``
     gives it, and levels come from ``_levels`` in the kernel's order, kept
-    with the step's price per (rule, level index) unless ``scale`` is
-    overridden. An Add changes no level, so a heap visit also runs the Adds
-    after its rule at one looked-up price: only Creates, Claims and
-    realizes pop the heap.
+    with the price per (rule, level index) if ``_reusable``. An Add changes
+    no level, so a heap visit also runs the Adds after its rule at one
+    looked-up price: only Creates, Claims and realizes pop the heap.
     The event being run is held outside the heap, the root's start first,
     and the visit ends with one ``heappushpop`` that gives back the thread's
     next event unless an earlier one waits. A realize hands its parked
@@ -439,7 +437,7 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
     # rule -> frequency -> (duration, energy): two lookups, and no key tuple to build
     prices: dict[str, dict[float, tuple[float, float]]] = {rule: {} for rule in _CYCLES}
     add_prices = prices[RULE_ADD]
-    keep = strategy.__class__.scale is ScalingStrategy.scale  # then ``scale`` answers by (operator, level) alone
+    keep = _reusable(strategy)
     table = {RULE_CREATE: {}, RULE_CLAIM: {}}  # rule -> level index -> (duration, energy, levels set, clamps)
     clamp_count = transition_count = 0
 
@@ -488,14 +486,13 @@ def _price(final_value: int, tapes: dict[FutureId, list], ladder: FrequencyLadde
             else:
                 ids[other] = child = len(tape_of)
             i += 1
-            row = table[rule]
-            entry = row.get(level.index)
-            if entry is None:  # the rule's first visit at this level, or every visit under an overridden ``scale``
+            entry = table[rule].get(level.index)
+            if entry is None:  # the rule's first visit at this level, or every visit unless ``keep``
                 by_frequency = prices[rule]
                 duration, energy = by_frequency.get(level.value) or _priced(by_frequency, rule, level, model)
                 scaled, clamps = _levels(rule, level, strategy)
                 if keep:
-                    row[level.index] = duration, energy, scaled, clamps
+                    table[rule][level.index] = duration, energy, scaled, clamps
             else:
                 duration, energy, scaled, clamps = entry
             own += energy

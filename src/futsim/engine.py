@@ -185,10 +185,9 @@ def _levels(rule: str, level: FrequencyLevel, strategy: ScalingStrategy) -> tupl
     Claim sets its own by UP_CLAIM. So the last level is the thread's after
     the rule. ``_advance``, ``energy._price`` and ``energy._schedule`` call
     it, and nothing else calls ``strategy.scale``; the last two keep its
-    answer per (rule, level index) for a run unless ``scale`` is overridden.
-    It runs once per Create or Claim of a run at most, so the operators are
-    module constants and a Create's two clamp flags are added as they come
-    (``True + False == 1``).
+    answers for a run if ``_reusable``. It runs up to once per Create or
+    Claim, so the operators are module constants and a Create's two clamp
+    flags are added as they come (``True + False == 1``).
     """
     if rule == RULE_CREATE:
         child_level, clamp_up = strategy.scale(_UP_CREATE, level)
@@ -196,6 +195,11 @@ def _levels(rule: str, level: FrequencyLevel, strategy: ScalingStrategy) -> tupl
         return (child_level, parent_level), clamp_up + clamp_down
     new_level, clamped = strategy.scale(_UP_CLAIM, level)
     return (new_level,), int(clamped)
+
+
+def _reusable(strategy: ScalingStrategy) -> bool:
+    """True when ``strategy.scale`` is ``ScalingStrategy.scale``, which answers by (operator, level) alone."""
+    return getattr(strategy.scale, "__func__", None) is ScalingStrategy.scale
 
 
 def _advance(thr: Closure, strategy: ScalingStrategy, fresh: FutureId,

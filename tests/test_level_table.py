@@ -30,7 +30,7 @@ from futsim.energy import (  # noqa: E402
     reprice,
     simulate,
 )
-from futsim.engine import NewestFirst, RoundRobin, SeededRandom  # noqa: E402
+from futsim.engine import NewestFirst, RoundRobin, SeededRandom, run  # noqa: E402
 from futsim.parser import unparse  # noqa: E402
 from futsim.scaling import FrequencyLadder, ScalingStrategy, make_strategy  # noqa: E402
 from oracles import gen_random_program  # noqa: E402
@@ -101,6 +101,36 @@ def test_a_built_in_scale_is_asked_once_per_rule_and_level_and_an_override_on_ev
             questions.setdefault(path, []).append(sorted(asked))
     for path, (smaller, larger) in questions.items():
         assert smaller == larger, path
+
+
+def _set_on_instance(name):
+    """A built-in strategy whose ``scale`` is replaced on the instance, as a registered factory may replace it, by a
+    function that logs (operator, level index) per call and defers to the built-in one."""
+    strategy = make_strategy(name, LADDER)
+    strategy.log, built_in = [], strategy.scale
+
+    def scale(op, level):
+        strategy.log.append((op.name, level.index))
+        return built_in(op, level)
+
+    strategy.scale = scale
+    return strategy
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_a_scale_set_on_the_instance_is_called_on_every_create_and_claim(name):
+    """A ``scale`` set on the instance may keep state like a subclass's override: every path, ``run`` included, calls
+    it 2 x creates + claims times, with the questions a subclass's override is asked, in the same order, and gives the
+    same result."""
+    n = 40
+    expr = wide(n)
+    paths = _paths(expr)
+    paths["run"] = lambda strategy: dataclasses.replace(run(expr, LADDER, 2, strategy), events=())
+    for path, price in paths.items():
+        override, on_instance = _Deferring(name, LADDER), _set_on_instance(name)
+        assert _outcome(price(on_instance)) == _outcome(price(override)), path
+        assert len(on_instance.log) == 2 * n + n, path  # each future is created once and claimed once
+        assert on_instance.log == override.log, path
 
 
 def _switch_free(report):
